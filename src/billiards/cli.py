@@ -3,8 +3,9 @@
 Subcommands: beta, mm, compare, conjugacy, witness, orbit.  Each command
 reads table description files (JSON), writes CSV data plus a
 machine-readable summary.json into the output directory, and exits 0 on
-success, 1 on configuration errors, 2 on fit-conditioning failures and 3
-on solver failures.  Set BILLIARDS_LOG to a logging level name for
+success, 1 on configuration errors, 2 on fit-conditioning failures, 3 on
+solver failures and 4 when the conjugacy residual is above --threshold
+(or is NaN).  Set BILLIARDS_LOG to a logging level name for
 progress output; --threads parallelizes the q sweeps.
 """
 
@@ -19,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dynamics import PhasePoint, trajectory, write_trajectory_csv
 from .ellipse_maps import build_conjugacy, eccentricity_witness, hyperbolic_orbit_exists
@@ -29,21 +32,22 @@ from .errors import (
     TableConfigError,
 )
 from .invariants import (
+    COND_LIMIT,
     DEFAULT_Q_RANGE,
     fit_normalized_beta,
     mm_fit_from_samples,
     mm_ratio_check,
     sample_beta,
 )
-from .orbits import find_orbit, lq_bounds
-from .tables import EllipseTable, load_table
+from .orbits import STAT_TOL_FACTOR, find_orbit, lq_bounds
+from .tables import CHORD_TOL, EllipseTable, load_table
 
 log = logging.getLogger("billiards")
 
-STAT_TOL_NOTE = {
-    "stationarity": "1e-10 * perimeter",
-    "fit_condition_limit": 1e12,
-    "chord_parameter": 1e-13,
+TOLERANCES = {
+    "stationarity_per_perimeter": STAT_TOL_FACTOR,
+    "fit_condition_limit": COND_LIMIT,
+    "chord_parameter": CHORD_TOL,
 }
 
 
@@ -55,43 +59,34 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"billiards {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, two_tables=False):
+    def common(p, two_tables=False, fit=False):
         p.add_argument("--table", required=True, help="table description file (JSON)")
         if two_tables:
             p.add_argument("--table2", required=True, help="second table file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        if fit:
+            p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
+            p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
+            p.add_argument("--K", type=int, default=3)
 
     p = sub.add_parser("beta", help="sample beta(1/q) and fit the normalized expansion")
-    common(p)
-    p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
-    p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--extended", action="store_true",
-                   help="extended-precision fit accumulation (required for K > 3)")
+    common(p, fit=True)
 
     p = sub.add_parser("mm", help="L_q/l_q table and Marvizi-Melrose fit")
-    common(p)
-    p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
-    p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--extended", action="store_true")
+    common(p, fit=True)
     p.add_argument("--gap-step", type=int, default=5,
                    help="stride for the l_q (gap) computation")
 
     p = sub.add_parser("compare", help="normalized coefficients of two tables + ratio law")
-    common(p, two_tables=True)
-    p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
-    p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--extended", action="store_true")
+    common(p, two_tables=True, fit=True)
 
     p = sub.add_parser("conjugacy", help="verify the elliptic near-boundary conjugacy")
     common(p, two_tables=True)
     p.add_argument("--grid", type=int, nargs=2, default=(200, 50),
                    metavar=("NS", "NTHETA"))
     p.add_argument("--threshold", type=float, default=None,
-                   help="exit nonzero when the max residual exceeds this")
+                   help="exit 4 when the max residual exceeds this or is NaN")
 
     p = sub.add_parser("witness", help="eccentricity-rigidity witness for two ellipses")
     common(p, two_tables=True)
@@ -113,7 +108,7 @@ def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
         "version": __version__,
         "command": command,
         "config": config,
-        "tolerances": STAT_TOL_NOTE,
+        "tolerances": TOLERANCES,
         "outputs": outputs,
     }
     summary.update(payload)
@@ -130,7 +125,7 @@ def _load(path) -> object:
 def _cmd_beta(args, outdir: Path) -> int:
     table = _load(args.table)
     samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
-    report = mm_fit_from_samples(samples, args.K, extended=args.extended)
+    report = mm_fit_from_samples(samples, args.K)
     csv_path = outdir / "beta_samples.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -153,7 +148,7 @@ def _cmd_beta(args, outdir: Path) -> int:
 def _cmd_mm(args, outdir: Path) -> int:
     table = _load(args.table)
     samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
-    report = mm_fit_from_samples(samples, args.K, extended=args.extended)
+    report = mm_fit_from_samples(samples, args.K)
     gap_qs = list(range(args.qmin, args.qmax + 1, args.gap_step))
     rows = []
     for q in gap_qs:
@@ -183,8 +178,8 @@ def _cmd_compare(args, outdir: Path) -> int:
     t2 = _load(args.table2)
     s1 = sample_beta(t1, args.qmin, args.qmax, workers=args.threads)
     s2 = sample_beta(t2, args.qmin, args.qmax, workers=args.threads)
-    r1 = fit_normalized_beta(s1, args.K, extended=args.extended)
-    r2 = fit_normalized_beta(s2, args.K, extended=args.extended)
+    r1 = fit_normalized_beta(s1, args.K)
+    r2 = fit_normalized_beta(s2, args.K)
     ratios = mm_ratio_check(r1, r2)
     diff = [
         {"k": 2 * k + 3, "c_table1": float(a), "c_table2": float(b),
@@ -224,7 +219,7 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
         w.writerow(["s", "theta", "residual_s", "residual_theta"])
         for row in zip(s, th, rs, rt):
             w.writerow([float(v) for v in row])
-    max_res = float(max(rs.max(), rt.max()))
+    max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
     _write_summary(
         outdir, "conjugacy",
         {"table": t1.as_config(), "table2": t2.as_config(), "grid": [n_s, n_theta]},
@@ -232,7 +227,7 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
          "theta2_star": h.theta2_star, "theta3_star": h.theta3_star},
         [str(csv_path)],
     )
-    if args.threshold is not None and max_res > args.threshold:
+    if args.threshold is not None and not max_res <= args.threshold:
         log.error("conjugacy residual %.3e exceeds threshold %.3e", max_res, args.threshold)
         return 4
     return 0

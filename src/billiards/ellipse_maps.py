@@ -319,7 +319,7 @@ class ConjugacyMap:
 
     def max_residual(self, **kw) -> float:
         _, _, rs, rt = self.residual_grid(**kw)
-        return float(max(rs.max(), rt.max()))
+        return float(np.max(np.concatenate((rs, rt))))  # NaN propagates
 
 
 def build_conjugacy(e1, e2) -> ConjugacyMap:

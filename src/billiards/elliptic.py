@@ -123,6 +123,10 @@ def jacobi_am(t: float, k: float) -> float:
             lo = phi
         s = math.sin(phi)
         step = err * math.sqrt(1.0 - (k * s) * (k * s))  # err / F'(phi)
+        # Near k = 1 F' is large and the residual test above can sit below
+        # the rounding noise of F; a step or bracket at ulp level has converged.
+        if min(abs(step), hi - lo) <= math.ulp(phi):
+            break
         cand = phi - step
         phi = cand if lo < cand < hi else 0.5 * (lo + hi)
     else:  # pragma: no cover

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_Q_RANGE = (10, 120)
-DEFAULT_WEIGHT_POWER = 4
-DEFAULT_OMEGA_MAX = 0.1
+OMEGA_MAX = 0.1  # the normalized-beta fit uses samples with omega <= this
+WEIGHT_POWER = 4  # row weights are q**WEIGHT_POWER
 COND_LIMIT = 1e12
 
 
@@ -157,80 +157,46 @@ class InvariantReport:
         }
 
 
-def _wls(design: np.ndarray, y: np.ndarray, row_w: np.ndarray, extended: bool):
-    """Column-normalized weighted least squares; returns (coeffs, resid, cond, cov)."""
+def _wls(design: np.ndarray, y: np.ndarray, row_w: np.ndarray):
+    """Column-normalized weighted least squares by one thin SVD; the
+    coefficients, condition number and covariance all come from the same
+    factorization.  Returns (coeffs, resid, cond, cov)."""
     A = design * row_w[:, None]
-    b = y * row_w
     col = np.linalg.norm(A, axis=0)
     if np.any(col == 0.0):
         raise ConditioningError("degenerate design column; widen the sample range")
-    An = A / col[None, :]
-    if extended:
-        # Normal equations accumulated in extended precision, solved by a
-        # hand-rolled Cholesky (LAPACK has no long-double path).
-        G = (An.astype(np.longdouble).T @ An.astype(np.longdouble))
-        rhs = An.astype(np.longdouble).T @ b.astype(np.longdouble)
-        n = G.shape[0]
-        L = np.zeros_like(G)
-        for i in range(n):
-            for j in range(i + 1):
-                acc = G[i, j] - np.dot(L[i, :j], L[j, :j])
-                if i == j:
-                    if acc <= 0:
-                        raise ConditioningError(
-                            "normal equations not positive definite; reduce K "
-                            "or narrow the omega range"
-                        )
-                    L[i, i] = np.sqrt(acc)
-                else:
-                    L[i, j] = acc / L[j, j]
-        z = np.zeros(n, dtype=np.longdouble)
-        for i in range(n):
-            z[i] = (rhs[i] - np.dot(L[i, :i], z[:i])) / L[i, i]
-        c = np.zeros(n, dtype=np.longdouble)
-        for i in reversed(range(n)):
-            c[i] = (z[i] - np.dot(L[i + 1:, i], c[i + 1:])) / L[i, i]
-        coeffs = np.asarray(c, dtype=float) / col
-        sv = np.linalg.svd(An, compute_uv=False)
-        cond = float(sv[0] / sv[-1])
-    else:
-        coeffs_n, _, _, sv = np.linalg.lstsq(An, b, rcond=None)
-        cond = float(sv[0] / sv[-1])
-        coeffs = coeffs_n / col
+    U, sv, Vt = np.linalg.svd(A / col[None, :], full_matrices=False)
+    cond = float(sv[0] / sv[-1])
     if not math.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(
             f"design condition number {cond:.2e} exceeds {COND_LIMIT:.0e}; "
             "narrow the omega range or reduce K"
         )
+    coeffs = (Vt.T @ ((U.T @ (y * row_w)) / sv)) / col
     resid = design @ coeffs - y
     wres = resid * row_w
     dof = max(1, len(y) - design.shape[1])
     sigma2 = float(np.dot(wres, wres)) / dof
-    gram_inv = np.linalg.inv((An.T @ An))
-    cov = sigma2 * (gram_inv / np.outer(col, col))
+    # (An^T An)^-1 = V S^-2 V^T, without squaring the condition number
+    VS = Vt.T / sv
+    cov = sigma2 * ((VS @ VS.T) / np.outer(col, col))
     return coeffs, resid, cond, cov
 
 
-def fit_normalized_beta(samples: BetaSamples, K: int = 3, *,
-                        extended: bool = False,
-                        omega_max: float = DEFAULT_OMEGA_MAX,
-                        weight_power: float = DEFAULT_WEIGHT_POWER) -> InvariantReport:
+def fit_normalized_beta(samples: BetaSamples, K: int = 3) -> InvariantReport:
     """Fit the odd expansion of the normalized action function.
 
     Regresses lambda^-3 (beta + ell*omega) on omega^3, ..., omega^(2K+3)
-    (one guard order past K) using samples with omega <= omega_max and
-    weights q^weight_power.  K > 3 needs extended=True, which accumulates
-    the normal equations in extended precision.
+    (one guard order past K) using samples with omega <= OMEGA_MAX and
+    weights q^WEIGHT_POWER.
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
-    if K > 3 and not extended:
-        raise DomainError("K > 3 requires extended=True (extended-precision fit)")
     om = np.asarray(samples.omega, dtype=float)
-    keep = om <= omega_max
+    keep = om <= OMEGA_MAX
     if int(np.count_nonzero(keep)) < 2 * K + 2:
         raise DomainError(
-            f"need at least {2 * K + 2} samples with omega <= {omega_max}, "
+            f"need at least {2 * K + 2} samples with omega <= {OMEGA_MAX}, "
             f"have {int(np.count_nonzero(keep))}"
         )
     om = om[keep]
@@ -240,8 +206,8 @@ def fit_normalized_beta(samples: BetaSamples, K: int = 3, *,
     y = (beta + samples.ell * om) / lam3
     powers = np.arange(1, K + 2)
     design = om[:, None] ** (2 * powers[None, :] + 1)
-    row_w = qv**weight_power
-    coeffs, resid, cond, cov = _wls(design, y, row_w, extended)
+    row_w = qv**WEIGHT_POWER
+    coeffs, resid, cond, cov = _wls(design, y, row_w)
     return InvariantReport(
         K=K,
         ell=samples.ell,
@@ -256,24 +222,22 @@ def fit_normalized_beta(samples: BetaSamples, K: int = 3, *,
             "q_min": int(qv.min()),
             "q_max": int(qv.max()),
             "n_samples": int(len(om)),
-            "omega_max": omega_max,
-            "weight_power": weight_power,
+            "omega_max": OMEGA_MAX,
+            "weight_power": WEIGHT_POWER,
         },
     )
 
 
-def mm_fit_from_samples(samples: BetaSamples, K: int = 3, *,
-                        extended: bool = False,
-                        weight_power: float = DEFAULT_WEIGHT_POWER) -> InvariantReport:
+def mm_fit_from_samples(samples: BetaSamples, K: int = 3) -> InvariantReport:
     """Fit L_q against 1, q^-2, ..., q^-2(K+1) and cross-check against the
     normalized-beta fit of the same samples."""
-    report = fit_normalized_beta(samples, K, extended=extended)
+    report = fit_normalized_beta(samples, K)
     qv = np.asarray(samples.q, dtype=float)
     lengths = samples.lengths
     powers = np.arange(0, K + 2)
     design = qv[:, None] ** (-2.0 * powers[None, :])
-    row_w = qv**weight_power
-    coeffs, resid, cond, _ = _wls(design, lengths, row_w, extended)
+    row_w = qv**WEIGHT_POWER
+    coeffs, resid, cond, _ = _wls(design, lengths, row_w)
     report.mm_ell = coeffs[: K + 1]
     report.mm_guard = float(coeffs[K + 1])
     report.mm_resid_rms = float(np.sqrt(np.mean(resid**2)))
@@ -285,8 +249,7 @@ def mm_fit_from_samples(samples: BetaSamples, K: int = 3, *,
 
 
 def mm_invariants(table: Table, q_range: tuple[int, int] = DEFAULT_Q_RANGE,
-                  K: int = 3, *, extended: bool = False,
-                  workers: int = 1) -> InvariantReport:
+                  K: int = 3, *, workers: int = 1) -> InvariantReport:
     """Marvizi-Melrose coefficients from maximal q-gon perimeters."""
     q_min, q_max = q_range
     if q_min < 5:
@@ -294,7 +257,7 @@ def mm_invariants(table: Table, q_range: tuple[int, int] = DEFAULT_Q_RANGE,
     if q_max - q_min + 1 < 2 * K + 2:
         raise DomainError(f"q range must span at least {2 * K + 2} values")
     samples = sample_beta(table, q_min, q_max, p=1, workers=workers)
-    return mm_fit_from_samples(samples, K, extended=extended)
+    return mm_fit_from_samples(samples, K)
 
 
 @dataclass(frozen=True)

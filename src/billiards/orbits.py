@@ -253,7 +253,7 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     ell = table.perimeter
     stat_tol = STAT_TOL_FACTOR * ell
 
-    multistart = orbit_class == "min" or table.kind == "perturbed_circle"
+    multistart = orbit_class == "min" or not table.integrable
     offsets = [j * ell * p / (8.0 * q) for j in range(8)] if multistart else [0.0]
     inits = [_equal_arc_init(table, p, q, off) for off in offsets]
     if orbit_class == "min" and q <= 16:
@@ -296,23 +296,18 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
             best=best,
         )
 
-    # Deduplicate critical values; ties break to the smallest s_0.
+    # "max" takes the longest orbit found, "min" the shortest; exact ties
+    # break to the smallest s_0 (max() keeps the first of equal keys).
     values = sorted(results, key=lambda r: (r[0], r[1]))
-    distinct = []
-    for r in values:
-        if not distinct or abs(r[0] - distinct[-1][0]) > VALUE_DEDUPE_RTOL * max(
-            1.0, abs(distinct[-1][0])
-        ):
-            distinct.append(r)
-    chosen = max(distinct, key=lambda r: r[0]) if orbit_class == "max" else distinct[0]
-    if orbit_class == "max":
-        # among equal-value results prefer smallest s_0
-        top = [r for r in results if abs(r[0] - chosen[0]) <= VALUE_DEDUPE_RTOL * max(1.0, abs(chosen[0]))]
-        chosen = min(top, key=lambda r: r[1])
+    chosen = max(values, key=lambda r: r[0]) if orbit_class == "max" else values[0]
     length, _, s_rot, t_rot, res, sweeps, nsteps = chosen
+    candidates = []  # critical values closer than the dedupe tolerance count once
+    for r in values:
+        if not candidates or r[0] - candidates[-1] > VALUE_DEDUPE_RTOL * max(1.0, candidates[-1]):
+            candidates.append(r[0])
     return OrbitConfig(
         p, q, orbit_class, s_rot, t_rot, length, res, sweeps, nsteps, True,
-        candidates=[r[0] for r in distinct],
+        candidates=candidates,
     )
 
 

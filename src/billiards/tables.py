@@ -35,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 _N_PANELS = 1024
 _GL_ORDER = 12
 _CONVEXITY_GRID = 10_000
+CHORD_TOL = 1e-13  # angle step at which the generic chord solver's Newton polish stops
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,9 @@ class Table:
     """Base class: arc-length facade over an angle-parametrized boundary."""
 
     kind = "abstract"
+    # Integrable tables have equal-length periodic-orbit families, so one
+    # solver start finds the maximizer; other tables need the multistart.
+    integrable = False
 
     def __init__(self):
         self._build_arc_tables()
@@ -188,7 +192,7 @@ class Table:
         Returns the exit angle t1 in (t0, t0 + 2*pi).  The signed residual
         g(t) = cross(u, gamma(t) - p) is negative between t0 and the exit
         and positive after it, so a sign bisection is safe; a Newton polish
-        brings the parameter error below 1e-13.
+        brings the parameter error below CHORD_TOL.
         """
 
         def g(t):
@@ -222,13 +226,14 @@ class Table:
                 break
             step = (u[0] * (q[1] - p[1]) - u[1] * (q[0] - p[0])) / gp
             t1 -= step
-            if abs(step) < 1e-13:
+            if abs(step) < CHORD_TOL:
                 break
         return t1
 
 
 class CircleTable(Table):
     kind = "circle"
+    integrable = True
 
     def __init__(self, radius: float):
         if radius <= 0.0:
@@ -285,6 +290,7 @@ class CircleTable(Table):
 
 class EllipseTable(Table):
     kind = "ellipse"
+    integrable = True
 
     def __init__(self, a: float, b: float):
         self.params = EllipseParams(float(a), float(b))

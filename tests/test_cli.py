@@ -2,11 +2,16 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import billiards.cli as cli
 from billiards.cli import main
+from billiards.ellipse_maps import ConjugacyMap
 from billiards.errors import SolverError
+from billiards.invariants import COND_LIMIT
+from billiards.orbits import STAT_TOL_FACTOR
+from billiards.tables import CHORD_TOL
 
 
 @pytest.fixture
@@ -45,7 +50,11 @@ class TestBetaCommand:
         assert abs(summary["c3"] - 1.0 / 24.0) < 1e-5
         assert summary["tool"] == "billiards"
         assert summary["version"]
-        assert summary["tolerances"]
+        assert summary["tolerances"] == {
+            "stationarity_per_perimeter": STAT_TOL_FACTOR,
+            "fit_condition_limit": COND_LIMIT,
+            "chord_parameter": CHORD_TOL,
+        }
         with open(out / "beta_samples.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["p"] == "1" and rows[0]["q"] == "10"
@@ -118,6 +127,16 @@ class TestConjugacyCommand:
         with open(out / "conjugacy_residuals.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["s", "theta", "residual_s", "residual_theta"]
+
+    def test_nan_residual_fails_threshold(self, ellipse_cfg, tmp_path, monkeypatch):
+        def nan_grid(self, **kw):
+            return (np.zeros(2), np.zeros(2), np.array([0.0, 1e-12]),
+                    np.array([np.nan, 0.0]))
+
+        monkeypatch.setattr(ConjugacyMap, "residual_grid", nan_grid)
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse_cfg,
+                   "--threshold", "1e-6", "--out", str(tmp_path / "out")])
+        assert rc == 4
 
     def test_requires_ellipses(self, circle_cfg, ellipse_cfg, tmp_path, capsys):
         rc = main(["conjugacy", "--table", circle_cfg, "--table2", ellipse_cfg,

@@ -149,6 +149,15 @@ class TestJacobiAm:
             k = rng.uniform(0.0, 0.95)
             assert jacobi_am(ellip_f(phi, k), k) == pytest.approx(phi, abs=1e-11)
 
+    def test_converges_near_unit_modulus(self):
+        # F' reaches 1/sqrt(1 - k^2) ~ 10 here, so |F(phi) - t| cannot always
+        # get below 1e-15 * |t| in double precision
+        k = 0.995
+        big_k = ellip_k(k)
+        rng = np.random.default_rng(41)
+        for t in rng.uniform(-big_k, big_k, 2000):
+            assert ellip_f(jacobi_am(t, k), k) == pytest.approx(t, abs=1e-11)
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
             jacobi_am(0.3, 1.0)

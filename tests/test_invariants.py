@@ -88,11 +88,8 @@ class TestNormalizedBetaFit:
         with pytest.raises(DomainError):
             fit_normalized_beta(circle_samples(q_lo=10, q_hi=14), K=3)
 
-    def test_high_k_needs_flag(self):
-        samples = circle_samples()
-        with pytest.raises(DomainError):
-            fit_normalized_beta(samples, K=5)
-        rep = fit_normalized_beta(samples, K=5, extended=True)
+    def test_high_k_fits(self):
+        rep = fit_normalized_beta(circle_samples(), K=5)
         assert rep.beta_coeffs[0] == pytest.approx(C3, abs=1e-10)
 
     def test_conditioning_error(self):

@@ -144,6 +144,23 @@ class TestProperties:
                 3.0 * beta_at(ellipse21, p, q), rel=1e-10
             )
 
+    def test_max_is_longest_single_start(self, perturbed):
+        # At q = 29 two critical values lie within the dedupe tolerance; the
+        # maximizer must be the longer one, whichever start found it.
+        p, q = 1, 29
+        chain = orbits_mod._Chain(perturbed, p, q)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        lengths = []
+        for j in range(8):
+            t_init = orbits_mod._equal_arc_init(
+                perturbed, p, q, j * perturbed.perimeter * p / (8.0 * q))
+            t, _, _, _, ok = orbits_mod._solve_from(
+                chain, perturbed, p, q, t_init, True, stat_tol)
+            if ok:
+                lengths.append(chain.value_grad(t)[0])
+        assert lengths
+        assert find_orbit(perturbed, p, q, "max").length >= max(lengths) - 1e-12
+
     def test_perturbed_gap_positive_small_q(self, perturbed):
         big, small = lq_bounds(perturbed, 10)
         assert big - small > 1e-5

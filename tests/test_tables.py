@@ -155,11 +155,12 @@ class TestConfig:
                 "harmonics": [{"m": 3, "eps": 0.05, "phase": 0.1}],
             },
         ]
-        for cfg in configs:
+        for cfg, integrable in zip(configs, (True, True, False)):
             path = tmp_path / "table.json"
             path.write_text(json.dumps(cfg))
             table = load_table(path)
             assert table.as_config()["kind"] == cfg["kind"]
+            assert table.integrable is integrable
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
