@@ -101,6 +101,17 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
                    outputs: list[str]) -> None:
     summary = {
@@ -113,7 +124,7 @@ def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
     }
     summary.update(payload)
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(_strict(summary), fh, indent=2, allow_nan=False)
 
 
 def _load(path) -> object:
@@ -129,9 +140,14 @@ def _cmd_beta(args, outdir: Path) -> int:
     csv_path = outdir / "beta_samples.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["p", "q", "omega", "beta"])
-        for p, q, om, b in zip(samples.p, samples.q, samples.omega, samples.beta):
-            w.writerow([int(p), int(q), float(om), float(b)])
+        w.writerow(["p", "q", "omega", "beta", "residual", "sweeps", "newton_steps",
+                    "converged", "candidates"])
+        for row in zip(samples.p, samples.q, samples.omega, samples.beta, samples.residual,
+                       samples.sweeps, samples.newton_steps, samples.converged,
+                       samples.candidates):
+            p, q, om, b, res, sweeps, steps, conv, cand = row
+            w.writerow([int(p), int(q), float(om), float(b), float(res), int(sweeps),
+                        int(steps), int(conv), int(cand)])
     rep_path = outdir / "invariant_report.json"
     with open(rep_path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

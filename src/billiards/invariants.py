@@ -11,6 +11,7 @@ parameter and the Legendre-Fenchel dual of beta.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -39,11 +40,19 @@ OMEGA_MAX = 0.1  # the normalized-beta fit uses samples with omega <= this
 WEIGHT_POWER = 4  # row weights are q**WEIGHT_POWER
 COND_LIMIT = 1e12
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class BetaSamples:
     """Sampled values of Mather's beta with the table constants needed to
-    normalize them."""
+    normalize them.
+
+    sample_beta also records, per sample, how its maximal orbit was
+    solved: the stationarity residual max |dL/ds_i|, the sweeps and Newton
+    steps spent, whether it converged and how many distinct critical
+    values the multistart found.  Samples built by hand leave them None.
+    """
 
     p: np.ndarray
     q: np.ndarray
@@ -51,6 +60,11 @@ class BetaSamples:
     beta: np.ndarray
     ell: float
     lazutkin: float
+    residual: np.ndarray | None = None
+    sweeps: np.ndarray | None = None
+    newton_steps: np.ndarray | None = None
+    converged: np.ndarray | None = None
+    candidates: np.ndarray | None = None
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -71,7 +85,9 @@ class BetaSamples:
 
 def _beta_job(args):
     table, p, q = args
-    return q, find_orbit(table, p, q, "max").beta
+    orb = find_orbit(table, p, q, "max")
+    return (q, orb.beta, orb.residual, orb.sweeps, orb.newton_steps, orb.converged,
+            len(orb.candidates))
 
 
 def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
@@ -82,12 +98,15 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
     jobs = [(table, p, q) for q in qs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_beta_job, jobs, chunksize=4))
+            rows = list(pool.map(_beta_job, jobs, chunksize=4))
     else:
-        pairs = [_beta_job(j) for j in jobs]
-    pairs.sort(key=lambda qb: qb[0])
-    q_arr = np.array([qb[0] for qb in pairs], dtype=int)
-    b_arr = np.array([qb[1] for qb in pairs])
+        rows = [_beta_job(j) for j in jobs]
+    rows.sort(key=lambda r: r[0])
+    for q, beta, res, sweeps, steps, conv, cand in rows:
+        log.info("beta(%d/%d) = %.15g: residual %.2e, %d sweeps, %d Newton steps, "
+                 "converged %s, %d candidates", p, q, beta, res, sweeps, steps, conv, cand)
+    q_arr, b_arr, res, sweeps, steps, conv, cand = (
+        np.array([r[k] for r in rows]) for k in range(7))
     return BetaSamples(
         p=np.full_like(q_arr, p),
         q=q_arr,
@@ -95,6 +114,11 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
         beta=b_arr,
         ell=table.perimeter,
         lazutkin=table.lazutkin_perimeter,
+        residual=res,
+        sweeps=sweeps,
+        newton_steps=steps,
+        converged=conv,
+        candidates=cand,
     )
 
 

@@ -12,6 +12,13 @@ Hessian mode that the continuous orbit families of integrable tables
 produce.  Minimal critical values are collected by running the same
 Newton solver from rotated (and, at low q, scattered) initializations
 and keeping every distinct critical value found.
+
+The starts are solved as one batch: every start is a row of an
+(n_starts, q) array, and each sweep or Newton pass evaluates all rows in
+one call.  The Hessian is cyclic tridiagonal and is assembled as its
+diagonal and off-diagonal vectors by slicing; the sweeps read only the
+diagonal, and the Newton polish runs a per-row accept/reject state
+machine, so every start takes the path it would take alone.
 """
 
 from __future__ import annotations
@@ -59,64 +66,76 @@ class OrbitConfig:
         return table.position(np.mod(self.t, TWO_PI))
 
 
+def _next(a):
+    """a[..., i + 1] at vertex i, cyclically along the last axis."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+
+
+def _prev(a):
+    """a[..., i - 1] at vertex i, cyclically along the last axis."""
+    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+
+
 class _Chain:
-    """Gradient/Hessian assembly for the lifted length functional in t."""
+    """Length, gradient and Hessian of the lifted length functional in t,
+    for a batch of configurations t of shape (n, q), one per row."""
 
     def __init__(self, table: Table, p: int, q: int):
         self.table = table
         self.p = p
         self.q = q
 
-    def geometry(self, t):
-        pos, tan, kappa, w = self.table.frame(t)
-        dw = self.table.dspeed(t)
-        return pos, tan, kappa, w, dw
-
-    def chords(self, t):
-        pos, tan, kappa, w, dw = self.geometry(t)
-        nxt = np.roll(pos, -1, axis=0)
-        dvec = nxt - pos
-        d = np.hypot(dvec[:, 0], dvec[:, 1])
-        u = dvec / d[:, None]
-        tan_n = np.roll(tan, -1, axis=0)
-        cos_out = u[:, 0] * tan[:, 0] + u[:, 1] * tan[:, 1]
-        sin_out = tan[:, 0] * u[:, 1] - tan[:, 1] * u[:, 0]
-        cos_in = u[:, 0] * tan_n[:, 0] + u[:, 1] * tan_n[:, 1]
-        sin_in = u[:, 0] * tan_n[:, 1] - u[:, 1] * tan_n[:, 0]
-        return pos, tan, kappa, w, dw, d, u, cos_out, sin_out, cos_in, sin_in
-
-    def value_grad(self, t):
-        (_, _, _, w, _, d, _, cos_out, _, cos_in, _) = self.chords(t)
-        # dL/ds_i = cos(theta_in at i) - cos(theta_out at i)
-        grad_s = np.roll(cos_in, 1) - cos_out
-        return float(d.sum()), grad_s * w, grad_s
+    def value(self, t):
+        """Total chord length of every row."""
+        pos = self.table.position(t)
+        x, y = pos[..., 0], pos[..., 1]
+        return np.hypot(_next(x) - x, _next(y) - y).sum(axis=-1)
 
     def hessian(self, t):
-        (pos, tan, kappa, w, dw, d, u, cos_out, sin_out, cos_in, sin_in) = self.chords(t)
-        q = self.q
-        kappa_n = np.roll(kappa, -1)
-        tan_n = np.roll(tan, -1, axis=0)
-        tt = tan[:, 0] * tan_n[:, 0] + tan[:, 1] * tan_n[:, 1]
+        """F = dL/dt and its cyclic tridiagonal Jacobian as (diag, off),
+        where off[..., i] is the (i, i+1) entry (and the (i+1, i) one)."""
+        pos, tan, kappa, w = self.table.frame(t)
+        dw = self.table.dspeed(t)
+        x, y = pos[..., 0], pos[..., 1]
+        tx, ty = tan[..., 0], tan[..., 1]
+        tnx, tny = _next(tx), _next(ty)
+        dx, dy = _next(x) - x, _next(y) - y
+        d = np.hypot(dx, dy)
+        ux, uy = dx / d, dy / d
+        cos_out = ux * tx + uy * ty
+        sin_out = tx * uy - ty * ux
+        cos_in = ux * tnx + uy * tny
+        sin_in = ux * tny - uy * tnx
+        tt = tx * tnx + ty * tny
         # second partials of the chord length d(s_i, s_{i+1})
         h_aa = sin_out**2 / d - kappa * sin_out
-        h_bb = sin_in**2 / d - kappa_n * sin_in
+        h_bb = sin_in**2 / d - _next(kappa) * sin_in
         h_ab = -(tt - cos_out * cos_in) / d
-        grad_s = np.roll(cos_in, 1) - cos_out
-        w_n = np.roll(w, -1)
-        J = np.zeros((q, q))
-        idx = np.arange(q)
-        nxt = (idx + 1) % q
-        np.add.at(J, (idx, idx), w * w * h_aa)
-        np.add.at(J, (nxt, nxt), w_n * w_n * h_bb)
-        np.add.at(J, (idx, nxt), w * w_n * h_ab)
-        np.add.at(J, (nxt, idx), w * w_n * h_ab)
-        np.add.at(J, (idx, idx), dw * grad_s)
-        F = grad_s * w
-        return F, J
+        # dL/ds_i = cos(theta_in at i) - cos(theta_out at i)
+        grad_s = _prev(cos_in) - cos_out
+        w_n = _next(w)
+        diag = (w * w * h_aa + _prev(w_n * w_n * h_bb)) + dw * grad_s
+        off = w * w_n * h_ab
+        if self.q == 2:  # both neighbours of a vertex are the same vertex
+            off = off + off[..., ::-1]
+        return grad_s * w, diag, off
+
+
+def _dense(diag, off):
+    """Stack of dense cyclic tridiagonal matrices from their bands."""
+    n, q = diag.shape
+    i = np.arange(q)
+    j = (i + 1) % q
+    J = np.zeros((n, q, q))
+    J[:, i, i] = diag
+    J[:, i, j] = off
+    J[:, j, i] = off
+    return J
 
 
 def _ordered(t, p):
-    return bool(np.all(np.diff(t) > 0.0) and (t[-1] - t[0]) < TWO_PI * p)
+    """Per row: strictly increasing and spanning less than p turns."""
+    return np.all(np.diff(t, axis=-1) > 0.0, axis=-1) & (t[..., -1] - t[..., 0] < TWO_PI * p)
 
 
 def _sweeps(chain: _Chain, t, n_sweeps: int):
@@ -127,76 +146,151 @@ def _sweeps(chain: _Chain, t, n_sweeps: int):
     q = chain.q
     span = TWO_PI * chain.p
     t = t.copy()
+    passes = []
+    for parity in (0, 1):
+        idx = np.arange(parity, q, 2)
+        # lifted neighbours: vertex -1 is t_{q-1} - span, vertex q is t_0 + span
+        passes.append((idx, idx - 1, np.where(idx == 0, span, 0.0),
+                       (idx + 1) % q, np.where(idx + 1 == q, span, 0.0)))
     for _ in range(n_sweeps):
-        for parity in (0, 1):
-            idx = np.arange(parity, q, 2)
-            F, J = chain.hessian(t)
-            jd = np.diag(J)[idx]
-            fi = F[idx]
-            left = t[idx - 1] if parity else np.concatenate([[t[-1] - span], t[idx[1:] - 1]])
-            right = t[(idx + 1) % q] + np.where(idx + 1 == q, span, 0.0)
-            gap_lo = t[idx] - left
-            gap_hi = right - t[idx]
+        for idx, lo, lo_shift, hi, hi_shift in passes:
+            F, diag, _ = chain.hessian(t)
+            jd = diag[:, idx]
+            fi = F[:, idx]
+            gap_lo = t[:, idx] - (t[:, lo] - lo_shift)
+            gap_hi = (t[:, hi] + hi_shift) - t[:, idx]
             newton = np.where(jd < -1e-14, -fi / np.where(jd < -1e-14, jd, -1.0), 0.0)
             fallback = 0.125 * np.minimum(gap_lo, gap_hi) * np.sign(fi)
             step = np.where(jd < -1e-14, newton, fallback)
             step = np.clip(step, -0.45 * gap_lo, 0.45 * gap_hi)
-            t[idx] += step
+            t[:, idx] += step
     return t
 
 
+def _rowdot(a):
+    """Per-row a . a, rounded as np.dot rounds one row."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+def _solve_stack(A, b):
+    """Solve A[k] x = b[k] for every k; a singular A[k] gives ok[k] False."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:  # pragma: no cover
+        x = np.zeros_like(b)
+        ok = np.zeros(len(b), dtype=bool)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(A[k], b[k])
+                ok[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, ok
+
+
+# states of a row in _newton
+_OUTER, _SOLVE, _TRIAL, _DONE = range(4)
+
+
 def _newton(chain: _Chain, t, cap: int, stat_tol: float):
-    """Damped Gauss-Newton on the stationarity system.
+    """Damped Gauss-Newton on the stationarity system, one start per row.
 
     The Hessian of the length functional is exactly singular along the
     orbit families of integrable tables and nearly so for perturbed ones,
     so the step solves the Levenberg-Marquardt system (J^T J + mu*I) d =
     -J^T F; mu grows when a step is rejected and shrinks on success.
-    Returns (t, residual, steps, ok) with the residual in max |dL/ds_i|.
+
+    Every row runs its own state machine: an outer step builds the LM
+    system, up to 12 values of mu are tried, each with up to 20 halvings
+    of the step length.  Each pass of the loop moves every live row to its
+    next trial points and evaluates all of them in one batch, so rows
+    share evaluations but never decisions.  Returns (t, residual, steps,
+    ok) arrays with the residual in max |dL/ds_i|.
     """
-    t = t.copy()
-    F, J = chain.hessian(t)
-    res = float(np.max(np.abs(F / chain.table.speed(t))))
-    steps = 0
-    mu = 1e-12
-    eye = np.eye(chain.q)
-    for _ in range(cap):
-        if res <= stat_tol:
-            return t, res, steps, True
-        gram = J.T @ J
-        scale = float(np.trace(gram)) / chain.q
-        rhs = -J.T @ F
-        norm_f = float(np.dot(F, F))
-        improved = False
-        for _ in range(12):
-            try:
-                delta = np.linalg.solve(gram + (mu * scale) * eye, rhs)
-            except np.linalg.LinAlgError:  # pragma: no cover
-                mu *= 100.0
-                continue
-            alpha = 1.0
-            for _ in range(20):
-                t_new = t + alpha * delta
-                if _ordered(t_new, chain.p):
-                    F_new, J_new = chain.hessian(t_new)
-                    if float(np.dot(F_new, F_new)) <= norm_f * (1.0 - 1e-6 * alpha):
-                        t, F, J = t_new, F_new, J_new
-                        improved = True
-                        break
-                alpha *= 0.5
-            if improved:
-                mu = max(mu * 0.1, 1e-14)
-                break
-            mu *= 100.0
-        steps += 1
-        if not improved:
-            return t, res, steps, res <= stat_tol
-        res = float(np.max(np.abs(F / chain.table.speed(t))))
+    t = np.array(t, dtype=float)
+    n, q = t.shape
+    speed = chain.table.speed
+    F, diag, off = chain.hessian(t)
+    res = np.max(np.abs(F / speed(t)), axis=-1)
+    steps = np.zeros(n, dtype=int)
+    mu = np.full(n, 1e-12)
+    tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
+    halvings = np.zeros(n, dtype=int)
+    gram = np.empty((n, q, q))
+    scale = np.empty(n)
+    rhs = np.empty((n, q))
+    norm_f = np.empty(n)
+    delta = np.empty((n, q))
+    state = np.full(n, _OUTER)
+    eye = np.eye(q)
+
+    def next_mu(rows):
+        mu[rows] *= 100.0
+        tries[rows] += 1
+        state[rows] = _SOLVE
+        spent = rows[tries[rows] == 12]
+        steps[spent] += 1  # the outer step failed: stop where the row is
+        state[spent] = _DONE
+
+    while not np.all(state == _DONE):
+        rows = np.flatnonzero(state == _OUTER)
+        stop = (res[rows] <= stat_tol) | (steps[rows] >= cap)
+        state[rows[stop]] = _DONE
+        rows = rows[~stop]
+        if rows.size:
+            J = _dense(diag[rows], off[rows])
+            JT = np.swapaxes(J, -1, -2)
+            g = JT @ J
+            gram[rows] = g
+            scale[rows] = g.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / q
+            rhs[rows] = (-JT @ F[rows][..., None])[..., 0]
+            norm_f[rows] = _rowdot(F[rows])
+            tries[rows] = 0
+            state[rows] = _SOLVE
+
+        rows = np.flatnonzero(state == _SOLVE)
+        if rows.size:
+            A = gram[rows] + (mu[rows] * scale[rows])[:, None, None] * eye
+            x, solved = _solve_stack(A, rhs[rows])
+            good = rows[solved]
+            delta[good] = x[solved]
+            halvings[good] = 0
+            state[good] = _TRIAL
+            next_mu(rows[~solved])
+
+        rows = np.flatnonzero(state == _TRIAL)
+        if not rows.size:
+            continue
+        # A row first tries the full step.  Once that is rejected, the rest
+        # of its halvings for this mu are evaluated together and the first
+        # that passes is taken: the step a one-at-a-time search takes.
+        count = np.where(halvings[rows] == 0, 1, 20 - halvings[rows])
+        owner = np.repeat(rows, count)
+        k = halvings[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        alpha = np.ldexp(1.0, -k)
+        t_try = t[owner] + alpha[:, None] * delta[owner]
+        ev = np.flatnonzero(_ordered(t_try, chain.p))
+        if ev.size:
+            F_try, diag_try, off_try = chain.hessian(t_try[ev])
+            hit = np.flatnonzero(_rowdot(F_try) <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
+            first = hit[np.unique(owner[ev[hit]], return_index=True)[1]]
+            up = owner[ev[first]]
+            t[up] = t_try[ev[first]]
+            F[up], diag[up], off[up] = F_try[first], diag_try[first], off_try[first]
+            mu[up] = np.maximum(mu[up] * 0.1, 1e-14)
+            steps[up] += 1
+            res[up] = np.max(np.abs(F[up] / speed(t[up])), axis=-1)
+            state[up] = _OUTER
+        missed = state[rows] == _TRIAL
+        rejected = rows[missed]
+        halvings[rejected] += count[missed]
+        next_mu(rejected[halvings[rejected] == 20])
     return t, res, steps, res <= stat_tol
 
 
-def _equal_arc_init(table: Table, p: int, q: int, offset: float):
-    s = np.arange(q) * p * table.perimeter / q + offset
+def _equal_arc_init(table: Table, p: int, q: int, offsets):
+    """One start per offset: q points equally spaced in arc from it."""
+    s = np.arange(q) * p * table.perimeter / q + offsets[:, None]
     return np.asarray(table.angle_of_arc(s))
 
 
@@ -212,24 +306,35 @@ def _canonical(table: Table, t, p, q):
     return s_rot, t_rot
 
 
-def _solve_from(chain: _Chain, table: Table, p: int, q: int, t_init,
-                ascent: bool, stat_tol: float, budget: int = SWEEP_CAP):
-    t = np.asarray(t_init, dtype=float).copy()
-    sweeps_done = 0
-    newton_total = 0
-    if ascent:
-        t = _sweeps(chain, t, 3)
-        sweeps_done += 3
-    while True:
-        t_new, res, steps, ok = _newton(chain, t, NEWTON_CAP, stat_tol)
-        newton_total += steps
-        if ok:
-            return t_new, res, sweeps_done, newton_total, True
-        extra = 50 if ascent else 25
-        if sweeps_done + extra > budget:
-            return t_new, res, sweeps_done, newton_total, False
-        t = _sweeps(chain, t_new if _ordered(t_new, p) else t, extra)
-        sweeps_done += extra
+def _solve_from(chain: _Chain, t_init, ascent: bool, stat_tol: float):
+    """Solve every start (row) of t_init, after 3 sweeps when ascending.
+
+    All rows are swept and polished together.  A row whose polish fails is
+    then retried alone, in row order, with more sweeps.  Once an earlier
+    row has converged, the later ones only probe for other critical
+    families, so their retry budget drops from SWEEP_CAP to 60 sweeps and
+    a start stranded on a degenerate ridge cannot dominate the runtime.
+    Returns (t, residual, sweeps, newton_steps, ok) arrays, where ok means
+    converged to an ordered configuration.
+    """
+    p = chain.p
+    t = _sweeps(chain, t_init, 3) if ascent else np.array(t_init, dtype=float)
+    sweeps = np.full(len(t), 3 if ascent else 0)
+    t_new, res, steps, ok = _newton(chain, t, NEWTON_CAP, stat_tol)
+    conv = ok & _ordered(t_new, p)
+    extra = 50 if ascent else 25
+    for k in np.flatnonzero(~ok):
+        budget = 60 if conv[:k].any() else SWEEP_CAP
+        tk, tk_new = t[k:k + 1], t_new[k:k + 1]
+        while not ok[k] and sweeps[k] + extra <= budget:
+            tk = _sweeps(chain, tk_new if _ordered(tk_new, p)[0] else tk, extra)
+            sweeps[k] += extra
+            tk_new, res_k, steps_k, ok_k = _newton(chain, tk, NEWTON_CAP, stat_tol)
+            res[k], ok[k] = res_k[0], ok_k[0]
+            steps[k] += steps_k[0]
+        t_new[k] = tk_new[0]
+        conv[k] = ok[k] and _ordered(tk_new, p)[0]
+    return t_new, res, sweeps, steps, conv
 
 
 def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitConfig:
@@ -254,8 +359,8 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     stat_tol = STAT_TOL_FACTOR * ell
 
     multistart = orbit_class == "min" or not table.integrable
-    offsets = [j * ell * p / (8.0 * q) for j in range(8)] if multistart else [0.0]
-    inits = [_equal_arc_init(table, p, q, off) for off in offsets]
+    offsets = np.arange(8) * ell * p / (8.0 * q) if multistart else np.zeros(1)
+    inits = [_equal_arc_init(table, p, q, offsets)]
     if orbit_class == "min" and q <= 16:
         # Rotations of the equal spacing all sit in the basin of the ordered
         # family; low-q saddle orbits (focal-crossing ones on the ellipse)
@@ -264,50 +369,40 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
         for _ in range(16):
             t0 = np.sort(rng.uniform(0.0, TWO_PI * p, q))
             if np.min(np.diff(t0)) > 1e-3:
-                inits.append(t0)
+                inits.append(t0[None])
 
-    ascent = orbit_class == "max"
-    results = []
-    best_failed = None
-    for t_init in inits:
-        # Once one start has converged, the remaining starts only probe for
-        # other critical families; cap their retry budget so a start
-        # stranded on a degenerate ridge cannot dominate the runtime.
-        budget = SWEEP_CAP if not results else 60
-        t, res, sweeps, nsteps, ok = _solve_from(
-            chain, table, p, q, t_init, ascent, stat_tol, budget
-        )
-        if not ok or not _ordered(t, p):
-            if best_failed is None or res < best_failed[0]:
-                best_failed = (res, t, sweeps, nsteps)
-            continue
-        length = chain.value_grad(t)[0]
-        s_rot, t_rot = _canonical(table, t, p, q)
-        results.append((length, float(s_rot[0]), s_rot, t_rot, res, sweeps, nsteps))
+    t, res, sweeps, nsteps, ok = _solve_from(
+        chain, np.concatenate(inits), orbit_class == "max", stat_tol
+    )
 
-    if not results:
-        res, t, sweeps, nsteps = best_failed
-        s_rot, t_rot = (np.asarray(table.arc_of_angle(t)), t)
-        best = OrbitConfig(p, q, orbit_class, s_rot, t_rot,
-                           chain.value_grad(t)[0], res, sweeps, nsteps, False)
+    if not ok.any():
+        k = min(range(len(res)), key=lambda j: res[j])  # first of the smallest
+        best = OrbitConfig(p, q, orbit_class, np.asarray(table.arc_of_angle(t[k])), t[k],
+                           float(chain.value(t[k:k + 1])[0]), float(res[k]),
+                           int(sweeps[k]), int(nsteps[k]), False)
         raise SolverError(
             f"find_orbit({p},{q},{orbit_class}): no start converged "
-            f"(best residual {res:.3e})",
+            f"(best residual {res[k]:.3e})",
             best=best,
         )
 
     # "max" takes the longest orbit found, "min" the shortest; exact ties
-    # break to the smallest s_0 (max() keeps the first of equal keys).
-    values = sorted(results, key=lambda r: (r[0], r[1]))
-    chosen = max(values, key=lambda r: r[0]) if orbit_class == "max" else values[0]
-    length, _, s_rot, t_rot, res, sweeps, nsteps = chosen
+    # break to the smallest s_0 = min(s_i mod ell) (max() keeps the first
+    # of equal keys).
+    rows = np.flatnonzero(ok)
+    lengths = chain.value(t[rows]).tolist()
+    s0 = np.min(np.mod(np.asarray(table.arc_of_angle(t[rows])), ell), axis=-1).tolist()
+    order = sorted(range(rows.size), key=lambda i: (lengths[i], s0[i]))
+    chosen = max(order, key=lambda i: lengths[i]) if orbit_class == "max" else order[0]
+    k = rows[chosen]
+    s_rot, t_rot = _canonical(table, t[k], p, q)
     candidates = []  # critical values closer than the dedupe tolerance count once
-    for r in values:
-        if not candidates or r[0] - candidates[-1] > VALUE_DEDUPE_RTOL * max(1.0, candidates[-1]):
-            candidates.append(r[0])
+    for i in order:
+        if not candidates or lengths[i] - candidates[-1] > VALUE_DEDUPE_RTOL * max(1.0, candidates[-1]):
+            candidates.append(lengths[i])
     return OrbitConfig(
-        p, q, orbit_class, s_rot, t_rot, length, res, sweeps, nsteps, True,
-        candidates=candidates,
+        p, q, orbit_class, s_rot, t_rot, lengths[chosen], float(res[k]),
+        int(sweeps[k]), int(nsteps[k]), True, candidates=candidates,
     )
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 
 import numpy as np
@@ -35,6 +36,14 @@ def ellipse32_cfg(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def perturbed_cfg(tmp_path):
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps({"kind": "perturbed_circle", "R": 1.0,
+                                "harmonics": [{"m": 3, "eps": 0.05, "phase": 0.0}]}))
+    return str(path)
+
+
 def read_summary(outdir):
     with open(outdir / "summary.json") as fh:
         return json.load(fh)
@@ -60,6 +69,29 @@ class TestBetaCommand:
         assert rows[0]["p"] == "1" and rows[0]["q"] == "10"
         report = json.loads((out / "invariant_report.json").read_text())
         assert report["beta_coeffs"]
+
+    def test_solver_diagnostics(self, perturbed_cfg, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="billiards")
+        out = tmp_path / "out"
+        rc = main(["beta", "--table", perturbed_cfg, "--qmin", "10", "--qmax", "20",
+                   "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        with open(out / "beta_samples.csv") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["p", "q", "omega", "beta", "residual", "sweeps",
+                                     "newton_steps", "converged", "candidates"]
+        assert [int(r["q"]) for r in rows] == list(range(10, 21))
+        perimeter = read_summary(out)["perimeter"]
+        for r in rows:
+            assert float(r["residual"]) <= STAT_TOL_FACTOR * perimeter
+            assert int(r["sweeps"]) >= 3 and int(r["newton_steps"]) >= 1
+            assert r["converged"] == "1" and int(r["candidates"]) >= 1
+        q10 = rows[0]  # the maximal 10-gon of this table, solved from 8 starts
+        assert (q10["sweeps"], q10["newton_steps"], q10["candidates"]) == ("3", "4", "2")
+        per_q = [rec for rec in caplog.records
+                 if rec.name == "billiards.invariants" and rec.levelno == logging.INFO]
+        assert len(per_q) == len(rows)
 
     def test_ellipse_ell0(self, ellipse_cfg, tmp_path):
         out = tmp_path / "out"
@@ -134,9 +166,16 @@ class TestConjugacyCommand:
                     np.array([np.nan, 0.0]))
 
         monkeypatch.setattr(ConjugacyMap, "residual_grid", nan_grid)
+        out = tmp_path / "out"
         rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse_cfg,
-                   "--threshold", "1e-6", "--out", str(tmp_path / "out")])
+                   "--threshold", "1e-6", "--out", str(out)])
         assert rc == 4
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["max_residual"] is None
 
     def test_requires_ellipses(self, circle_cfg, ellipse_cfg, tmp_path, capsys):
         rc = main(["conjugacy", "--table", circle_cfg, "--table2", ellipse_cfg,

@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from billiards import (
     DomainError,
+    PerturbedCircleTable,
     PhasePoint,
     SolverError,
     beta_at,
@@ -150,14 +151,13 @@ class TestProperties:
         p, q = 1, 29
         chain = orbits_mod._Chain(perturbed, p, q)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        starts = orbits_mod._equal_arc_init(
+            perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
         lengths = []
         for j in range(8):
-            t_init = orbits_mod._equal_arc_init(
-                perturbed, p, q, j * perturbed.perimeter * p / (8.0 * q))
-            t, _, _, _, ok = orbits_mod._solve_from(
-                chain, perturbed, p, q, t_init, True, stat_tol)
-            if ok:
-                lengths.append(chain.value_grad(t)[0])
+            t, _, _, _, ok = orbits_mod._solve_from(chain, starts[j:j + 1], True, stat_tol)
+            if ok[0]:
+                lengths.append(chain.value(t)[0])
         assert lengths
         assert find_orbit(perturbed, p, q, "max").length >= max(lengths) - 1e-12
 
@@ -170,6 +170,60 @@ class TestProperties:
         assert 0.0 <= orb.s[0] < ellipse21.perimeter
         assert orb.s[0] == min(si % ellipse21.perimeter for si in orb.s)
         assert np.all(np.diff(orb.s) > 0)
+
+
+class TestBatchedSolver:
+    def test_batch_rows_are_independent(self, perturbed):
+        # A start solved inside a batch takes exactly the path it takes alone.
+        p, q = 1, 15
+        chain = orbits_mod._Chain(perturbed, p, q)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        starts = orbits_mod._equal_arc_init(
+            perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
+        swept = orbits_mod._sweeps(chain, starts, 3)
+        batch = orbits_mod._newton(chain, swept, orbits_mod.NEWTON_CAP, stat_tol)
+        assert np.all(batch[3]) and len(set(batch[2].tolist())) > 1
+        for j in range(8):
+            assert np.array_equal(orbits_mod._sweeps(chain, starts[j:j + 1], 3), swept[j:j + 1])
+            single = orbits_mod._newton(chain, swept[j:j + 1], orbits_mod.NEWTON_CAP, stat_tol)
+            for got, want in zip(single, batch):  # t, residual, steps, ok
+                assert np.array_equal(got, want[j:j + 1])
+
+    @pytest.mark.parametrize("q", [7, 2])  # at q = 2 both chords share one entry
+    def test_hessian_matches_finite_differences(self, q):
+        table = PerturbedCircleTable(1, [(3, 0.05, 0)])
+        p, h = 1, 1e-6
+        chain = orbits_mod._Chain(table, p, q)
+        rng = np.random.default_rng(5)
+        t = orbits_mod._equal_arc_init(table, p, q, np.array([0.3]))
+        t = t + rng.uniform(-0.1, 0.1, t.shape)  # off the critical set
+        F, diag, off = chain.hessian(t)
+        bumps = h * np.eye(q)
+        plus, minus = t + bumps, t - bumps  # row j moves vertex j
+        grad_fd = (chain.value(plus) - chain.value(minus)) / (2 * h)
+        np.testing.assert_allclose(F[0], grad_fd, rtol=1e-6, atol=1e-9)
+        J_fd = ((chain.hessian(plus)[0] - chain.hessian(minus)[0]) / (2 * h)).T
+        i = np.arange(q)
+        np.testing.assert_allclose(diag[0], J_fd[i, i], rtol=1e-6)
+        np.testing.assert_allclose(off[0], J_fd[i, (i + 1) % q], rtol=1e-6)
+        np.testing.assert_allclose(off[0], J_fd[(i + 1) % q, i], rtol=1e-6)
+        band = np.zeros((q, q), dtype=bool)
+        band[i, i] = band[i, (i + 1) % q] = band[(i + 1) % q, i] = True
+        assert np.all(np.abs(J_fd[~band]) < 1e-8)
+
+    @pytest.mark.parametrize("table_name,q,orbit_class,length,sweeps,steps,n_cand", [
+        ("perturbed", 10, "max", 6.218979971400411, 3, 4, 2),
+        ("perturbed", 15, "max", 6.273996167046811, 3, 5, 2),
+        ("perturbed", 20, "max", 6.293215531981547, 3, 7, 2),
+        ("perturbed", 10, "min", 6.218808001326209, 0, 6, 2),
+        ("ellipse21", 12, "min", 9.596550106257556, 0, 18, 1),
+    ])
+    def test_same_work_as_sequential_solver(self, request, table_name, q, orbit_class,
+                                            length, sweeps, steps, n_cand):
+        # Recorded with the start-by-start solver this one replaced.
+        orb = find_orbit(request.getfixturevalue(table_name), 1, q, orbit_class)
+        assert orb.length == pytest.approx(length, rel=1e-14)
+        assert (orb.sweeps, orb.newton_steps, len(orb.candidates)) == (sweeps, steps, n_cand)
 
 
 class TestValidation:
