@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -112,14 +113,28 @@ def _strict(obj):
     return obj
 
 
+class _Stages:
+    """Wall seconds (perf_counter) of a command's stages, in order."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
 def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
-                   outputs: list[str]) -> None:
+                   outputs: list[str], stages: _Stages) -> None:
     summary = {
         "tool": "billiards",
         "version": __version__,
         "command": command,
         "config": config,
         "tolerances": TOLERANCES,
+        "timings": stages.seconds,
         "outputs": outputs,
     }
     summary.update(payload)
@@ -134,9 +149,13 @@ def _load(path) -> object:
 
 
 def _cmd_beta(args, outdir: Path) -> int:
+    stages = _Stages()
     table = _load(args.table)
+    stages.lap("load")
     samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
+    stages.lap("sample")
     report = mm_fit_from_samples(samples, args.K)
+    stages.lap("fit")
     csv_path = outdir / "beta_samples.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -151,25 +170,31 @@ def _cmd_beta(args, outdir: Path) -> int:
     rep_path = outdir / "invariant_report.json"
     with open(rep_path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
+    stages.lap("write")
     _write_summary(
         outdir, "beta", {"table": table.as_config(), "qmin": args.qmin,
                          "qmax": args.qmax, "K": args.K},
         {"c3": float(report.beta_coeffs[0]), "ell0": float(report.mm_ell[0]),
          "perimeter": table.perimeter},
-        [str(csv_path), str(rep_path)],
+        [str(csv_path), str(rep_path)], stages,
     )
     return 0
 
 
 def _cmd_mm(args, outdir: Path) -> int:
+    stages = _Stages()
     table = _load(args.table)
+    stages.lap("load")
     samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
+    stages.lap("sample")
     report = mm_fit_from_samples(samples, args.K)
+    stages.lap("fit")
     gap_qs = list(range(args.qmin, args.qmax + 1, args.gap_step))
     rows = []
     for q in gap_qs:
         big, small = lq_bounds(table, q)
         rows.append((q, big, small, -big / q))
+    stages.lap("gaps")
     csv_path = outdir / "mm_table.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -179,24 +204,29 @@ def _cmd_mm(args, outdir: Path) -> int:
     rep_path = outdir / "invariant_report.json"
     with open(rep_path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
+    stages.lap("write")
     _write_summary(
         outdir, "mm", {"table": table.as_config(), "qmin": args.qmin,
                        "qmax": args.qmax, "K": args.K, "gap_step": args.gap_step},
         {"ell0": float(report.mm_ell[0]), "perimeter": table.perimeter,
          "max_gap": max(r[1] - r[2] for r in rows)},
-        [str(csv_path), str(rep_path)],
+        [str(csv_path), str(rep_path)], stages,
     )
     return 0
 
 
 def _cmd_compare(args, outdir: Path) -> int:
+    stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
+    stages.lap("load")
     s1 = sample_beta(t1, args.qmin, args.qmax, workers=args.threads)
     s2 = sample_beta(t2, args.qmin, args.qmax, workers=args.threads)
+    stages.lap("sample")
     r1 = fit_normalized_beta(s1, args.K)
     r2 = fit_normalized_beta(s2, args.K)
     ratios = mm_ratio_check(r1, r2)
+    stages.lap("fit")
     diff = [
         {"k": 2 * k + 3, "c_table1": float(a), "c_table2": float(b),
          "abs_diff": abs(float(a) - float(b)),
@@ -209,6 +239,7 @@ def _cmd_compare(args, outdir: Path) -> int:
         w.writerow(["n", "measured", "predicted", "deviation"])
         for row in ratios:
             w.writerow([row.n, row.measured, row.predicted, row.deviation])
+    stages.lap("write")
     _write_summary(
         outdir, "compare",
         {"table": t1.as_config(), "table2": t2.as_config(), "qmin": args.qmin,
@@ -216,19 +247,23 @@ def _cmd_compare(args, outdir: Path) -> int:
         {"coefficients": diff,
          "ratio_table": [row.__dict__ for row in ratios],
          "lazutkin": [r1.lazutkin, r2.lazutkin]},
-        [str(csv_path)],
+        [str(csv_path)], stages,
     )
     return 0
 
 
 def _cmd_conjugacy(args, outdir: Path) -> int:
+    stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
     if not isinstance(t1, EllipseTable) or not isinstance(t2, EllipseTable):
         raise TableConfigError("conjugacy requires elliptic tables")
+    stages.lap("load")
     h = build_conjugacy(t1, t2)
+    stages.lap("build")
     n_s, n_theta = args.grid
     s, th, rs, rt = h.residual_grid(n_s=n_s, n_theta=n_theta)
+    stages.lap("grid")
     csv_path = outdir / "conjugacy_residuals.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -236,12 +271,14 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
         for row in zip(s, th, rs, rt):
             w.writerow([float(v) for v in row])
     max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
+    stages.lap("write")
     _write_summary(
         outdir, "conjugacy",
         {"table": t1.as_config(), "table2": t2.as_config(), "grid": [n_s, n_theta]},
-        {"max_residual": max_res, "theta_star": h.theta_star,
-         "theta2_star": h.theta2_star, "theta3_star": h.theta3_star},
-        [str(csv_path)],
+        {"max_residual": max_res, "max_omega_residual": h._omega_residual,
+         "theta_star": h.theta_star, "theta2_star": h.theta2_star,
+         "theta3_star": h.theta3_star},
+        [str(csv_path)], stages,
     )
     if args.threshold is not None and not max_res <= args.threshold:
         log.error("conjugacy residual %.3e exceeds threshold %.3e", max_res, args.threshold)
@@ -250,10 +287,12 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
 
 
 def _cmd_witness(args, outdir: Path) -> int:
+    stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
     if not isinstance(t1, EllipseTable) or not isinstance(t2, EllipseTable):
         raise TableConfigError("witness requires elliptic tables")
+    stages.lap("load")
     e1, e2 = t1.params, t2.params
     wit = eccentricity_witness(e1, e2)
     payload = {
@@ -278,22 +317,27 @@ def _cmd_witness(args, outdir: Path) -> int:
             "xi_root": dec_hot.xi_root,
             "u_min": dec_cold.u_min,
         })
+    stages.lap("witness")
     json_path = outdir / "witness.json"
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2)
+    stages.lap("write")
     _write_summary(outdir, "witness",
                    {"table": t1.as_config(), "table2": t2.as_config()},
-                   payload, [str(json_path)])
+                   payload, [str(json_path)], stages)
     return 0
 
 
 def _cmd_orbit(args, outdir: Path) -> int:
+    stages = _Stages()
     table = _load(args.table)
+    stages.lap("load")
     outputs = []
     payload = {}
     if args.pq:
         p, q = args.pq
         orb = find_orbit(table, p, q, args.orbit_class)
+        stages.lap("solve")
         pts = orb.vertices(table)
         csv_path = outdir / f"orbit_{p}_{q}_{args.orbit_class}.csv"
         with open(csv_path, "w", newline="") as fh:
@@ -307,11 +351,13 @@ def _cmd_orbit(args, outdir: Path) -> int:
     else:
         theta0 = args.theta0 if args.theta0 is not None else math.pi / 4
         s, th, pts = trajectory(table, PhasePoint(args.s0, theta0), args.steps)
+        stages.lap("iterate")
         csv_path = outdir / "trajectory.csv"
         write_trajectory_csv(csv_path, table, s, th, pts)
         outputs.append(str(csv_path))
         payload.update({"steps": args.steps})
-    _write_summary(outdir, "orbit", {"table": table.as_config()}, payload, outputs)
+    stages.lap("write")
+    _write_summary(outdir, "orbit", {"table": table.as_config()}, payload, outputs, stages)
     return 0
 
 

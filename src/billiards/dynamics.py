@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require
 from .tables import Table
 
 __all__ = [
@@ -37,55 +37,66 @@ TANGENCY_CUTOFF = 1e-8
 
 @dataclass(frozen=True)
 class PhasePoint:
+    """Phase point (s, theta); s and theta may also be arrays of one shape,
+    a batch of points that every map in this package takes at once."""
+
     s: float
     theta: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.theta <= math.pi + 1e-12):
-            raise DomainError(f"incidence angle must lie in [0, pi], got {self.theta!r}")
+        theta = np.asarray(self.theta)
+        _require((theta >= -1e-12) & (theta <= math.pi + 1e-12),
+                 "incidence angle must lie in [0, pi]", theta)
 
     @property
-    def y(self) -> float:
+    def y(self):
         """Twist-coordinate companion of s: y = cos(theta)."""
-        return math.cos(self.theta)
+        return np.cos(self.theta)
 
 
-def _rotate(tan, theta: float):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * tan[0] - s * tan[1], s * tan[0] + c * tan[1]])
+def _rotate(tan, theta):
+    """Unit vector at angle theta from the unit tangent tan (shape (..., 2))."""
+    c, s = np.cos(theta), np.sin(theta)
+    tx, ty = tan[..., 0], tan[..., 1]
+    return np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
 
 
-def step_angle(table: Table, t0: float, theta: float) -> tuple[float, float]:
+def step_angle(table: Table, t0, theta):
     """One bounce in the boundary-angle parametrization: returns the exit
     angle t1 in (t0, t0 + 2*pi] and the new incidence angle.  Iteration
-    loops stay in this chart to avoid re-inverting arc length per bounce."""
+    loops stay in this chart to avoid re-inverting arc length per bounce.
+    Takes arrays; theta must lie strictly inside (0, pi)."""
     pos, tan, _, _ = table.frame(t0)
     u = _rotate(tan, theta)
     t1 = table.chord_exit(t0, pos, u)
     _, tan1, _, _ = table.frame(t1)
     # incoming chord u = cos(theta')*T1 - sin(theta')*N1 with N1 = rot90(T1)
-    cos_t = u[0] * tan1[0] + u[1] * tan1[1]
-    sin_t = u[0] * tan1[1] - u[1] * tan1[0]  # = -u . N1
-    theta1 = math.atan2(sin_t, cos_t)
-    return t1, theta1
+    ux, uy, tx, ty = u[..., 0], u[..., 1], tan1[..., 0], tan1[..., 1]
+    theta1 = np.arctan2(ux * ty - uy * tx, ux * tx + uy * ty)  # (-u . N1, u . T1)
+    return (t1, theta1) if theta1.ndim else (float(t1), float(theta1))
 
 
-def step_lifted(table: Table, s_lift: float, theta: float) -> tuple[float, float]:
+def step_lifted(table: Table, s_lift, theta):
     """One bounce on the universal cover: the lift advances by the arc
-    increment in (0, perimeter], so winding is tracked exactly."""
-    if theta <= TANGENCY_CUTOFF or theta >= math.pi - TANGENCY_CUTOFF:
-        return s_lift, theta
-    ell = table.perimeter
-    t0 = table.angle_of_arc(s_lift % ell)
-    t1, theta1 = step_angle(table, t0, theta)
-    ds = (table.arc_of_angle(t1) - table.arc_of_angle(t0)) % ell
-    if ds == 0.0:
-        ds = ell
-    return s_lift + ds, theta1
+    increment in (0, perimeter], so winding is tracked exactly.  Takes
+    arrays; points within TANGENCY_CUTOFF of theta = 0 or pi stay fixed."""
+    s_lift, theta = np.broadcast_arrays(np.asarray(s_lift, dtype=float),
+                                        np.asarray(theta, dtype=float))
+    s1, theta1 = s_lift.copy(), theta.copy()
+    move = (theta > TANGENCY_CUTOFF) & (theta < math.pi - TANGENCY_CUTOFF)
+    if move.any():
+        ell = table.perimeter
+        t0 = table.angle_of_arc(s_lift[move] % ell)
+        t1, th1 = step_angle(table, t0, theta[move])
+        theta1[move] = th1
+        ds = (table.arc_of_angle(t1) - table.arc_of_angle(t0)) % ell
+        s1[move] = s_lift[move] + np.where(ds == 0.0, ell, ds)
+    return (s1, theta1) if s1.ndim else (float(s1), float(theta1))
 
 
 def step(table: Table, p: PhasePoint) -> PhasePoint:
-    """The billiard map f(s, theta) = (s', theta'), with s' reduced mod perimeter."""
+    """The billiard map f(s, theta) = (s', theta'), with s' reduced mod
+    perimeter; p may hold arrays."""
     s1, theta1 = step_lifted(table, p.s, p.theta)
     return PhasePoint(s1 % table.perimeter, theta1)
 
@@ -134,9 +145,7 @@ def trajectory(table: Table, p: PhasePoint, n: int):
     s[0], th[0] = p.s, p.theta
     for i in range(n):
         s[i + 1], th[i + 1] = step_lifted(table, s[i], th[i])
-    pts = np.stack(
-        [table.position(table.angle_of_arc(si % table.perimeter)) for si in s]
-    )
+    pts = table.position(table.angle_of_arc(s % table.perimeter))
     return s, th, pts
 
 

@@ -14,14 +14,15 @@ table and not the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, step
+from .dynamics import PhasePoint, _rotate, step
 from .elliptic import ellip_f, ellip_k, invert_monotone, jacobi_am
-from .errors import BracketError, DomainError, SolverError
+from .errors import BracketError, DomainError, SolverError, _require
 from .tables import EllipseParams, EllipseTable
 
 __all__ = [
@@ -50,119 +51,122 @@ def _params(e) -> EllipseParams:
     raise DomainError(f"expected EllipseParams or EllipseTable, got {type(e)!r}")
 
 
-def _boundary_speed(E: EllipseParams, phi: float) -> float:
-    return math.sqrt((E.a * math.sin(phi)) ** 2 + (E.b * math.cos(phi)) ** 2)
+@functools.lru_cache(maxsize=16)
+def _table_of(E: EllipseParams) -> EllipseTable:
+    return EllipseTable(E.a, E.b)
 
 
-def caustic_param(E, phi: float, theta: float) -> float:
+def _table(e) -> EllipseTable:
+    """The table whose boundary geometry (speed, chords) the chart uses;
+    tables are immutable, so one is built per semi-axis pair."""
+    return e if isinstance(e, EllipseTable) else _table_of(_params(e))
+
+
+def caustic_param(E, phi, theta):
     """Parameter of the confocal ellipse tangent to the chord leaving the
     boundary point of angle phi at incidence theta.
 
     Closed form lambda = sin(theta) * sqrt(a^2 sin^2(phi) + b^2 cos^2(phi)),
     validated to 1e-10 against the tangency oracle.  Chords crossing the
-    focal segment have lambda >= b (hyperbolic caustic) and raise.
+    focal segment have lambda >= b (hyperbolic caustic) and raise.  Takes
+    arrays.
     """
-    E = _params(E)
-    if not (0.0 <= theta < math.pi):
-        raise DomainError(f"incidence angle must lie in [0, pi), got {theta!r}")
-    lam = math.sin(theta) * _boundary_speed(E, phi)
-    if lam >= E.b:
+    table = _table(E)
+    theta = np.asarray(theta, dtype=float)
+    _require((theta >= 0.0) & (theta < math.pi), "incidence angle must lie in [0, pi)", theta)
+    lam = np.sin(theta) * table.speed(phi)
+    if np.any(lam >= table.b):
         raise DomainError(
-            f"chord crosses the focal segment (lambda={lam:.6g} >= b={E.b}); "
+            f"chord crosses the focal segment (lambda={np.max(lam):.6g} >= b={table.b}); "
             "caustic is not a confocal ellipse"
         )
-    return lam
+    return lam if lam.ndim else float(lam)
 
 
-def _chord(E: EllipseParams, phi: float, theta: float):
-    a, b = E.a, E.b
-    p = np.array([a * math.cos(phi), b * math.sin(phi)])
-    g = np.array([-a * math.sin(phi), b * math.cos(phi)])
-    tan = g / math.hypot(*g)
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([c * tan[0] - s * tan[1], s * tan[0] + c * tan[1]])
-    qa = (u[0] / a) ** 2 + (u[1] / b) ** 2
-    qb = 2.0 * (p[0] * u[0] / a**2 + p[1] * u[1] / b**2)
-    tau_exit = -qb / qa
-    return p, u, tau_exit
-
-
-def caustic_param_oracle(E, phi: float, theta: float) -> float:
+def caustic_param_oracle(E, phi, theta):
     """Caustic parameter by direct tangency: the deepest confocal-ellipse
     level reached along the explicit chord.
 
     Each interior point (x, y) lies on one confocal ellipse
     x^2/(a^2-mu) + y^2/(b^2-mu) = 1 with mu in [0, b^2); the chord is
     tangent to the level it maximizes.  The maximum is located by golden
-    section, independently of the closed form in caustic_param.
+    section, independently of the closed form in caustic_param.  Takes
+    arrays; every element runs the same 90 golden-section steps.
     """
-    E = _params(E)
-    if not (0.0 <= theta < math.pi):
-        raise DomainError(f"incidence angle must lie in [0, pi), got {theta!r}")
-    if theta == 0.0:
-        return 0.0
-    a, b = E.a, E.b
-    p, u, tau_exit = _chord(E, phi, theta)
-    cfoc = E.focal_distance
+    table = _table(E)
+    phi, theta = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                     np.asarray(theta, dtype=float))
+    _require((theta >= 0.0) & (theta < math.pi), "incidence angle must lie in [0, pi)", theta)
+    lam = np.zeros(theta.shape)
+    chord = theta > 0.0  # theta = 0 is the boundary point itself
+    phi, theta = phi[chord], theta[chord]
+    a, b = table.a, table.b
+    p, tan, _, _ = table.frame(phi)
+    u = _rotate(tan, theta)
+    tau_exit = table._exit_tau(p, u)
+    px, py, ux, uy = p[:, 0], p[:, 1], u[:, 0], u[:, 1]
     # Chords meeting the open focal segment have hyperbolic caustics.
-    if u[1] != 0.0:
-        tau0 = -p[1] / u[1]
-        if 0.0 < tau0 < tau_exit and abs(p[0] + tau0 * u[0]) < cfoc:
-            raise DomainError("chord crosses the focal segment; caustic is not an ellipse")
+    tau0 = np.divide(-py, uy, out=np.full(py.shape, -1.0), where=uy != 0.0)
+    on_segment = np.abs(px + tau0 * ux) < table.params.focal_distance
+    if np.any((0.0 < tau0) & (tau0 < tau_exit) & on_segment):
+        raise DomainError("chord crosses the focal segment; caustic is not an ellipse")
 
     def mu_of(tau):
-        x = p[0] + tau * u[0]
-        y = p[1] + tau * u[1]
+        x = px + tau * ux
+        y = py + tau * uy
         ssum = a * a + b * b - x * x - y * y
         qprod = a * a * b * b - b * b * x * x - a * a * y * y
         disc = np.maximum(ssum * ssum - 4.0 * qprod, 0.0)
         return 2.0 * qprod / (ssum + np.sqrt(disc))
 
-    lo, hi = 0.0, tau_exit
+    lo, hi = np.zeros(px.shape), tau_exit
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = mu_of(x1), mu_of(x2)
     for _ in range(90):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = mu_of(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = mu_of(x1)
-    return float(math.sqrt(max(f1, f2)))
+        left = f1 < f2
+        lo = np.where(left, x1, lo)
+        hi = np.where(left, hi, x2)
+        x1, x2 = (np.where(left, x2, hi - invphi * (hi - lo)),
+                  np.where(left, lo + invphi * (hi - lo), x1))
+        fnew = mu_of(np.where(left, x2, x1))
+        f1, f2 = np.where(left, f2, fnew), np.where(left, fnew, f1)
+    lam[chord] = np.sqrt(np.maximum(f1, f2))
+    return lam if lam.ndim else float(lam)
 
 
-def _modulus(E: EllipseParams, lam: float) -> float:
-    return math.sqrt((E.a**2 - E.b**2) / (E.a**2 - lam * lam))
+def _modulus(E: EllipseParams, lam):
+    return np.sqrt((E.a**2 - E.b**2) / (E.a**2 - lam * lam))
 
 
-def rotation_number_of_caustic(E, lam: float) -> float:
+def rotation_number_of_caustic(E, lam):
     """Rotation number of the caustic lambda:
-    F(arcsin(lambda/b), k(lambda)) / (2 K(k(lambda))) in [0, 1/2)."""
+    F(arcsin(lambda/b), k(lambda)) / (2 K(k(lambda))) in [0, 1/2).  Takes
+    arrays."""
     E = _params(E)
-    if not (0.0 <= lam < E.b):
-        raise DomainError(f"caustic parameter must lie in [0, b), got {lam!r}")
+    lam = np.asarray(lam, dtype=float)
+    _require((lam >= 0.0) & (lam < E.b), "caustic parameter must lie in [0, b)", lam)
     k = _modulus(E, lam)
-    return ellip_f(math.asin(lam / E.b), k) / (2.0 * ellip_k(k))
+    return ellip_f(np.arcsin(lam / E.b), k) / (2.0 * ellip_k(k))
 
 
-def orbit_shift(E, lam: float) -> float:
+def orbit_shift(E, lam):
     """Elliptic-time advance per bounce on caustic lambda:
-    delta = 2 F(arcsin(lambda/b), k(lambda)) = 4 K(k) * rotation number."""
+    delta = 2 F(arcsin(lambda/b), k(lambda)) = 4 K(k) * rotation number.
+    Takes arrays."""
     E = _params(E)
-    if not (0.0 < lam < E.b):
-        raise DomainError(f"caustic parameter must lie in (0, b), got {lam!r}")
+    lam = np.asarray(lam, dtype=float)
+    _require((lam > 0.0) & (lam < E.b), "caustic parameter must lie in (0, b)", lam)
     k = _modulus(E, lam)
-    return 2.0 * ellip_f(math.asin(lam / E.b), k)
+    return 2.0 * ellip_f(np.arcsin(lam / E.b), k)
 
 
 @dataclass(frozen=True)
 class CausticCoord:
     """Action-angle coordinates of a phase point in the elliptic-caustic
-    regime, with the normalized pair used internally (lambda/b, t/period)."""
+    regime, with the normalized pair used internally (lambda/b, t/period).
+    The fields are arrays when the phase point holds arrays."""
 
     lam: float
     t: float
@@ -171,11 +175,11 @@ class CausticCoord:
     b: float
 
     @property
-    def lam_hat(self) -> float:
+    def lam_hat(self):
         return self.lam / self.b
 
     @property
-    def t_hat(self) -> float:
+    def t_hat(self):
         return (self.t / self.period) % 1.0
 
 
@@ -185,39 +189,34 @@ def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
     Defined on the elliptic-caustic regime (lambda < b, forward branch
     theta <= pi/2); theta < theta_star guarantees membership for every
     footpoint.  The elliptic time is t = F(phi - pi/2, k(lambda)) modulo
-    the period 4K.
+    the period 4K.  p may hold arrays.
     """
     if not isinstance(table, EllipseTable):
         raise DomainError("action_angle needs an EllipseTable")
-    E = table.params
-    theta = p.theta
-    if theta <= 1e-12:
-        raise DomainError("tangential degeneracy: theta = 0 is singular for the chart")
-    if theta > 0.5 * math.pi + 1e-12:
-        raise DomainError(
-            f"retrograde branch theta > pi/2 not covered by the chart, got {theta!r}"
-        )
-    phi = table.angle_of_arc(p.s % table.perimeter)
-    lam = caustic_param(E, phi, theta)
-    k = _modulus(E, lam)
+    theta = np.asarray(p.theta, dtype=float)
+    _require(theta > 1e-12, "tangential degeneracy: theta = 0 is singular for the chart", theta)
+    _require(theta <= 0.5 * math.pi + 1e-12,
+             "retrograde branch theta > pi/2 not covered by the chart", theta)
+    phi = table.angle_of_arc(np.asarray(p.s) % table.perimeter)
+    lam = caustic_param(table, phi, theta)
+    k = _modulus(table.params, lam)
     period = 4.0 * ellip_k(k)
     t = ellip_f(phi - 0.5 * math.pi, k) % period
-    return CausticCoord(lam=lam, t=t, k=k, period=period, b=E.b)
+    return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b)
 
 
-def action_angle_inverse(table: EllipseTable, lam: float, t: float) -> PhasePoint:
-    """Inverse chart: (lambda, t) -> (s, theta) on the forward branch."""
+def action_angle_inverse(table: EllipseTable, lam, t) -> PhasePoint:
+    """Inverse chart: (lambda, t) -> (s, theta) on the forward branch.
+    Takes arrays."""
     if not isinstance(table, EllipseTable):
         raise DomainError("action_angle_inverse needs an EllipseTable")
-    E = table.params
-    if not (0.0 < lam < E.b):
-        raise DomainError(f"caustic parameter must lie in (0, b), got {lam!r}")
-    k = _modulus(E, lam)
+    lam = np.asarray(lam, dtype=float)
+    _require((lam > 0.0) & (lam < table.b), "caustic parameter must lie in (0, b)", lam)
+    k = _modulus(table.params, lam)
     phi = jacobi_am(t, k) + 0.5 * math.pi
-    ratio = lam / _boundary_speed(E, phi)
-    theta = math.asin(min(1.0, ratio))
+    theta = np.arcsin(np.minimum(1.0, lam / table.speed(phi)))
     s = table.arc_of_angle(phi % TWO_PI)
-    return PhasePoint(s % table.perimeter, theta)
+    return PhasePoint(s % table.perimeter, theta if theta.ndim else float(theta))
 
 
 class ConjugacyMap:
@@ -226,7 +225,7 @@ class ConjugacyMap:
     Built by matching caustic rotation numbers: a phase point of table 2 is
     sent to its action-angle pair, the caustic is replaced by the table-1
     caustic of equal rotation number, the normalized time is kept, and the
-    table-1 chart is inverted.
+    table-1 chart is inverted.  The map takes arrays of phase points.
     """
 
     def __init__(self, table1: EllipseTable, table2: EllipseTable):
@@ -258,30 +257,35 @@ class ConjugacyMap:
             self.theta3_star = self.theta2_star
         self.theta_star = min(self.theta2_star, self.theta3_star)
         # Monotone grid for bracketing the omega_1 inversion tightly.
-        lam_grid = np.linspace(0.0, e1.b * (1.0 - 1e-9), 800)
-        om_grid = np.array([rotation_number_of_caustic(e1, v) for v in lam_grid])
-        self._lam_grid = lam_grid
-        self._om_grid = om_grid
+        self._lam_grid = np.linspace(0.0, e1.b * (1.0 - 1e-9), 800)
+        self._om_grid = rotation_number_of_caustic(e1, self._lam_grid)
+        # Largest |omega_1(lambda_1) - omega| left by the inversions so far.
+        self._omega_residual = 0.0
 
-    def _lambda1_of_omega(self, omega: float) -> float:
+    def _lambda1_of_omega(self, omega):
         om = self._om_grid
-        if omega <= 0.0:
-            return 0.0
-        if omega >= om[-1]:
+        omega = np.asarray(omega, dtype=float)
+        if np.any(omega >= om[-1]):
             raise DomainError(
-                f"rotation number {omega} outside table 1's near-boundary range"
+                f"rotation number {np.max(omega)} outside table 1's near-boundary range"
             )
-        j = int(np.searchsorted(om, omega))
-        lo = self._lam_grid[max(j - 1, 0)]
-        hi = self._lam_grid[min(j, len(om) - 1)]
-        e1 = self.table1.params
-        return invert_monotone(
-            lambda lam: rotation_number_of_caustic(e1, lam),
-            omega,
-            (lo, hi),
-            atol=1e-10,
-            xtol=1e-15,
-        )
+        lam = np.zeros(omega.shape)
+        pos = omega > 0.0
+        if pos.any():
+            e1 = self.table1.params
+            j = np.searchsorted(om, omega[pos])
+            lo = self._lam_grid[np.maximum(j - 1, 0)]
+            hi = self._lam_grid[np.minimum(j, len(om) - 1)]
+            lam[pos] = invert_monotone(
+                lambda v: rotation_number_of_caustic(e1, v),
+                omega[pos],
+                (lo, hi),
+                atol=1e-10,
+                xtol=1e-15,
+            )
+            resid = np.abs(rotation_number_of_caustic(e1, lam[pos]) - omega[pos])
+            self._omega_residual = max(self._omega_residual, float(np.max(resid)))
+        return lam if lam.ndim else float(lam)
 
     def __call__(self, p: PhasePoint) -> PhasePoint:
         coord2 = action_angle(self.table2, p)
@@ -296,26 +300,18 @@ class ConjugacyMap:
                       theta_min: float = 0.01, theta_margin: float = 0.01):
         """Conjugacy defect |f1(h(x)) - h(f2(x))| on a phase grid of table 2.
 
-        Returns (s, theta, res_s, res_theta) flat arrays; distances in s are
-        circular modulo table 1's perimeter.
+        Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
+        distances in s are circular modulo table 1's perimeter.
         """
         ell1 = self.table1.perimeter
-        ell2 = self.table2.perimeter
-        svals = np.linspace(0.0, ell2, n_s, endpoint=False)
+        svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
         tvals = np.linspace(theta_min, self.theta_star - theta_margin, n_theta)
-        out_s, out_t, res_s, res_t = [], [], [], []
-        for th in tvals:
-            for sv in svals:
-                x = PhasePoint(sv, th)
-                lhs = step(self.table1, self(x))
-                rhs = self(step(self.table2, x))
-                ds = abs(lhs.s - rhs.s) % ell1
-                ds = min(ds, ell1 - ds)
-                out_s.append(sv)
-                out_t.append(th)
-                res_s.append(ds)
-                res_t.append(abs(lhs.theta - rhs.theta))
-        return (np.array(out_s), np.array(out_t), np.array(res_s), np.array(res_t))
+        s, th = (v.ravel() for v in np.meshgrid(svals, tvals))
+        x = PhasePoint(s, th)
+        lhs = step(self.table1, self(x))
+        rhs = self(step(self.table2, x))
+        ds = np.abs(lhs.s - rhs.s) % ell1
+        return s, th, np.minimum(ds, ell1 - ds), np.abs(lhs.theta - rhs.theta)
 
     def max_residual(self, **kw) -> float:
         _, _, rs, rt = self.residual_grid(**kw)
@@ -325,9 +321,7 @@ class ConjugacyMap:
 def build_conjugacy(e1, e2) -> ConjugacyMap:
     """Conjugacy from table 2's phase cylinder to table 1's, valid on
     incidence angles below min(theta2*, theta3*)."""
-    t1 = e1 if isinstance(e1, EllipseTable) else EllipseTable(_params(e1).a, _params(e1).b)
-    t2 = e2 if isinstance(e2, EllipseTable) else EllipseTable(_params(e2).a, _params(e2).b)
-    return ConjugacyMap(t1, t2)
+    return ConjugacyMap(_table(e1), _table(e2))
 
 
 @dataclass(frozen=True)
@@ -354,18 +348,21 @@ class HyperbolicDecision:
         }
 
 
-def _g_hyperbolic(E: EllipseParams, m: int, n: int, xi: float) -> float:
-    c2 = E.focal_distance**2
-    k = math.sqrt(max(1.0 + xi / c2, 0.0))
-    amp = math.asin(math.sqrt(E.b**2 / (E.b**2 - xi)))
-    return ellip_f(amp, k) - (2.0 * m / n) * ellip_k(k)
+def _hyperbolic_fk(E: EllipseParams, xi):
+    """(F(amp, k), K(k)) of the hyperbolic caustic xi in (-c^2, 0)."""
+    k = np.sqrt(np.maximum(1.0 + xi / E.focal_distance**2, 0.0))
+    amp = np.arcsin(np.sqrt(E.b**2 / (E.b**2 - xi)))
+    return ellip_f(amp, k), ellip_k(k)
 
 
-def _u_hyperbolic(E: EllipseParams, xi: float) -> float:
-    c2 = E.focal_distance**2
-    k = math.sqrt(max(1.0 + xi / c2, 0.0))
-    amp = math.asin(math.sqrt(E.b**2 / (E.b**2 - xi)))
-    return ellip_f(amp, k) - (2.0 / math.pi) * math.asin(E.b / E.a) * ellip_k(k)
+def _g_hyperbolic(E: EllipseParams, m: int, n: int, xi):
+    f, bigk = _hyperbolic_fk(E, xi)
+    return f - (2.0 * m / n) * bigk
+
+
+def _u_hyperbolic(E: EllipseParams, xi):
+    f, bigk = _hyperbolic_fk(E, xi)
+    return f - (2.0 / math.pi) * math.asin(E.b / E.a) * bigk
 
 
 def hyperbolic_orbit_exists(E, m: int, n: int, *, u_grid: int = 200) -> HyperbolicDecision:
@@ -400,7 +397,7 @@ def hyperbolic_orbit_exists(E, m: int, n: int, *, u_grid: int = 200) -> Hyperbol
             f"hyperbolic_orbit_exists({m},{n}): could not bracket the phase root"
         )
     grid = np.linspace(-c2 * (1.0 - 1e-6), -1e-6 * c2, u_grid)
-    u_min = min(_u_hyperbolic(E, float(x)) for x in grid)
+    u_min = float(np.min(_u_hyperbolic(E, grid)))
     return HyperbolicDecision(False, m, n, threshold, u_min=u_min)
 
 

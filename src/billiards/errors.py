@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class BilliardsError(Exception):
     """Base class for all package errors."""
@@ -34,3 +36,11 @@ class SolverError(BilliardsError, RuntimeError):
 
 class ConditioningError(BilliardsError, RuntimeError):
     """Least-squares design matrix too ill-conditioned to trust."""
+
+
+def _require(ok, message: str, values) -> None:
+    """Raise DomainError unless ok holds for every element; the message
+    ends with the first element of values (broadcast to ok) that fails."""
+    if not np.all(ok):
+        bad = np.broadcast_to(values, np.shape(ok))[~np.asarray(ok)]
+        raise DomainError(f"{message}, got {float(bad.flat[0])!r}")

@@ -101,6 +101,10 @@ class _Chain:
         tnx, tny = _next(tx), _next(ty)
         dx, dy = _next(x) - x, _next(y) - y
         d = np.hypot(dx, dy)
+        # Two consecutive vertices on one boundary point (a chord of length
+        # 0) are no Birkhoff configuration: NaN marks the row, and every
+        # acceptance test of the solver rejects it.
+        d[d == 0.0] = np.nan
         ux, uy = dx / d, dy / d
         cos_out = ux * tx + uy * ty
         sin_out = tx * uy - ty * ux

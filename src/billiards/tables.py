@@ -36,6 +36,7 @@ _N_PANELS = 1024
 _GL_ORDER = 12
 _CONVEXITY_GRID = 10_000
 CHORD_TOL = 1e-13  # angle step at which the generic chord solver's Newton polish stops
+_SECTIONS = 8  # sub-intervals per round of the generic chord solver's multisection
 
 
 @dataclass(frozen=True)
@@ -185,50 +186,65 @@ class Table:
 
     # -- chord solver -------------------------------------------------------
 
-    def chord_exit(self, t0: float, p, u) -> float:
+    def chord_exit(self, t0, p, u):
         """Second intersection of the ray p + tau*u with the boundary.
 
-        p = position(t0); u is a unit vector pointing strictly inward.
-        Returns the exit angle t1 in (t0, t0 + 2*pi).  The signed residual
+        p = position(t0); u is a unit vector pointing strictly inward; t0 may
+        be an array, with p and u of shape t0.shape + (2,).  Returns the exit
+        angle t1 in (t0, t0 + 2*pi).  The signed residual
         g(t) = cross(u, gamma(t) - p) is negative between t0 and the exit
-        and positive after it, so a sign bisection is safe; a Newton polish
-        brings the parameter error below CHORD_TOL.
+        and positive after it, so a sign multisection is safe; a Newton
+        polish brings the parameter error below CHORD_TOL.  Each element
+        stops at its own tolerance.
         """
+        t0 = np.asarray(t0, dtype=float)
+        px, py, ux, uy = p[..., 0], p[..., 1], u[..., 0], u[..., 1]
 
-        def g(t):
-            q = self.position(t)
-            return u[0] * (q[1] - p[1]) - u[1] * (q[0] - p[0])
+        def g(q, px=px, py=py, ux=ux, uy=uy):
+            return ux * (q[..., 1] - py) - uy * (q[..., 0] - px)
 
-        lo, hi = t0, t0 + TWO_PI
         # Seed the bracket away from the two boundary zeros.
         a = t0 + 1e-6
         b = t0 + TWO_PI - 1e-6
-        if g(a) >= 0.0:
-            hi = a
-        elif g(b) <= 0.0:
-            lo = b
-        else:
-            lo, hi = a, b
+        a_out = g(self.position(a)) >= 0.0
+        b_in = g(self.position(b)) <= 0.0
+        lo = np.where(a_out, t0, np.where(b_in, b, a)).ravel()
+        hi = np.where(a_out, a, np.where(b_in, t0 + TWO_PI, b)).ravel()
+        # Multisection: one position call evaluates g at _SECTIONS - 1
+        # interior points of every live bracket, and the bracket shrinks to
+        # the section where g changes sign.  An element leaves once its
+        # bracket is below 1e-9.
+        frac = np.arange(1, _SECTIONS) / _SECTIONS
+        live = np.arange(lo.size)
+        lane = [v.reshape(-1, 1) for v in (px, py, ux, uy)]
+        blo, bhi = lo, hi
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-9:
+            if not live.size:
                 break
+            tt = blo[:, None] + (bhi - blo)[:, None] * frac
+            k = np.count_nonzero(g(self.position(tt), *lane) < 0.0, axis=1)
+            tt = np.concatenate((blo[:, None], tt, bhi[:, None]), axis=1)
+            rows = np.arange(live.size)
+            blo, bhi = tt[rows, k], tt[rows, k + 1]
+            done = bhi - blo < 1e-9
+            if done.any():
+                lo[live[done]], hi[live[done]] = blo[done], bhi[done]
+                more = ~done
+                live, blo, bhi = live[more], blo[more], bhi[more]
+                lane = [v[more] for v in lane]
+        lo, hi = lo.reshape(t0.shape), hi.reshape(t0.shape)
         t1 = 0.5 * (lo + hi)
+        live = np.ones(t0.shape, dtype=bool)
         for _ in range(8):
-            q = self.position(t1)
-            _, tan, _, w = self.frame(t1)
-            gp = (u[0] * tan[1] - u[1] * tan[0]) * w
-            if gp == 0.0:
+            q, tan, _, w = self.frame(t1)
+            gp = (ux * tan[..., 1] - uy * tan[..., 0]) * w
+            live &= gp != 0.0
+            step = np.divide(g(q), gp, out=np.zeros(t0.shape), where=live)
+            t1 = t1 - step
+            live &= np.abs(step) >= CHORD_TOL
+            if not live.any():
                 break
-            step = (u[0] * (q[1] - p[1]) - u[1] * (q[0] - p[0])) / gp
-            t1 -= step
-            if abs(step) < CHORD_TOL:
-                break
-        return t1
+        return t1 if t1.ndim else float(t1)
 
 
 class CircleTable(Table):
@@ -278,8 +294,9 @@ class CircleTable(Table):
     def chord_exit(self, t0, p, u):
         # Inscribed-chord geometry: the central angle advance is exactly 2*theta.
         _, tan, _, _ = self.frame(t0)
-        theta = math.atan2(tan[0] * u[1] - tan[1] * u[0], tan[0] * u[0] + tan[1] * u[1])
-        return t0 + 2.0 * theta
+        tx, ty, ux, uy = tan[..., 0], tan[..., 1], u[..., 0], u[..., 1]
+        t1 = t0 + 2.0 * np.arctan2(tx * uy - ty * ux, tx * ux + ty * uy)
+        return t1 if t1.ndim else float(t1)
 
     def scaled(self, c):
         return CircleTable(c * self.radius)
@@ -322,20 +339,26 @@ class EllipseTable(Table):
         kappa = self.a * self.b / w**3
         return pos, tan, kappa, w
 
-    def chord_exit(self, t0, p, u):
+    def _exit_tau(self, p, u):
+        """Ray parameter of the second intersection of p + tau*u with the
+        ellipse, for p on it: the quadratic's nonzero root."""
         a, b = self.a, self.b
-        qa = (u[0] / a) ** 2 + (u[1] / b) ** 2
-        qb = 2.0 * (p[0] * u[0] / a**2 + p[1] * u[1] / b**2)
-        qc = (p[0] / a) ** 2 + (p[1] / b) ** 2 - 1.0
-        tau = -qb / qa + qc / qb  # exact root minus the spurious tau ~ 0 one
-        qx = p[0] + tau * u[0]
-        qy = p[1] + tau * u[1]
-        t1 = math.atan2(qy / b, qx / a)
-        while t1 <= t0:
-            t1 += TWO_PI
-        while t1 > t0 + TWO_PI:
-            t1 -= TWO_PI
-        return t1
+        px, py, ux, uy = p[..., 0], p[..., 1], u[..., 0], u[..., 1]
+        qa = (ux / a) ** 2 + (uy / b) ** 2
+        qb = 2.0 * (px * ux / a**2 + py * uy / b**2)
+        qc = (px / a) ** 2 + (py / b) ** 2 - 1.0
+        return -qb / qa + qc / qb  # exact root minus the spurious tau ~ 0 one
+
+    def chord_exit(self, t0, p, u):
+        tau = self._exit_tau(p, u)
+        qx = p[..., 0] + tau * u[..., 0]
+        qy = p[..., 1] + tau * u[..., 1]
+        t1 = np.arctan2(qy / self.b, qx / self.a)
+        # Wind into (t0, t0 + 2*pi]; the two fixes catch rounding at the ends.
+        t1 = t1 + TWO_PI * np.floor((t0 - t1) / TWO_PI + 1.0)
+        t1 = np.where(t1 <= t0, t1 + TWO_PI, t1)
+        t1 = np.where(t1 > t0 + TWO_PI, t1 - TWO_PI, t1)
+        return t1 if t1.ndim else float(t1)
 
     def scaled(self, c):
         return EllipseTable(c * self.a, c * self.b)

@@ -134,10 +134,9 @@ def test_criterion_05_caustic_oracle(tables):
         E = EllipseParams(1.0, math.sqrt(1.0 - ecc * ecc))
         phis = np.linspace(0.0, 2 * math.pi, 100, endpoint=False)
         thetas = np.linspace(0.01, E.theta_star - 0.01, 100)
-        for phi in phis:
-            for th in thetas:
-                err = abs(caustic_param(E, phi, th) - caustic_param_oracle(E, phi, th))
-                worst = max(worst, err)
+        phi, th = np.meshgrid(phis, thetas, indexing="ij")
+        err = np.abs(caustic_param(E, phi, th) - caustic_param_oracle(E, phi, th))
+        worst = max(worst, float(np.max(err)))
     table = tables["ellipse21"]
     E = table.params
     lam0 = caustic_param(E, 0.4, 0.21)
@@ -162,13 +161,10 @@ def test_criterion_06_conjugacy(tables):
     c1, c2 = EllipseTable(1.0, 1.0), EllipseTable(2.5, 2.5)
     hc = build_conjugacy(c1, c2)
     rng = np.random.default_rng(31)
-    circ_err = 0.0
-    for _ in range(200):
-        s = rng.uniform(0, c2.perimeter)
-        th = rng.uniform(0.01, 1.4)
-        out = hc(PhasePoint(s, th))
-        circ_err = max(circ_err, abs(out.s - (s / 2.5) % c1.perimeter),
-                       abs(out.theta - th))
+    s, th = rng.uniform((0.0, 0.01), (c2.perimeter, 1.4), (200, 2)).T
+    out = hc(PhasePoint(s, th))
+    circ_err = float(np.max(np.concatenate((np.abs(out.s - (s / 2.5) % c1.perimeter),
+                                            np.abs(out.theta - th)))))
     ok = (max(pair_res.values()) <= 1e-6 and ident_res <= 1e-10
           and circ_err <= 1e-10)
     report(6, ok, "conjugacy residual <= 1e-6 on 200x50 grids; identity/circle <= 1e-10",
@@ -182,15 +178,14 @@ def test_criterion_07_action_angle_shift(tables):
     for name in ("ellipse21", "ellipse32", "ellipse515"):
         table = tables[name]
         E = table.params
-        for _ in range(500):
-            p = PhasePoint(rng.uniform(0, table.perimeter),
-                           rng.uniform(0.01, 0.95 * E.theta_star))
-            coord = action_angle(table, p)
-            delta = orbit_shift(E, coord.lam)
-            after = action_angle(table, step(table, p))
-            drift = (after.t - coord.t - delta) % coord.period
-            drift = min(drift, coord.period - drift)
-            worst = max(worst, drift)
+        s, th = rng.uniform((0.0, 0.01), (table.perimeter, 0.95 * E.theta_star), (500, 2)).T
+        p = PhasePoint(s, th)
+        coord = action_angle(table, p)
+        delta = orbit_shift(E, coord.lam)
+        after = action_angle(table, step(table, p))
+        drift = (after.t - coord.t - delta) % coord.period
+        drift = np.minimum(drift, coord.period - drift)
+        worst = max(worst, float(np.max(drift)))
     report(7, worst <= 1e-8, "action-angle shift residual at 500 random points per ellipse",
            f"worst {worst:.2e} <= 1e-8")
 

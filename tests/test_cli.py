@@ -160,6 +160,17 @@ class TestConjugacyCommand:
             header = fh.readline().strip().split(",")
         assert header == ["s", "theta", "residual_s", "residual_theta"]
 
+    def test_stage_timings(self, ellipse_cfg, ellipse32_cfg, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--grid", "24", "8", "--out", str(out)])
+        assert rc == 0
+        summary = read_summary(out)
+        timings = summary["timings"]
+        assert list(timings) == ["load", "build", "grid", "write"]
+        assert all(math.isfinite(v) and v >= 0.0 for v in timings.values())
+        assert 0.0 <= summary["max_omega_residual"] <= 1e-10
+
     def test_nan_residual_fails_threshold(self, ellipse_cfg, tmp_path, monkeypatch):
         def nan_grid(self, **kw):
             return (np.zeros(2), np.zeros(2), np.array([0.0, 1e-12]),

@@ -179,3 +179,20 @@ class TestTrajectory:
         # x column is the lift; s column its reduction
         x = float(rows[3][3])
         assert float(rows[3][1]) == pytest.approx(x % circle.perimeter)
+
+
+class TestBatchIndependence:
+    """Element i of an array call equals the scalar call on element i."""
+
+    @pytest.mark.parametrize("name", ["circle", "ellipse21", "perturbed"])
+    def test_step(self, name, request):
+        table = request.getfixturevalue(name)
+        rng = np.random.default_rng(61)
+        s = rng.uniform(0.0, table.perimeter, 150)
+        th = rng.uniform(0.0, math.pi, 150)
+        th[:3] = (0.0, 1e-9, math.pi)  # boundary fixed points in the batch
+        th[3:6] = (1e-7, 3e-7, math.pi - 2e-7)  # chords shorter than the seed bracket
+        out = step(table, PhasePoint(s, th))
+        ref = [step(table, PhasePoint(a, b)) for a, b in zip(s, th)]
+        assert np.array_equal(out.s, [p.s for p in ref])
+        assert np.array_equal(out.theta, [p.theta for p in ref])

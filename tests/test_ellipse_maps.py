@@ -56,10 +56,8 @@ class TestCausticParam:
         E = params_from_ecc(ecc)
         phis = np.linspace(0.0, TWO_PI, 25, endpoint=False)
         thetas = np.linspace(0.01, E.theta_star - 0.01, 25)
-        worst = max(
-            abs(caustic_param(E, p, t) - caustic_param_oracle(E, p, t))
-            for p in phis for t in thetas
-        )
+        p, t = np.meshgrid(phis, thetas, indexing="ij")
+        worst = np.max(np.abs(caustic_param(E, p, t) - caustic_param_oracle(E, p, t)))
         assert worst < 1e-10
 
     def test_conserved_along_orbit(self, ellipse21):
@@ -282,3 +280,36 @@ class TestWitness:
 
     def test_circle_pair(self):
         assert eccentricity_witness(EllipseParams(1.0, 1.0), EllipseParams(3.0, 3.0)) is None
+
+
+class TestBatchIndependence:
+    """Element i of an array call equals the scalar call on element i."""
+
+    def test_action_angle(self, ellipse21):
+        rng = np.random.default_rng(62)
+        s = rng.uniform(0.0, ellipse21.perimeter, 100)
+        th = rng.uniform(0.01, 0.99 * ellipse21.params.theta_star, 100)
+        coord = action_angle(ellipse21, PhasePoint(s, th))
+        for i, (a, b) in enumerate(zip(s, th)):
+            one = action_angle(ellipse21, PhasePoint(a, b))
+            assert (one.lam, one.t, one.k, one.period) == (
+                coord.lam[i], coord.t[i], coord.k[i], coord.period[i])
+
+    def test_conjugacy_map(self, ellipse21):
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        rng = np.random.default_rng(63)
+        s = rng.uniform(0.0, h.table2.perimeter, 40)
+        th = rng.uniform(0.01, h.theta_star, 40)
+        out = h(PhasePoint(s, th))
+        ref = [h(PhasePoint(a, b)) for a, b in zip(s, th)]
+        assert np.array_equal(out.s, [p.s for p in ref])
+        assert np.array_equal(out.theta, [p.theta for p in ref])
+
+    def test_oracle(self):
+        E = params_from_ecc(0.8)
+        rng = np.random.default_rng(64)
+        phi = rng.uniform(0.0, TWO_PI, 30)
+        th = rng.uniform(0.0, E.theta_star, 30)
+        th[0] = 0.0
+        out = caustic_param_oracle(E, phi, th)
+        assert np.array_equal(out, [caustic_param_oracle(E, *v) for v in zip(phi, th)])

@@ -154,9 +154,8 @@ class TestJacobiAm:
         # get below 1e-15 * |t| in double precision
         k = 0.995
         big_k = ellip_k(k)
-        rng = np.random.default_rng(41)
-        for t in rng.uniform(-big_k, big_k, 2000):
-            assert ellip_f(jacobi_am(t, k), k) == pytest.approx(t, abs=1e-11)
+        t = np.random.default_rng(41).uniform(-big_k, big_k, 2000)
+        assert np.max(np.abs(ellip_f(jacobi_am(t, k), k) - t)) <= 1e-11
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
@@ -185,7 +184,60 @@ class TestInvertMonotone:
             lambda v: rotation_number_of_caustic(E, v), target, (0.0, E.b * (1 - 1e-9))
         )
         grid = np.linspace(0.0, E.b * (1 - 1e-9), 4001)
-        vals = np.array([rotation_number_of_caustic(E, v) for v in grid])
+        vals = rotation_number_of_caustic(E, grid)
         j = int(np.searchsorted(vals, target))
         assert grid[j - 1] <= lam <= grid[j]
         assert rotation_number_of_caustic(E, lam) == pytest.approx(target, abs=1e-10)
+
+
+class TestNearUnitModulus:
+    @pytest.mark.parametrize("k", [0.99, 0.9999, 0.999999])
+    def test_ellip_f_against_mpmath(self, k):
+        # 1 - (k sin phi)^2 cancels here; k'^2 + (k cos phi)^2 does not
+        mpmath = pytest.importorskip("mpmath")
+        phi = np.linspace(1.3, math.pi / 2, 101)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.ellipf(float(p), mpmath.mpf(k) ** 2)) for p in phi])
+        assert np.max(np.abs(ellip_f(phi, k) / ref - 1.0)) <= 2e-15
+
+
+class TestBatchIndependence:
+    """Element i of an array call equals the scalar call on element i, bit
+    for bit, although elements stop their iterations at different steps."""
+
+    def test_carlson_rf(self):
+        rng = np.random.default_rng(51)
+        x, y, z = 10.0 ** rng.uniform(-8.0, 8.0, (3, 200))
+        x[::7] = 0.0
+        out = carlson_rf(x, y, z)
+        assert np.array_equal(out, [carlson_rf(*v) for v in zip(x, y, z)])
+
+    def test_ellip_f(self):
+        rng = np.random.default_rng(52)
+        phi = rng.uniform(-8.0, 8.0, 200)
+        k = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 200)
+        out = ellip_f(phi, k)
+        assert np.array_equal(out, [ellip_f(*v) for v in zip(phi, k)])
+
+    def test_jacobi_am(self):
+        rng = np.random.default_rng(53)
+        t = rng.uniform(-12.0, 12.0, 200)
+        k = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 200)
+        out = jacobi_am(t, k)
+        assert np.array_equal(out, [jacobi_am(*v) for v in zip(t, k)])
+
+    def test_invert_monotone(self):
+        rng = np.random.default_rng(54)
+        target = rng.uniform(-25.0, 25.0, 200)
+        lo = rng.uniform(-6.0, -4.0, 200)
+        hi = rng.uniform(5.0, 7.0, 200)
+        target[:2] = np.sinh(lo[0]), np.sinh(hi[1])  # roots at the bracket ends
+        out = invert_monotone(np.sinh, target, (lo, hi), atol=1e-12, xtol=1e-15)
+        ref = [invert_monotone(np.sinh, *v, atol=1e-12, xtol=1e-15)
+               for v in zip(target, zip(lo, hi))]
+        assert np.array_equal(out, ref)
+        assert np.max(np.abs(np.sinh(out) - target)) <= 1e-12
+
+    def test_one_unbracketed_element_raises(self):
+        with pytest.raises(BracketError):
+            invert_monotone(lambda x: x, [0.5, 5.0], (0.0, 1.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ class TestProperties:
     def test_perturbed_gap_positive_small_q(self, perturbed):
         big, small = lq_bounds(perturbed, 10)
         assert big - small > 1e-5
+
+    def test_collapsed_chord_trial_is_silent(self, perturbed):
+        # a retry trial here puts two vertices on one boundary point; the
+        # solver rejects it without a divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orb = find_orbit(perturbed, 1, 13, "min")
+        assert orb.length == 6.259087954816305
+        assert orb.converged
 
     def test_canonical_labeling(self, ellipse21):
         orb = find_orbit(ellipse21, 1, 5)
