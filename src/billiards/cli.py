@@ -142,6 +142,16 @@ def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
         json.dump(_strict(summary), fh, indent=2, allow_nan=False)
 
 
+def _write_report(path: Path, report, samples) -> None:
+    """invariant_report.json: the fit, plus the per-q solver diagnostics
+    under the beta_samples.csv column names."""
+    out = report.to_dict()
+    for name in ("q", "residual", "sweeps", "newton_steps", "converged", "candidates"):
+        out[name] = np.asarray(getattr(samples, name)).tolist()
+    with open(path, "w") as fh:
+        json.dump(out, fh, indent=2)
+
+
 def _load(path) -> object:
     table = load_table(path)
     log.info("loaded %s table from %s (perimeter %.6f)", table.kind, path, table.perimeter)
@@ -168,8 +178,7 @@ def _cmd_beta(args, outdir: Path) -> int:
             w.writerow([int(p), int(q), float(om), float(b), float(res), int(sweeps),
                         int(steps), int(conv), int(cand)])
     rep_path = outdir / "invariant_report.json"
-    with open(rep_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    _write_report(rep_path, report, samples)
     stages.lap("write")
     _write_summary(
         outdir, "beta", {"table": table.as_config(), "qmin": args.qmin,
@@ -202,8 +211,7 @@ def _cmd_mm(args, outdir: Path) -> int:
         for q, big, small, beta in rows:
             w.writerow([q, big, small, beta])
     rep_path = outdir / "invariant_report.json"
-    with open(rep_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    _write_report(rep_path, report, samples)
     stages.lap("write")
     _write_summary(
         outdir, "mm", {"table": table.as_config(), "qmin": args.qmin,
@@ -355,7 +363,9 @@ def _cmd_orbit(args, outdir: Path) -> int:
         csv_path = outdir / "trajectory.csv"
         write_trajectory_csv(csv_path, table, s, th, pts)
         outputs.append(str(csv_path))
-        payload.update({"steps": args.steps})
+        # the mean winding per bounce, as in dynamics.rotation_estimate
+        winding = (s[-1] - s[0]) / (args.steps * table.perimeter) if args.steps else math.nan
+        payload.update({"steps": args.steps, "rotation_number": float(winding % 1.0)})
     stages.lap("write")
     _write_summary(outdir, "orbit", {"table": table.as_config()}, payload, outputs, stages)
     return 0

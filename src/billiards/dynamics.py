@@ -5,7 +5,8 @@ outgoing chord and the positive tangent.  The map fixes theta in {0, pi}
 pointwise; interior chords are resolved by each table's chord solver.  The
 chord length d(s, s') is the generating function: d_s = -cos(theta) and
 d_s' = cos(theta') tie the map to the length functional used by the
-periodic-orbit solver.
+periodic-orbit solver.  Trajectories iterate in the boundary-angle chart t,
+so s appears only at their input and output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _require
-from .tables import Table
+from .tables import TWO_PI, Table
 
 __all__ = [
     "PhasePoint",
@@ -107,10 +108,8 @@ def generating(table: Table, s: float, s2: float) -> tuple[float, float, float]:
     Returns (d, d_s, d_s2) where d_s = -cos(theta) for the chord leaving s
     and d_s2 = cos(theta') for the same chord arriving at s2.
     """
-    t = table.angle_of_arc(s % table.perimeter)
-    t2 = table.angle_of_arc(s2 % table.perimeter)
-    p1, tan1, _, _ = table.frame(t)
-    p2, tan2, _, _ = table.frame(t2)
+    t = table.angle_of_arc(np.array([s, s2]) % table.perimeter)
+    (p1, p2), (tan1, tan2), _, _ = table.frame(t)
     dx = p2[0] - p1[0]
     dy = p2[1] - p1[1]
     d = math.hypot(dx, dy)
@@ -121,32 +120,38 @@ def generating(table: Table, s: float, s2: float) -> tuple[float, float, float]:
 
 
 def rotation_estimate(table: Table, p: PhasePoint, n: int) -> float:
-    """Average winding per bounce over n iterates, normalized to [0, 1)."""
+    """Average winding per bounce over the n iterates of trajectory,
+    normalized to [0, 1)."""
     if n < 1:
         raise DomainError(f"rotation_estimate needs n >= 1, got {n}")
-    if p.theta <= TANGENCY_CUTOFF or p.theta >= math.pi - TANGENCY_CUTOFF:
-        return 0.0
-    t_lift = table.angle_of_arc(p.s % table.perimeter)
-    t_start = t_lift
-    theta = p.theta
-    two_pi = 2.0 * math.pi
-    for _ in range(n):
-        t_red = t_lift % two_pi
-        t1, theta = step_angle(table, t_red, theta)
-        t_lift += t1 - t_red
-    advance = table.arc_of_angle(t_lift) - table.arc_of_angle(t_start)
-    return (advance / (n * table.perimeter)) % 1.0
+    s, _, _ = trajectory(table, p, n)
+    return float((s[-1] - s[0]) / (n * table.perimeter)) % 1.0
 
 
 def trajectory(table: Table, p: PhasePoint, n: int):
-    """Iterate the lifted map n times; returns (s_lift, theta, points) arrays."""
-    s = np.empty(n + 1)
+    """Iterate the lifted map n times; returns (s_lift, theta, points) arrays.
+
+    The bounces run in the boundary-angle chart: s enters through one
+    angle_of_arc call and leaves through one arc_of_angle call on the
+    lifted angles, with s_lift[0] = p.s exactly.  A point within
+    TANGENCY_CUTOFF of theta = 0 or pi stays fixed.
+    """
+    if n < 0:
+        raise DomainError(f"trajectory needs n >= 0, got {n}")
+    t = np.empty(n + 1)
     th = np.empty(n + 1)
-    s[0], th[0] = p.s, p.theta
+    t[0], th[0] = table.angle_of_arc(p.s % table.perimeter), p.theta
+    t_red, turns = t[0], 0.0  # lift = reduced angle + whole turns: no drift
     for i in range(n):
-        s[i + 1], th[i + 1] = step_lifted(table, s[i], th[i])
-    pts = table.position(table.angle_of_arc(s % table.perimeter))
-    return s, th, pts
+        if not TANGENCY_CUTOFF < th[i] < math.pi - TANGENCY_CUTOFF:
+            t[i + 1:], th[i + 1:] = t[i], th[i]
+            break
+        t1, th[i + 1] = step_angle(table, t_red, th[i])
+        k, t_red = divmod(t1, TWO_PI)
+        turns += k
+        t[i + 1] = t_red + turns * TWO_PI
+    arc = table.arc_of_angle(t)
+    return p.s + (arc - arc[0]), th, table.position(t)
 
 
 def write_trajectory_csv(path, table: Table, s_lift, theta, points) -> None:

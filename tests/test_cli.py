@@ -92,6 +92,13 @@ class TestBetaCommand:
         per_q = [rec for rec in caplog.records
                  if rec.name == "billiards.invariants" and rec.levelno == logging.INFO]
         assert len(per_q) == len(rows)
+        with open(out / "invariant_report.json") as fh:
+            report = json.load(fh)
+        assert report["q"] == [int(r["q"]) for r in rows]
+        assert report["residual"] == [float(r["residual"]) for r in rows]
+        for name in ("sweeps", "newton_steps", "candidates"):
+            assert report[name] == [int(r[name]) for r in rows]
+        assert report["converged"] == [r["converged"] == "1" for r in rows]
 
     def test_ellipse_ell0(self, ellipse_cfg, tmp_path):
         out = tmp_path / "out"
@@ -123,6 +130,10 @@ class TestMmCommand:
                 2 * q * math.sin(math.pi / q), abs=1e-9
             )
             assert float(row["L_q"]) >= float(row["l_q"])
+        with open(out / "invariant_report.json") as fh:
+            report = json.load(fh)
+        assert report["q"] == list(range(10, 41))
+        assert all(report["converged"]) and min(report["candidates"]) >= 1
 
 
 class TestCompareCommand:
@@ -260,6 +271,8 @@ class TestOrbitCommand:
         with open(out / "trajectory.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 22  # header + 21 states
+        # one bounce on the unit circle advances s by 2 theta0
+        assert read_summary(out)["rotation_number"] == pytest.approx(0.7 / math.pi, abs=1e-12)
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ from billiards import (
     trajectory,
     write_trajectory_csv,
 )
+from billiards.dynamics import TANGENCY_CUTOFF
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,6 +180,70 @@ class TestTrajectory:
         # x column is the lift; s column its reduction
         x = float(rows[3][3])
         assert float(rows[3][1]) == pytest.approx(x % circle.perimeter)
+
+
+class TestChartLoop:
+    """trajectory iterates in the boundary-angle chart t."""
+
+    @pytest.mark.parametrize("name", ["circle", "ellipse21", "perturbed"])
+    def test_matches_step_lifted(self, name, request):
+        # only the first bounces can agree: the perturbed map is chaotic, so
+        # longer orbits part at round-off level
+        table = request.getfixturevalue(name)
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            s0 = rng.uniform(-table.perimeter, 2.0 * table.perimeter)
+            th0 = rng.uniform(0.1, math.pi - 0.1)
+            s, th, pts = trajectory(table, PhasePoint(s0, th0), 10)
+            ref_s, ref_th = [s0], [th0]
+            for _ in range(10):
+                s1, th1 = step_lifted(table, ref_s[-1], ref_th[-1])
+                ref_s.append(s1)
+                ref_th.append(th1)
+            assert s[0] == s0
+            assert np.max(np.abs(s - ref_s)) <= 1e-12
+            assert np.max(np.abs(th - ref_th)) <= 1e-12
+            assert np.allclose(pts, table.point(s)[0], rtol=0.0, atol=1e-12)
+
+    def test_time_reversal(self, perturbed):
+        ell = perturbed.perimeter
+        rng = np.random.default_rng(72)
+        for _ in range(3):
+            s0, th0 = rng.uniform(0.0, ell), rng.uniform(0.2, math.pi - 0.2)
+            s, th, _ = trajectory(perturbed, PhasePoint(s0, th0), 20)
+            back, th_back, _ = trajectory(perturbed, PhasePoint(s[-1], math.pi - th[-1]), 20)
+            gap = (back[-1] - s0) % ell
+            assert min(gap, ell - gap) <= 1e-9
+            assert th_back[-1] == pytest.approx(math.pi - th0, abs=1e-9)
+
+    @pytest.mark.parametrize("theta0", [0.0, math.pi - 0.5 * TANGENCY_CUTOFF])
+    def test_boundary_fixed_point(self, perturbed, theta0):
+        s, th, pts = trajectory(perturbed, PhasePoint(0.7, theta0), 5)
+        assert np.all(s == 0.7) and np.all(th == theta0)
+        assert np.all(pts == pts[0])
+
+    def test_one_arc_inversion(self, perturbed, monkeypatch):
+        calls = []
+        inverse = perturbed.angle_of_arc
+
+        def counted(s):
+            calls.append(s)
+            return inverse(s)
+
+        monkeypatch.setattr(perturbed, "angle_of_arc", counted)
+        trajectory(perturbed, PhasePoint(1.1, 0.8), 50)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["circle", "ellipse21", "perturbed"])
+    def test_rotation_estimate_is_mean_winding(self, name, request):
+        table = request.getfixturevalue(name)
+        p, n = PhasePoint(2.3, 1.1), 40
+        s, _, _ = trajectory(table, p, n)
+        assert rotation_estimate(table, p, n) == ((s[-1] - s[0]) / (n * table.perimeter)) % 1.0
+
+    def test_negative_steps_rejected(self, circle):
+        with pytest.raises(DomainError):
+            trajectory(circle, PhasePoint(0.0, 1.0), -1)
 
 
 class TestBatchIndependence:

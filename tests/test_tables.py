@@ -8,7 +8,9 @@ from billiards import (
     CircleTable,
     ConvexityError,
     EllipseParams,
+    EllipseTable,
     PerturbedCircleTable,
+    SolverError,
     TableConfigError,
     load_table,
     table_from_config,
@@ -142,6 +144,35 @@ class TestPerturbedCircle:
         t = rng.uniform(0.0, TWO_PI, 100)
         s = perturbed.arc_of_angle(t)
         assert np.max(np.abs(perturbed.angle_of_arc(s) - t)) < 1e-10
+
+    def test_profile_orders_agree_with_frame(self):
+        # position and speed build only r (and r'); frame builds r, r', r''
+        table = PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)])
+        t = np.random.default_rng(9).uniform(0.0, TWO_PI, 500)
+        pos, _, _, w = table.frame(t)
+        assert np.array_equal(table.position(t), pos)
+        assert np.allclose(table.speed(t), w, rtol=1e-14, atol=0.0)
+
+
+class TestArcInverse:
+    @pytest.mark.parametrize("name", ["circle", "ellipse21", "ellipse_e05", "perturbed"])
+    def test_dense_grid_accepted(self, name, request):
+        table = request.getfixturevalue(name)
+        s = np.linspace(-table.perimeter, 2.0 * table.perimeter, 10_001)
+        t = table.angle_of_arc(s)
+        assert np.max(np.abs(table.arc_of_angle(t) - s)) < 1e-12
+
+    def test_wrong_speed_raises(self):
+        class WrongSpeed(EllipseTable):
+            factor = 1.0
+
+            def speed(self, t):
+                return self.factor * super().speed(t)
+
+        table = WrongSpeed(2.0, 1.0)
+        table.factor = 0.1  # speed now disagrees with the arc tables built from it
+        with pytest.raises(SolverError):
+            table.angle_of_arc(np.linspace(0.0, table.perimeter, 101))
 
 
 class TestConfig:
