@@ -25,7 +25,6 @@ from .ellipse_maps import (
     action_angle_inverse,
     build_conjugacy,
     caustic_param,
-    caustic_param_oracle,
     eccentricity_witness,
     hyperbolic_orbit_exists,
     orbit_shift,
@@ -52,7 +51,7 @@ from .invariants import (
     mm_ratio_check,
     sample_beta,
 )
-from .orbits import OrbitConfig, beta_at, find_orbit, lq_bounds
+from .orbits import OrbitConfig, find_orbit, lq_bounds
 from .tables import (
     CircleTable,
     EllipseParams,
@@ -72,14 +71,14 @@ __all__ = [
     "carlson_rf", "ellip_f", "ellip_k", "invert_monotone", "jacobi_am",
     "CausticCoord", "ConjugacyMap", "HyperbolicDecision", "action_angle",
     "action_angle_inverse", "build_conjugacy", "caustic_param",
-    "caustic_param_oracle", "eccentricity_witness", "hyperbolic_orbit_exists",
-    "orbit_shift", "rotation_number_of_caustic",
+    "eccentricity_witness", "hyperbolic_orbit_exists", "orbit_shift",
+    "rotation_number_of_caustic",
     "BilliardsError", "BracketError", "ConditioningError", "ConvexityError",
     "DomainError", "SolverError", "TableConfigError",
     "BetaSamples", "InvariantReport", "RatioRow", "fit_normalized_beta",
     "lazutkin_parameter", "mather_alpha", "mm_fit_from_samples",
     "mm_invariants", "mm_ratio_check", "sample_beta",
-    "OrbitConfig", "beta_at", "find_orbit", "lq_bounds",
+    "OrbitConfig", "find_orbit", "lq_bounds",
     "CircleTable", "EllipseParams", "EllipseTable", "PerturbedCircleTable",
     "Table", "load_table", "table_from_config",
 ]

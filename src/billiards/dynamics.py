@@ -2,7 +2,7 @@
 
 Phase points are (s, theta): boundary arc length and the angle between the
 outgoing chord and the positive tangent.  The map fixes theta in {0, pi}
-pointwise; interior chords are resolved by each table's chord solver.  The
+pointwise; interior chords are resolved by each table's chord_exit.  The
 chord length d(s, s') is the generating function: d_s = -cos(theta) and
 d_s' = cos(theta') tie the map to the length functional used by the
 periodic-orbit solver.  Trajectories iterate in the boundary-angle chart t,
@@ -55,26 +55,10 @@ class PhasePoint:
         return np.cos(self.theta)
 
 
-def _rotate(tan, theta):
-    """Unit vector at angle theta from the unit tangent tan (shape (..., 2))."""
-    c, s = np.cos(theta), np.sin(theta)
-    tx, ty = tan[..., 0], tan[..., 1]
-    return np.stack([c * tx - s * ty, s * tx + c * ty], axis=-1)
-
-
 def step_angle(table: Table, t0, theta):
-    """One bounce in the boundary-angle parametrization: returns the exit
-    angle t1 in (t0, t0 + 2*pi] and the new incidence angle.  Iteration
-    loops stay in this chart to avoid re-inverting arc length per bounce.
-    Takes arrays; theta must lie strictly inside (0, pi)."""
-    pos, tan, _, _ = table.frame(t0)
-    u = _rotate(tan, theta)
-    t1 = table.chord_exit(t0, pos, u)
-    _, tan1, _, _ = table.frame(t1)
-    # incoming chord u = cos(theta')*T1 - sin(theta')*N1 with N1 = rot90(T1)
-    ux, uy, tx, ty = u[..., 0], u[..., 1], tan1[..., 0], tan1[..., 1]
-    theta1 = np.arctan2(ux * ty - uy * tx, ux * tx + uy * ty)  # (-u . N1, u . T1)
-    return (t1, theta1) if theta1.ndim else (float(t1), float(theta1))
+    """One bounce in the boundary-angle chart, as Table.chord_exit; loops
+    stay in this chart to avoid re-inverting arc length per bounce."""
+    return table.chord_exit(t0, theta)
 
 
 def step_lifted(table: Table, s_lift, theta):

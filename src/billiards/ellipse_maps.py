@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, _rotate, step
+from .dynamics import PhasePoint, step
 from .elliptic import ellip_f, ellip_k, invert_monotone, jacobi_am
 from .errors import BracketError, DomainError, SolverError, _require
 from .tables import EllipseParams, EllipseTable
@@ -30,7 +30,6 @@ __all__ = [
     "ConjugacyMap",
     "HyperbolicDecision",
     "caustic_param",
-    "caustic_param_oracle",
     "rotation_number_of_caustic",
     "orbit_shift",
     "action_angle",
@@ -67,9 +66,9 @@ def caustic_param(E, phi, theta):
     boundary point of angle phi at incidence theta.
 
     Closed form lambda = sin(theta) * sqrt(a^2 sin^2(phi) + b^2 cos^2(phi)),
-    validated to 1e-10 against the tangency oracle.  Chords crossing the
-    focal segment have lambda >= b (hyperbolic caustic) and raise.  Takes
-    arrays.
+    validated to 1e-10 against the tangency oracle of the tests.  Chords
+    crossing the focal segment have lambda >= b (hyperbolic caustic) and
+    raise.  Takes arrays.
     """
     table = _table(E)
     theta = np.asarray(theta, dtype=float)
@@ -80,59 +79,6 @@ def caustic_param(E, phi, theta):
             f"chord crosses the focal segment (lambda={np.max(lam):.6g} >= b={table.b}); "
             "caustic is not a confocal ellipse"
         )
-    return lam if lam.ndim else float(lam)
-
-
-def caustic_param_oracle(E, phi, theta):
-    """Caustic parameter by direct tangency: the deepest confocal-ellipse
-    level reached along the explicit chord.
-
-    Each interior point (x, y) lies on one confocal ellipse
-    x^2/(a^2-mu) + y^2/(b^2-mu) = 1 with mu in [0, b^2); the chord is
-    tangent to the level it maximizes.  The maximum is located by golden
-    section, independently of the closed form in caustic_param.  Takes
-    arrays; every element runs the same 90 golden-section steps.
-    """
-    table = _table(E)
-    phi, theta = np.broadcast_arrays(np.asarray(phi, dtype=float),
-                                     np.asarray(theta, dtype=float))
-    _require((theta >= 0.0) & (theta < math.pi), "incidence angle must lie in [0, pi)", theta)
-    lam = np.zeros(theta.shape)
-    chord = theta > 0.0  # theta = 0 is the boundary point itself
-    phi, theta = phi[chord], theta[chord]
-    a, b = table.a, table.b
-    p, tan, _, _ = table.frame(phi)
-    u = _rotate(tan, theta)
-    tau_exit = table._exit_tau(p, u)
-    px, py, ux, uy = p[:, 0], p[:, 1], u[:, 0], u[:, 1]
-    # Chords meeting the open focal segment have hyperbolic caustics.
-    tau0 = np.divide(-py, uy, out=np.full(py.shape, -1.0), where=uy != 0.0)
-    on_segment = np.abs(px + tau0 * ux) < table.params.focal_distance
-    if np.any((0.0 < tau0) & (tau0 < tau_exit) & on_segment):
-        raise DomainError("chord crosses the focal segment; caustic is not an ellipse")
-
-    def mu_of(tau):
-        x = px + tau * ux
-        y = py + tau * uy
-        ssum = a * a + b * b - x * x - y * y
-        qprod = a * a * b * b - b * b * x * x - a * a * y * y
-        disc = np.maximum(ssum * ssum - 4.0 * qprod, 0.0)
-        return 2.0 * qprod / (ssum + np.sqrt(disc))
-
-    lo, hi = np.zeros(px.shape), tau_exit
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = mu_of(x1), mu_of(x2)
-    for _ in range(90):
-        left = f1 < f2
-        lo = np.where(left, x1, lo)
-        hi = np.where(left, hi, x2)
-        x1, x2 = (np.where(left, x2, hi - invphi * (hi - lo)),
-                  np.where(left, lo + invphi * (hi - lo), x1))
-        fnew = mu_of(np.where(left, x2, x1))
-        f1, f2 = np.where(left, f2, fnew), np.where(left, fnew, f1)
-    lam[chord] = np.sqrt(np.maximum(f1, f2))
     return lam if lam.ndim else float(lam)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .tables import Table
 
-__all__ = ["OrbitConfig", "find_orbit", "beta_at", "lq_bounds"]
+__all__ = ["OrbitConfig", "find_orbit", "lq_bounds"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -408,11 +408,6 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
         p, q, orbit_class, s_rot, t_rot, lengths[chosen], float(res[k]),
         int(sweeps[k]), int(nsteps[k]), True, candidates=candidates,
     )
-
-
-def beta_at(table: Table, p: int, q: int) -> float:
-    """Mather beta at p/q: minus the averaged maximal length, -L_max/q."""
-    return find_orbit(table, p, q, "max").beta
 
 
 def lq_bounds(table: Table, q: int) -> tuple[float, float]:

@@ -187,27 +187,28 @@ class Table:
         t = t + wind * TWO_PI
         return t if t.ndim else float(t)
 
-    def point(self, s):
-        """Plane point, unit tangent and curvature at arc length s (mod perimeter)."""
-        t = self.angle_of_arc(np.asarray(s, dtype=float))
-        pos, tan, kappa, _ = self.frame(t)
-        return pos, tan, kappa
+    # -- the bounce -----------------------------------------------------------
 
-    # -- chord solver -------------------------------------------------------
+    def chord_exit(self, t0, theta):
+        """One bounce in the boundary-angle chart: returns (t1, theta1).
 
-    def chord_exit(self, t0, p, u):
-        """Second intersection of the ray p + tau*u with the boundary.
+        The chord leaves gamma(t0) at incidence theta in (0, pi), the angle
+        from the unit tangent T(t0) to the chord, and meets the boundary
+        again at t1 in (t0, t0 + 2*pi); theta1 is the angle from the chord
+        to T(t1).  Takes arrays of one shape; a scalar input returns floats.
+        Subclasses with a closed form override this method.
 
-        p = position(t0); u is a unit vector pointing strictly inward; t0 may
-        be an array, with p and u of shape t0.shape + (2,).  Returns the exit
-        angle t1 in (t0, t0 + 2*pi).  The signed residual
-        g(t) = cross(u, gamma(t) - p) is negative between t0 and the exit
-        and positive after it, so a sign multisection is safe; a Newton
-        polish brings the parameter error below CHORD_TOL.  Each element
-        stops at its own tolerance.
+        The generic solver follows the ray p + tau*u, p = gamma(t0): the
+        signed residual g(t) = cross(u, gamma(t) - p) is negative between
+        t0 and the exit and positive after it, so a sign multisection is
+        safe; a Newton polish brings the parameter error below CHORD_TOL.
+        Each element stops at its own tolerance.
         """
         t0 = np.asarray(t0, dtype=float)
-        px, py, ux, uy = p[..., 0], p[..., 1], u[..., 0], u[..., 1]
+        p, tan, _, _ = self.frame(t0)
+        c, s = np.cos(theta), np.sin(theta)
+        tx, ty = tan[..., 0], tan[..., 1]
+        px, py, ux, uy = p[..., 0], p[..., 1], c * tx - s * ty, s * tx + c * ty
 
         def g(q, px=px, py=py, ux=ux, uy=uy):
             return ux * (q[..., 1] - py) - uy * (q[..., 0] - px)
@@ -253,7 +254,11 @@ class Table:
             live &= np.abs(step) >= CHORD_TOL
             if not live.any():
                 break
-        return t1 if t1.ndim else float(t1)
+        _, tan1, _, _ = self.frame(t1)
+        # incoming chord u = cos(theta1) T1 - sin(theta1) N1, N1 = rot90(T1)
+        tx, ty = tan1[..., 0], tan1[..., 1]
+        theta1 = np.arctan2(ux * ty - uy * tx, ux * tx + uy * ty)
+        return (t1, theta1) if t1.ndim else (float(t1), float(theta1))
 
 
 class CircleTable(Table):
@@ -300,12 +305,11 @@ class CircleTable(Table):
     def _build_arc_tables(self):
         self._perimeter = TWO_PI * self.radius
 
-    def chord_exit(self, t0, p, u):
-        # Inscribed-chord geometry: the central angle advance is exactly 2*theta.
-        _, tan, _, _ = self.frame(t0)
-        tx, ty, ux, uy = tan[..., 0], tan[..., 1], u[..., 0], u[..., 1]
-        t1 = t0 + 2.0 * np.arctan2(tx * uy - ty * ux, tx * ux + ty * uy)
-        return t1 if t1.ndim else float(t1)
+    def chord_exit(self, t0, theta):
+        # Inscribed-chord geometry: the central angle advances by exactly 2*theta.
+        theta = np.array(theta, dtype=float)
+        t1 = t0 + 2.0 * theta
+        return (t1, theta) if t1.ndim else (float(t1), float(theta))
 
     def scaled(self, c):
         return CircleTable(c * self.radius)
@@ -348,26 +352,22 @@ class EllipseTable(Table):
         kappa = self.a * self.b / w**3
         return pos, tan, kappa, w
 
-    def _exit_tau(self, p, u):
-        """Ray parameter of the second intersection of p + tau*u with the
-        ellipse, for p on it: the quadratic's nonzero root."""
+    def chord_exit(self, t0, theta):
+        # The chord from t0 to t0 + 2h is parallel to the tangent at m = t0 + h,
+        # and the tangent turns from t to t + h by the angle
+        # atan2(ab sin h, w(t)^2 cos h + c^2 sin t cos t sin h).  Setting that
+        # turn to theta from t0 gives h; the turn from m gives theta1.  Nothing
+        # O(1) cancels, so theta -> 0 keeps full relative accuracy.
         a, b = self.a, self.b
-        px, py, ux, uy = p[..., 0], p[..., 1], u[..., 0], u[..., 1]
-        qa = (ux / a) ** 2 + (uy / b) ** 2
-        qb = 2.0 * (px * ux / a**2 + py * uy / b**2)
-        qc = (px / a) ** 2 + (py / b) ** 2 - 1.0
-        return -qb / qa + qc / qb  # exact root minus the spurious tau ~ 0 one
-
-    def chord_exit(self, t0, p, u):
-        tau = self._exit_tau(p, u)
-        qx = p[..., 0] + tau * u[..., 0]
-        qy = p[..., 1] + tau * u[..., 1]
-        t1 = np.arctan2(qy / self.b, qx / self.a)
-        # Wind into (t0, t0 + 2*pi]; the two fixes catch rounding at the ends.
-        t1 = t1 + TWO_PI * np.floor((t0 - t1) / TWO_PI + 1.0)
-        t1 = np.where(t1 <= t0, t1 + TWO_PI, t1)
-        t1 = np.where(t1 > t0 + TWO_PI, t1 - TWO_PI, t1)
-        return t1 if t1.ndim else float(t1)
+        ab, c2 = a * b, (a - b) * (a + b)
+        t0 = np.asarray(t0, dtype=float)
+        st, ct, s0, c0 = np.sin(theta), np.cos(theta), np.sin(t0), np.cos(t0)
+        h = np.arctan2(((a * s0) ** 2 + (b * c0) ** 2) * st, ab * ct - c2 * s0 * c0 * st)
+        m = t0 + h
+        sh, ch, sm, cm = np.sin(h), np.cos(h), np.sin(m), np.cos(m)
+        theta1 = np.arctan2(ab * sh, ((a * sm) ** 2 + (b * cm) ** 2) * ch + c2 * sm * cm * sh)
+        t1 = t0 + 2.0 * h
+        return (t1, theta1) if t1.ndim else (float(t1), float(theta1))
 
     def scaled(self, c):
         return EllipseTable(c * self.a, c * self.b)

@@ -13,13 +13,12 @@ from billiards import (
     PerturbedCircleTable,
     PhasePoint,
     action_angle,
-    beta_at,
     build_conjugacy,
     caustic_param,
-    caustic_param_oracle,
     eccentricity_witness,
     ellip_f,
     ellip_k,
+    find_orbit,
     fit_normalized_beta,
     hyperbolic_orbit_exists,
     jacobi_am,
@@ -31,6 +30,8 @@ from billiards import (
     sample_beta,
     step,
 )
+
+from caustic_oracle import caustic_param_oracle
 
 C3 = 1.0 / 24.0
 C5 = -math.pi**2 / 480.0
@@ -81,7 +82,7 @@ def test_criterion_01_circle_beta_exactness(tables):
     for radius in (1.0, 3.0):
         table = CircleTable(radius) if radius != 1.0 else tables["circle"]
         for q in range(3, 51):
-            err = abs(beta_at(table, 1, q) + 2.0 * radius * math.sin(math.pi / q))
+            err = abs(find_orbit(table, 1, q).beta + 2.0 * radius * math.sin(math.pi / q))
             worst = max(worst, err)
     report(1, worst <= 1e-9,
            "circle beta(1/q) = -2R sin(pi/q), R in {1,3}, q in 3..50",

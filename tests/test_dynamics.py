@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from billiards import (
+    CircleTable,
     DomainError,
+    EllipseTable,
     PhasePoint,
     generating,
     rotation_estimate,
@@ -14,9 +16,12 @@ from billiards import (
     trajectory,
     write_trajectory_csv,
 )
-from billiards.dynamics import TANGENCY_CUTOFF
+from billiards.dynamics import TANGENCY_CUTOFF, step_angle
 
 TWO_PI = 2.0 * math.pi
+# Incidence angles of the near-boundary regime, down to just above the cutoff.
+NEAR_BOUNDARY = (1e-2, 1e-4, 1e-6, 1e-7, 2e-8)
+NEAR_BOUNDARY_ELLIPSES = [EllipseTable(2.0, 1.0), EllipseTable(1.0, 0.3), EllipseTable(1.5, 1.4)]
 
 
 class TestStep:
@@ -30,8 +35,6 @@ class TestStep:
             assert out.theta == pytest.approx(th, abs=1e-12)
 
     def test_circle_radius_scaling(self):
-        from billiards import CircleTable
-
         table = CircleTable(2.0)
         out = step(table, PhasePoint(1.0, 0.7))
         assert out.s == pytest.approx(1.0 + 2 * 0.7 * 2.0, abs=1e-12)
@@ -104,6 +107,34 @@ class TestStep:
     def test_rejects_bad_angle(self):
         with pytest.raises(DomainError):
             PhasePoint(0.0, -0.5)
+
+    def test_circle_bounce_is_exact(self, circle):
+        rng = np.random.default_rng(15)
+        t0 = rng.uniform(-TWO_PI, TWO_PI, 500)
+        th = rng.uniform(1e-9, math.pi - 1e-9, 500)
+        for table in (circle, CircleTable(2.5)):
+            t1, th1 = step_angle(table, t0, th)
+            assert np.array_equal(t1, t0 + 2.0 * th) and np.array_equal(th1, th)
+            assert step_angle(table, 0.3, 1e-7) == (0.3 + 2e-7, 1e-7)
+
+    def test_ellipse_caustic_conserved_near_boundary(self):
+        # sin(theta) |gamma'(t)| is the ellipse's Joachimsthal integral: every
+        # bounce keeps it, at every incidence angle
+        t0 = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
+        for table in NEAR_BOUNDARY_ELLIPSES:
+            for theta in NEAR_BOUNDARY:
+                t1, th1 = step_angle(table, t0, np.full(t0.shape, theta))
+                lam0 = math.sin(theta) * table.speed(t0)
+                drift = np.sin(th1) * table.speed(t1) / lam0 - 1.0
+                assert np.max(np.abs(drift)) <= 1e-14, (table.b, theta)
+
+    def test_ellipse_bounce_contract_near_boundary(self):
+        t0 = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
+        for table in NEAR_BOUNDARY_ELLIPSES:
+            for theta in NEAR_BOUNDARY:
+                t1, th1 = step_angle(table, t0, np.full(t0.shape, theta))
+                assert np.all(th1 > 0.0), (table.b, theta)
+                assert np.all((t0 < t1) & (t1 < t0 + TWO_PI)), (table.b, theta)
 
 
 class TestGenerating:
@@ -203,7 +234,8 @@ class TestChartLoop:
             assert s[0] == s0
             assert np.max(np.abs(s - ref_s)) <= 1e-12
             assert np.max(np.abs(th - ref_th)) <= 1e-12
-            assert np.allclose(pts, table.point(s)[0], rtol=0.0, atol=1e-12)
+            pos = table.frame(table.angle_of_arc(s))[0]
+            assert np.allclose(pts, pos, rtol=0.0, atol=1e-12)
 
     def test_time_reversal(self, perturbed):
         ell = perturbed.perimeter

@@ -12,7 +12,6 @@ from billiards import (
     action_angle_inverse,
     build_conjugacy,
     caustic_param,
-    caustic_param_oracle,
     eccentricity_witness,
     ellip_k,
     hyperbolic_orbit_exists,
@@ -20,6 +19,8 @@ from billiards import (
     rotation_number_of_caustic,
     step,
 )
+
+from caustic_oracle import caustic_param_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,6 +207,10 @@ class TestConjugacy:
                 a2, b2 = b2, a2
             h = build_conjugacy(EllipseTable(a1, b1), EllipseTable(a2, b2))
             assert h.max_residual(n_s=24, n_theta=6) < 1e-6
+
+    def test_residual_near_boundary(self, ellipse21):
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        assert h.max_residual(theta_min=1e-6) <= 1e-12
 
     def test_theta_star_composition(self, ellipse21):
         t2 = EllipseTable(3.0, 2.0)

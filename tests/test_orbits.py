@@ -10,7 +10,6 @@ from billiards import (
     PerturbedCircleTable,
     PhasePoint,
     SolverError,
-    beta_at,
     find_orbit,
     generating,
     lq_bounds,
@@ -36,7 +35,7 @@ class TestCircleOrbits:
         assert orb.length == pytest.approx(polygon_length(1.0, p, q), abs=1e-11)
 
     def test_beta_closed_form(self, circle):
-        assert beta_at(circle, 1, 4) == pytest.approx(-math.sqrt(2), abs=1e-12)
+        assert find_orbit(circle, 1, 4).beta == pytest.approx(-math.sqrt(2), abs=1e-12)
 
     def test_lq_gap_vanishes(self, circle):
         big, small = lq_bounds(circle, 6)
@@ -52,7 +51,7 @@ class TestEllipseOrbits:
         big, small = lq_bounds(ellipse21, 2)
         assert big == pytest.approx(8.0, rel=1e-10)
         assert small == pytest.approx(4.0, rel=1e-10)
-        assert beta_at(ellipse21, 1, 2) == pytest.approx(-4.0, rel=1e-10)
+        assert find_orbit(ellipse21, 1, 2).beta == pytest.approx(-4.0, rel=1e-10)
 
     def test_q3_bounds_against_brute_force(self, ellipse21):
         # On the integrable ellipse the simple 3-periodic orbits form one
@@ -128,22 +127,22 @@ class TestProperties:
                 assert din + dout == pytest.approx(0.0, abs=1e-8)
 
     def test_reversal_symmetry(self, ellipse_e05):
-        assert beta_at(ellipse_e05, 1, 5) == pytest.approx(
-            beta_at(ellipse_e05, 4, 5), rel=1e-10
+        assert find_orbit(ellipse_e05, 1, 5).beta == pytest.approx(
+            find_orbit(ellipse_e05, 4, 5).beta, rel=1e-10
         )
 
     def test_beta_convexity(self, ellipse21):
         qs = [3, 4, 5, 6, 7, 8, 10, 12]
         omegas = np.array([1.0 / q for q in qs][::-1])
-        betas = np.array([beta_at(ellipse21, 1, q) for q in qs][::-1])
+        betas = np.array([find_orbit(ellipse21, 1, q).beta for q in qs][::-1])
         slopes = np.diff(betas) / np.diff(omegas)
         assert np.all(np.diff(slopes) > 0.0)
 
     def test_scaling_homogeneity(self, ellipse21):
         scaled = ellipse21.scaled(3.0)
         for (p, q) in [(1, 3), (1, 9), (2, 7)]:
-            assert beta_at(scaled, p, q) == pytest.approx(
-                3.0 * beta_at(ellipse21, p, q), rel=1e-10
+            assert find_orbit(scaled, p, q).beta == pytest.approx(
+                3.0 * find_orbit(ellipse21, p, q).beta, rel=1e-10
             )
 
     def test_max_is_longest_single_start(self, perturbed):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billiards import (
     CircleTable,
@@ -15,6 +17,7 @@ from billiards import (
     load_table,
     table_from_config,
 )
+from billiards.dynamics import TANGENCY_CUTOFF
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,7 +37,7 @@ def gauss_arc_oracle(speed_fn, t_hi, panels=64, order=50):
 class TestCircle:
     def test_curvature_constant(self, circle):
         for s in np.linspace(0.0, circle.perimeter, 7):
-            _, _, kappa = circle.point(s)
+            _, _, kappa, _ = circle.frame(circle.angle_of_arc(s))
             assert float(kappa) == pytest.approx(1.0, abs=1e-14)
 
     def test_arc_is_linear(self, circle):
@@ -48,7 +51,7 @@ class TestCircle:
 
 class TestEllipse:
     def test_vertex_curvature(self, ellipse21):
-        _, _, kappa = ellipse21.point(0.0)
+        _, _, kappa, _ = ellipse21.frame(ellipse21.angle_of_arc(0.0))
         assert float(kappa) == pytest.approx(2.0, rel=1e-12)
         # closed form a b / (a^2 sin^2 + b^2 cos^2)^(3/2) at random angles
         rng = np.random.default_rng(2)
@@ -83,11 +86,11 @@ class TestEllipse:
         # (the measurement itself carries ~1e-10 of FD noise at h = 1e-5)
         h = 1e-5
         for s0 in (0.7, 2.3, 5.1, 8.8):
-            pa, _, _ = ellipse21.point(s0 - h)
-            pb, _, _ = ellipse21.point(s0 + h)
+            pa, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 - h))
+            pb, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 + h))
             speed = math.hypot(*(np.asarray(pb) - np.asarray(pa))) / (2 * h)
             assert speed == pytest.approx(1.0, abs=1e-9)
-        _, tan, _ = ellipse21.point(2.3)
+        _, tan, _, _ = ellipse21.frame(ellipse21.angle_of_arc(2.3))
         assert math.hypot(*np.asarray(tan)) == pytest.approx(1.0, abs=1e-14)
 
     def test_lazutkin_quadrature(self, ellipse21):
@@ -215,3 +218,64 @@ class TestConfig:
         }))
         with pytest.raises(ConvexityError):
             load_table(path)
+
+
+# Fixed examples and no example database: tier-1 stays reproducible.
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+footpoints = st.floats(0.0, TWO_PI, exclude_max=True)
+ellipses = st.builds(lambda a, ratio: EllipseTable(a, a * ratio),
+                     st.floats(0.5, 2.0), st.floats(0.1, 1.0))
+# |eps| m^2 summed over at most three harmonics is at most 0.75, which keeps
+# r^2 + 2 r'^2 - r r'' > 0: every drawn profile is strictly convex.
+perturbed_circles = st.lists(
+    st.tuples(st.integers(2, 5), st.floats(-0.01, 0.01), footpoints), min_size=1, max_size=3,
+).map(lambda harmonics: PerturbedCircleTable(1.0, harmonics))
+# Perturbed circles keep theta in [1e-3, pi - 1e-3]: the generic solver forms
+# its chord residual from O(1) numbers, so it loses relative accuracy as
+# machine epsilon over theta^2 and at theta ~ 1e-8 can return t1 <= t0.
+# The ellipse's closed form holds down to the tangency cutoff.
+bounces = st.one_of(
+    st.tuples(ellipses, footpoints, st.floats(TANGENCY_CUTOFF, math.pi - 1e-3)),
+    st.tuples(perturbed_circles, footpoints, st.floats(1e-3, math.pi - 1e-3)),
+)
+
+
+def _angle(u, v):
+    """Angle from the plane vector u to v."""
+    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
+
+
+class TestChordExitProperties:
+    """Structural laws of Table.chord_exit on random tables."""
+
+    @PROPERTY
+    @given(bounces)
+    def test_reflection_law(self, bounce):
+        table, t0, theta = bounce
+        t1, theta1 = table.chord_exit(t0, theta)
+        (p0, p1), (tan0, tan1), _, _ = table.frame(np.array([t0, t1]))
+        chord = p1 - p0
+        # the measured angles carry the rounding of the positions over |chord|
+        tol = 1e-12 + 1e-15 * table.perimeter / math.hypot(*chord)
+        assert abs(_angle(tan0, chord) - theta) <= tol
+        assert abs(_angle(chord, tan1) - theta1) <= tol
+
+    @PROPERTY
+    @given(bounces)
+    def test_time_reversal(self, bounce):
+        # (t, theta) -> (t, pi - theta) conjugates the bounce to its inverse
+        table, t0, theta = bounce
+        t1, theta1 = table.chord_exit(t0, theta)
+        assert t0 < t1 < t0 + TWO_PI and 0.0 < theta1 < math.pi
+        t2, theta2 = table.chord_exit(t1, math.pi - theta1)
+        assert t2 == pytest.approx(t0 + TWO_PI, abs=1e-11)
+        assert math.pi - theta2 == pytest.approx(theta, abs=1e-11)
+
+    @PROPERTY
+    @given(ellipses, footpoints, st.floats(TANGENCY_CUTOFF, math.pi / 2))
+    def test_ellipse_caustic_conserved(self, table, t0, theta):
+        # sin(theta) |gamma'(t)| is the ellipse's Joachimsthal integral; the
+        # bound allows the rounding of t1 through |gamma'(t1)| at b/a = 0.1
+        t1, theta1 = table.chord_exit(t0, theta)
+        lam0 = math.sin(theta) * table.speed(t0)
+        assert math.sin(theta1) * table.speed(t1) == pytest.approx(lam0, rel=2e-14, abs=0.0)
