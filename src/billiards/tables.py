@@ -5,7 +5,9 @@ angle t in [0, 2*pi) and exposed through arc length s.  Construction builds
 a cached monotone arc-length lookup (composite Gauss panels refined by a
 local Newton polish) plus the perimeter and the Lazutkin perimeter
 lambda = integral of kappa^(2/3) ds.  Tables are immutable after
-construction and safe to share across workers.
+construction and safe to share across workers.  The bounce, Table.chord_exit,
+solves for the half-step h to t0 + 2h: in closed form, or on the perturbed
+circle by a Newton solve free of O(1) cancellation.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ TWO_PI = 2.0 * math.pi
 _N_PANELS = 1024
 _GL_ORDER = 12
 _CONVEXITY_GRID = 10_000
-CHORD_TOL = 1e-13  # angle step at which the generic chord solver's Newton polish stops
-_SECTIONS = 8  # sub-intervals per round of the generic chord solver's multisection
+CHORD_TOL = 1e-13  # relative Newton step |dh|/h that stops PerturbedCircleTable.chord_exit
 # Largest |s(t) - s| per unit perimeter that angle_of_arc accepts; dense grids
 # on ellipses down to b/a = 0.01 and on perturbed circles reach 2.4e-16.
 ARC_INVERSE_TOL = 1e-14
@@ -196,69 +197,8 @@ class Table:
         from the unit tangent T(t0) to the chord, and meets the boundary
         again at t1 in (t0, t0 + 2*pi); theta1 is the angle from the chord
         to T(t1).  Takes arrays of one shape; a scalar input returns floats.
-        Subclasses with a closed form override this method.
-
-        The generic solver follows the ray p + tau*u, p = gamma(t0): the
-        signed residual g(t) = cross(u, gamma(t) - p) is negative between
-        t0 and the exit and positive after it, so a sign multisection is
-        safe; a Newton polish brings the parameter error below CHORD_TOL.
-        Each element stops at its own tolerance.
         """
-        t0 = np.asarray(t0, dtype=float)
-        p, tan, _, _ = self.frame(t0)
-        c, s = np.cos(theta), np.sin(theta)
-        tx, ty = tan[..., 0], tan[..., 1]
-        px, py, ux, uy = p[..., 0], p[..., 1], c * tx - s * ty, s * tx + c * ty
-
-        def g(q, px=px, py=py, ux=ux, uy=uy):
-            return ux * (q[..., 1] - py) - uy * (q[..., 0] - px)
-
-        # Seed the bracket away from the two boundary zeros.
-        a = t0 + 1e-6
-        b = t0 + TWO_PI - 1e-6
-        a_out = g(self.position(a)) >= 0.0
-        b_in = g(self.position(b)) <= 0.0
-        lo = np.where(a_out, t0, np.where(b_in, b, a)).ravel()
-        hi = np.where(a_out, a, np.where(b_in, t0 + TWO_PI, b)).ravel()
-        # Multisection: one position call evaluates g at _SECTIONS - 1
-        # interior points of every live bracket, and the bracket shrinks to
-        # the section where g changes sign.  An element leaves once its
-        # bracket is below 1e-9.
-        frac = np.arange(1, _SECTIONS) / _SECTIONS
-        live = np.arange(lo.size)
-        lane = [v.reshape(-1, 1) for v in (px, py, ux, uy)]
-        blo, bhi = lo, hi
-        for _ in range(60):
-            if not live.size:
-                break
-            tt = blo[:, None] + (bhi - blo)[:, None] * frac
-            k = np.count_nonzero(g(self.position(tt), *lane) < 0.0, axis=1)
-            tt = np.concatenate((blo[:, None], tt, bhi[:, None]), axis=1)
-            rows = np.arange(live.size)
-            blo, bhi = tt[rows, k], tt[rows, k + 1]
-            done = bhi - blo < 1e-9
-            if done.any():
-                lo[live[done]], hi[live[done]] = blo[done], bhi[done]
-                more = ~done
-                live, blo, bhi = live[more], blo[more], bhi[more]
-                lane = [v[more] for v in lane]
-        lo, hi = lo.reshape(t0.shape), hi.reshape(t0.shape)
-        t1 = 0.5 * (lo + hi)
-        live = np.ones(t0.shape, dtype=bool)
-        for _ in range(8):
-            q, tan, _, w = self.frame(t1)
-            gp = (ux * tan[..., 1] - uy * tan[..., 0]) * w
-            live &= gp != 0.0
-            step = np.divide(g(q), gp, out=np.zeros(t0.shape), where=live)
-            t1 = t1 - step
-            live &= np.abs(step) >= CHORD_TOL
-            if not live.any():
-                break
-        _, tan1, _, _ = self.frame(t1)
-        # incoming chord u = cos(theta1) T1 - sin(theta1) N1, N1 = rot90(T1)
-        tx, ty = tan1[..., 0], tan1[..., 1]
-        theta1 = np.arctan2(ux * ty - uy * tx, ux * tx + uy * ty)
-        return (t1, theta1) if t1.ndim else (float(t1), float(theta1))
+        raise NotImplementedError
 
 
 class CircleTable(Table):
@@ -379,9 +319,9 @@ class EllipseTable(Table):
 class PerturbedCircleTable(Table):
     """Radial profile r(psi) = R * (1 + sum eps_m cos(m psi + phase_m)).
 
-    Construction rejects profiles for which r^2 + 2 r'^2 - r r'' fails to
-    stay positive on a dense grid (the curvature numerator), since the
-    billiard map is only defined on strictly convex tables.
+    Construction rejects profiles for which r^2 + 2 r'^2 - r r'' (the curvature
+    numerator) fails to stay positive on a grid of at least 32 points per period
+    of the fastest harmonic: the billiard map needs a strictly convex table.
     """
 
     kind = "perturbed_circle"
@@ -393,6 +333,9 @@ class PerturbedCircleTable(Table):
         self.harmonics = tuple(
             (int(m), float(eps), float(phase)) for (m, eps, phase) in harmonics
         )
+        m, eps, phase = np.array(self.harmonics, dtype=float).reshape(-1, 3).T
+        # r = R + sum er cos(m t + phase), r' = sum emr sin(m t + phase)
+        self._modes = m, phase, self.radius * eps, -self.radius * eps * m
         super().__init__()
 
     def _radial(self, psi, order=2):
@@ -436,8 +379,64 @@ class PerturbedCircleTable(Table):
         kappa = (r * r + 2.0 * r1 * r1 - r * r2) / w**3
         return pos, tan, kappa, w
 
+    def chord_exit(self, t0, theta):
+        # T(t) points at t + pi/2 - delta(t), delta = atan2(r', r), the chord to
+        # t0 + 2h at t0 + h + pi/2 - eps(h), eps = atan2(D cos h, (r0 + r1) sin h),
+        # and D = r(t0 + 2h) - r0 = -2R sum eps_m sin(m (t0 + h) + phase_m) sin(m h)
+        # cancels nothing.  F(h) = h - eps(h) - theta + delta(t0) rises from -theta
+        # to pi - theta on (0, pi); theta1 = h - delta(t1) + eps(h).  Past pi/2 the
+        # mirror image t -> 2 t0 - t is solved, which integer m make exact.
+        t0, theta = np.asarray(t0, dtype=float), np.asarray(theta, dtype=float)
+        shape, t0, theta = t0.shape, t0.ravel(), theta.ravel()
+        m, phase, er, emr = self._modes
+        back = theta > 0.5 * math.pi
+        sg = np.where(back, -1.0, 1.0)  # walking direction
+        a0 = np.multiply.outer(t0, m) + phase
+        r0 = self.radius + np.cos(a0) @ er
+        h = np.where(back, math.pi - theta, theta)
+        rhs = h - np.arctan2(sg * (np.sin(a0) @ emr), r0)
+
+        def chord(h):
+            """eps(h), den = x^2 + y^2, den F'(h), r(t1) and r'(t1) along the walk."""
+            u = sg * h
+            D = (np.sin(np.multiply.outer(t0 + u, m) + phase)
+                 * np.sin(np.multiply.outer(u, m))) @ (-2.0 * er)
+            r1p = sg * (np.sin(np.multiply.outer(t0 + 2.0 * u, m) + phase) @ emr)
+            rr, sh, ch = 2.0 * r0 + D, np.sin(h), np.cos(h)
+            x, y = rr * sh, D * ch
+            den = x * x + y * y
+            # den eps'(h) = x y' - y x' = 4 r0 r1' sin h cos h - (r0 + r1) D
+            return np.arctan2(y, x), den, den - 4.0 * r0 * r1p * sh * ch + rr * D, r0 + D, r1p
+
+        lo, hi, prev = np.zeros(h.size), np.full(h.size, math.pi), np.full(h.size, np.nan)
+        live = np.ones(h.size, dtype=bool)
+        for _ in range(100):  # Newton from h = theta, exact on the circle
+            eps, den, dfden, _, _ = chord(h)
+            f = h - eps - rhs
+            np.copyto(lo, h, where=f < 0.0)
+            np.copyto(hi, h, where=f >= 0.0)
+            hn = h - f * den / dfden
+            newton = (lo <= hn) & (hn <= hi)
+            if np.count_nonzero(newton) < newton.size:
+                hn = np.where(newton, hn, 0.5 * (lo + hi))
+            step = np.abs(hn - h)
+            np.copyto(h, hn, where=live)
+            # Newton steps that stop halving have met the rounding of F (h < ~1e-3).
+            live &= (step > CHORD_TOL * hn) & ~(newton & (step > 0.5 * prev))
+            if not np.count_nonzero(live):
+                break
+            prev = np.where(newton, step, np.nan)
+        else:
+            raise SolverError(f"{self.kind}: chord solve did not converge")
+        eps, _, _, r1, r1p = chord(h)
+        theta1 = h - np.arctan2(r1p, r1) + eps
+        t1 = (t0 + np.where(back, TWO_PI - 2.0 * h, 2.0 * h)).reshape(shape)
+        theta1 = np.where(back, math.pi - theta1, theta1).reshape(shape)
+        return (t1, theta1) if shape else (float(t1), float(theta1))
+
     def _check_convexity(self):
-        psi = np.linspace(0.0, TWO_PI, _CONVEXITY_GRID, endpoint=False)
+        n = max([_CONVEXITY_GRID] + [32 * m for m, _, _ in self.harmonics])
+        psi = np.linspace(0.0, TWO_PI, n, endpoint=False)
         r, r1, r2 = self._radial(psi)
         if np.min(r) <= 0.0:
             raise ConvexityError("radial profile reaches zero; not a closed convex curve")

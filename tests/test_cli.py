@@ -8,11 +8,12 @@ import pytest
 
 import billiards.cli as cli
 from billiards.cli import main
+from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
 from billiards.errors import SolverError
 from billiards.invariants import COND_LIMIT
 from billiards.orbits import STAT_TOL_FACTOR
-from billiards.tables import CHORD_TOL
+from billiards.tables import CHORD_TOL, load_table
 
 
 @pytest.fixture
@@ -273,6 +274,25 @@ class TestOrbitCommand:
         assert len(rows) == 22  # header + 21 states
         # one bounce on the unit circle advances s by 2 theta0
         assert read_summary(out)["rotation_number"] == pytest.approx(0.7 / math.pi, abs=1e-12)
+
+    def test_trajectory_near_boundary(self, perturbed_cfg, tmp_path):
+        # 200 bounces at theta0 = 1e-7 on the m = 3 perturbed circle: the ball
+        # moves forward at every bounce and obeys the reflection law
+        out = tmp_path / "out"
+        rc = main(["orbit", "--table", perturbed_cfg, "--theta0", "1e-7",
+                   "--steps", "200", "--out", str(out)])
+        assert rc == 0
+        with open(out / "trajectory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        x = np.array([float(r["x"]) for r in rows])
+        theta = np.array([float(r["theta"]) for r in rows])
+        assert len(rows) == 201
+        assert np.all(np.diff(x) > 0.0) and np.all(theta > 0.0)
+        table = load_table(perturbed_cfg)
+        for i in range(200):
+            _, d_s, d_s2 = generating(table, x[i], x[i + 1])
+            assert abs(d_s + math.cos(theta[i])) <= 1e-9, i
+            assert abs(d_s2 - math.cos(theta[i + 1])) <= 1e-9, i
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from billiards import (
     CircleTable,
     DomainError,
     EllipseTable,
+    PerturbedCircleTable,
     PhasePoint,
     generating,
     rotation_estimate,
@@ -22,6 +23,10 @@ TWO_PI = 2.0 * math.pi
 # Incidence angles of the near-boundary regime, down to just above the cutoff.
 NEAR_BOUNDARY = (1e-2, 1e-4, 1e-6, 1e-7, 2e-8)
 NEAR_BOUNDARY_ELLIPSES = [EllipseTable(2.0, 1.0), EllipseTable(1.0, 0.3), EllipseTable(1.5, 1.4)]
+NEAR_BOUNDARY_PERTURBED = [
+    PerturbedCircleTable(1.0, [(3, 0.05, 0.0)]),
+    PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)]),
+]
 
 
 class TestStep:
@@ -135,6 +140,19 @@ class TestStep:
                 t1, th1 = step_angle(table, t0, np.full(t0.shape, theta))
                 assert np.all(th1 > 0.0), (table.b, theta)
                 assert np.all((t0 < t1) & (t1 < t0 + TWO_PI)), (table.b, theta)
+
+    @pytest.mark.parametrize("table", NEAR_BOUNDARY_PERTURBED, ids=["m3", "m235"])
+    def test_perturbed_bounce_contract_near_boundary(self, table):
+        # at theta and pi - theta: the contract, and time reversal
+        # (t, theta) -> (t, pi - theta) to rounding
+        t0 = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
+        for theta in NEAR_BOUNDARY + tuple(math.pi - th for th in NEAR_BOUNDARY):
+            t1, th1 = step_angle(table, t0, np.full(t0.shape, theta))
+            assert np.all((t0 < t1) & (t1 < t0 + TWO_PI)), theta
+            assert np.all((0.0 < th1) & (th1 < math.pi)), theta
+            t2, th2 = step_angle(table, t1, math.pi - th1)
+            assert np.max(np.abs(t2 - (t0 + TWO_PI))) <= 1e-14, theta
+            assert np.max(np.abs(math.pi - th2 - theta)) <= 1e-14, theta
 
 
 class TestGenerating:

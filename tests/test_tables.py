@@ -19,6 +19,8 @@ from billiards import (
 )
 from billiards.dynamics import TANGENCY_CUTOFF
 
+from chord_oracle import chord_exit_oracle
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -131,6 +133,12 @@ class TestPerturbedCircle:
         with pytest.raises(ConvexityError):
             PerturbedCircleTable(1.0, [(3, 0.2, 0.0)])
 
+    def test_convexity_grid_resolves_fast_harmonics(self):
+        # r^2 + 2 r'^2 - r r'' reaches 1 - 10 = -9 where cos(10000 psi) = -1,
+        # but is 1 + 10 on every point of a 10000-point grid
+        with pytest.raises(ConvexityError):
+            PerturbedCircleTable(1.0, [(10_000, 1e-7, 0.0)])
+
     def test_curvature_positive_on_grid(self, perturbed):
         t = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
         _, _, kappa, _ = perturbed.frame(t)
@@ -230,13 +238,10 @@ ellipses = st.builds(lambda a, ratio: EllipseTable(a, a * ratio),
 perturbed_circles = st.lists(
     st.tuples(st.integers(2, 5), st.floats(-0.01, 0.01), footpoints), min_size=1, max_size=3,
 ).map(lambda harmonics: PerturbedCircleTable(1.0, harmonics))
-# Perturbed circles keep theta in [1e-3, pi - 1e-3]: the generic solver forms
-# its chord residual from O(1) numbers, so it loses relative accuracy as
-# machine epsilon over theta^2 and at theta ~ 1e-8 can return t1 <= t0.
-# The ellipse's closed form holds down to the tangency cutoff.
 bounces = st.one_of(
     st.tuples(ellipses, footpoints, st.floats(TANGENCY_CUTOFF, math.pi - 1e-3)),
-    st.tuples(perturbed_circles, footpoints, st.floats(1e-3, math.pi - 1e-3)),
+    st.tuples(perturbed_circles, footpoints,
+              st.floats(TANGENCY_CUTOFF, math.pi - TANGENCY_CUTOFF)),
 )
 
 
@@ -279,3 +284,25 @@ class TestChordExitProperties:
         t1, theta1 = table.chord_exit(t0, theta)
         lam0 = math.sin(theta) * table.speed(t0)
         assert math.sin(theta1) * table.speed(t1) == pytest.approx(lam0, rel=2e-14, abs=0.0)
+
+
+class TestPerturbedChordOracle:
+    """PerturbedCircleTable.chord_exit against a 50-digit ray-curve
+    intersection, from theta = 1 down to just above the tangency cutoff and
+    at the mirror angles pi - theta."""
+
+    THETAS = (1e-2, 1e-4, 1e-6, 1e-7, 2e-8, 1.0)
+
+    @pytest.mark.parametrize("harmonics", [
+        [(3, 0.05, 0.0)],
+        [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)],
+    ])
+    def test_exit_matches_oracle(self, harmonics):
+        table = PerturbedCircleTable(1.0, harmonics)
+        t0 = np.linspace(0.0, TWO_PI, 8, endpoint=False) + 0.1
+        for theta in self.THETAS + tuple(math.pi - th for th in self.THETAS):
+            t1, theta1 = table.chord_exit(t0, np.full(t0.shape, theta))
+            for a, b, c in zip(t0, t1, theta1):
+                t1_star, theta1_star = chord_exit_oracle(1.0, harmonics, a, theta)
+                assert abs(b - t1_star) <= 1e-14, (theta, a)
+                assert abs(c - theta1_star) <= 1e-14, (theta, a)
