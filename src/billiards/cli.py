@@ -149,7 +149,7 @@ def _write_report(path: Path, report, samples) -> None:
     for name in ("q", "residual", "sweeps", "newton_steps", "converged", "candidates"):
         out[name] = np.asarray(getattr(samples, name)).tolist()
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)
+        json.dump(_strict(out), fh, indent=2, allow_nan=False)
 
 
 def _load(path) -> object:
@@ -306,8 +306,7 @@ def _cmd_witness(args, outdir: Path) -> int:
     payload = {
         "e1": e1.eccentricity,
         "e2": e2.eccentricity,
-        "interval": sorted([math.asin(e1.b / e1.a) / math.pi,
-                            math.asin(e2.b / e2.a) / math.pi]),
+        "interval": sorted([e1.theta_star / math.pi, e2.theta_star / math.pi]),
         "m": None,
         "n": None,
         "xi_root": None,
@@ -328,7 +327,7 @@ def _cmd_witness(args, outdir: Path) -> int:
     stages.lap("witness")
     json_path = outdir / "witness.json"
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
     stages.lap("write")
     _write_summary(outdir, "witness",
                    {"table": t1.as_config(), "table2": t2.as_config()},

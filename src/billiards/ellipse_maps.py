@@ -308,7 +308,7 @@ def _g_hyperbolic(E: EllipseParams, m: int, n: int, xi):
 
 def _u_hyperbolic(E: EllipseParams, xi):
     f, bigk = _hyperbolic_fk(E, xi)
-    return f - (2.0 / math.pi) * math.asin(E.b / E.a) * bigk
+    return f - (2.0 / math.pi) * E.theta_star * bigk
 
 
 def hyperbolic_orbit_exists(E, m: int, n: int, *, u_grid: int = 200) -> HyperbolicDecision:
@@ -321,7 +321,7 @@ def hyperbolic_orbit_exists(E, m: int, n: int, *, u_grid: int = 200) -> Hyperbol
         raise DomainError(f"need coprime 0 < m < n/2, got ({m}, {n})")
     if math.gcd(m, n) != 1:
         raise DomainError(f"m and n must be coprime, got ({m}, {n})")
-    threshold = math.asin(E.b / E.a) / math.pi
+    threshold = E.theta_star / math.pi
     c2 = E.focal_distance**2
     if c2 == 0.0:
         # circle: every caustic is a concentric circle
@@ -374,8 +374,8 @@ def eccentricity_witness(e1, e2) -> tuple[int, int] | None:
     if ecc1 == ecc2:
         return None
     hi_e, lo_e = (E1, E2) if ecc1 > ecc2 else (E2, E1)
-    lo = math.asin(hi_e.b / hi_e.a) / math.pi
-    hi = math.asin(lo_e.b / lo_e.a) / math.pi
+    lo = hi_e.theta_star / math.pi
+    hi = lo_e.theta_star / math.pi
     if not lo < hi:
         return None
     m, n = _stern_brocot(lo, hi)

@@ -92,8 +92,9 @@ class _Chain:
         return np.hypot(_next(x) - x, _next(y) - y).sum(axis=-1)
 
     def hessian(self, t):
-        """F = dL/dt and its cyclic tridiagonal Jacobian as (diag, off),
-        where off[..., i] is the (i, i+1) entry (and the (i+1, i) one)."""
+        """F = dL/dt, its cyclic tridiagonal Jacobian as (diag, off), where
+        off[..., i] is the (i, i+1) entry (and the (i+1, i) one), and the
+        residual max |dL/ds_i| of every row."""
         pos, tan, kappa, w = self.table.frame(t)
         dw = self.table.dspeed(t)
         x, y = pos[..., 0], pos[..., 1]
@@ -122,7 +123,7 @@ class _Chain:
         off = w * w_n * h_ab
         if self.q == 2:  # both neighbours of a vertex are the same vertex
             off = off + off[..., ::-1]
-        return grad_s * w, diag, off
+        return grad_s * w, diag, off, np.max(np.abs(grad_s), axis=-1)
 
 
 def _dense(diag, off):
@@ -158,7 +159,7 @@ def _sweeps(chain: _Chain, t, n_sweeps: int):
                        (idx + 1) % q, np.where(idx + 1 == q, span, 0.0)))
     for _ in range(n_sweeps):
         for idx, lo, lo_shift, hi, hi_shift in passes:
-            F, diag, _ = chain.hessian(t)
+            F, diag, _, _ = chain.hessian(t)
             jd = diag[:, idx]
             fi = F[:, idx]
             gap_lo = t[:, idx] - (t[:, lo] - lo_shift)
@@ -213,9 +214,7 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
     """
     t = np.array(t, dtype=float)
     n, q = t.shape
-    speed = chain.table.speed
-    F, diag, off = chain.hessian(t)
-    res = np.max(np.abs(F / speed(t)), axis=-1)
+    F, diag, off, res = chain.hessian(t)
     steps = np.zeros(n, dtype=int)
     mu = np.full(n, 1e-12)
     tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
@@ -275,7 +274,7 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
         t_try = t[owner] + alpha[:, None] * delta[owner]
         ev = np.flatnonzero(_ordered(t_try, chain.p))
         if ev.size:
-            F_try, diag_try, off_try = chain.hessian(t_try[ev])
+            F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev])
             hit = np.flatnonzero(_rowdot(F_try) <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
             first = hit[np.unique(owner[ev[hit]], return_index=True)[1]]
             up = owner[ev[first]]
@@ -283,7 +282,7 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
             F[up], diag[up], off[up] = F_try[first], diag_try[first], off_try[first]
             mu[up] = np.maximum(mu[up] * 0.1, 1e-14)
             steps[up] += 1
-            res[up] = np.max(np.abs(F[up] / speed(t[up])), axis=-1)
+            res[up] = res_try[first]
             state[up] = _OUTER
         missed = state[rows] == _TRIAL
         rejected = rows[missed]

@@ -1,11 +1,13 @@
 """Strictly convex billiard tables.
 
 Every table is a closed convex curve parametrized internally by a boundary
-angle t in [0, 2*pi) and exposed through arc length s.  Construction builds
-a cached monotone arc-length lookup (composite Gauss panels refined by a
-local Newton polish) plus the perimeter and the Lazutkin perimeter
-lambda = integral of kappa^(2/3) ds.  Tables are immutable after
-construction and safe to share across workers.  The bounce, Table.chord_exit,
+angle t in [0, 2*pi) and exposed through arc length s.  Construction makes
+one pass over the nodes of composite Gauss panels in t: speed gives the
+monotone arc-length lookup (refined by a local Newton polish on inversion)
+and the perimeter, and one frame call on the same nodes checks kappa > 0
+and sums the Lazutkin perimeter lambda = integral of kappa^(2/3) ds.  The
+circle has both in closed form.  Tables are immutable after construction
+and safe to share across workers.  The bounce, Table.chord_exit,
 solves for the half-step h to t0 + 2h: in closed form, or on the perturbed
 circle by a Newton solve free of O(1) cancellation.
 """
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvexityError, SolverError, TableConfigError
 
@@ -35,8 +36,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _N_PANELS = 1024
-_GL_ORDER = 12
-_CONVEXITY_GRID = 10_000
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_CONVEXITY_GRID = 10_000  # PerturbedCircleTable's radial check
 CHORD_TOL = 1e-13  # relative Newton step |dh|/h that stops PerturbedCircleTable.chord_exit
 # Largest |s(t) - s| per unit perimeter that angle_of_arc accepts; dense grids
 # on ellipses down to b/a = 0.01 and on perturbed circles reach 2.4e-16.
@@ -84,8 +85,6 @@ class Table:
 
     def __init__(self):
         self._build_arc_tables()
-        self._check_convexity()
-        self._lazutkin = self._integrate_lazutkin()
 
     # -- subclass surface --------------------------------------------------
 
@@ -114,35 +113,25 @@ class Table:
     # -- construction helpers ----------------------------------------------
 
     def _build_arc_tables(self):
-        nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-        self._gl_nodes = nodes
-        self._gl_weights = weights
+        """Arc-length lookup, perimeter and Lazutkin perimeter from one set
+        of Gauss nodes; raises ConvexityError where kappa <= 0."""
         knots = np.linspace(0.0, TWO_PI, _N_PANELS + 1)
         h = knots[1] - knots[0]
         mids = 0.5 * (knots[:-1] + knots[1:])
-        tt = mids[:, None] + 0.5 * h * nodes[None, :]
-        panel = (self.speed(tt) * (0.5 * h * weights[None, :])).sum(axis=1)
+        tt = mids[:, None] + 0.5 * h * _GL_NODES[None, :]
+        gw = 0.5 * h * _GL_WEIGHTS[None, :]
+        panel = (self.speed(tt) * gw).sum(axis=1)
         self._t_knots = knots
         self._panel_h = h
         self._s_knots = np.concatenate([[0.0], np.cumsum(panel)])
         self._perimeter = float(self._s_knots[-1])
-
-    def _check_convexity(self):
-        t = np.linspace(0.0, TWO_PI, _CONVEXITY_GRID, endpoint=False)
-        _, _, kappa, _ = self.frame(t)
+        _, _, kappa, w = self.frame(tt)
         if np.min(kappa) <= 0.0:
             raise ConvexityError(
                 f"{self.kind}: curvature reaches {np.min(kappa):.3e}; "
                 "table is not strictly convex"
             )
-
-    def _integrate_lazutkin(self) -> float:
-        def integrand(t):
-            _, _, kappa, w = self.frame(t)
-            return kappa ** (2.0 / 3.0) * w
-
-        val, _ = quad(integrand, 0.0, TWO_PI, epsabs=1e-12, epsrel=1e-12, limit=400)
-        return float(val)
+        self._lazutkin = float((kappa ** (2.0 / 3.0) * w * gw).sum())
 
     # -- arc-length machinery ----------------------------------------------
 
@@ -162,8 +151,8 @@ class Table:
         idx = np.minimum((tr / self._panel_h).astype(int), _N_PANELS - 1)
         t0 = self._t_knots[idx]
         half = 0.5 * (tr - t0)
-        tt = (t0 + half)[..., None] + half[..., None] * self._gl_nodes
-        partial = (self.speed(tt) * (half[..., None] * self._gl_weights)).sum(axis=-1)
+        tt = (t0 + half)[..., None] + half[..., None] * _GL_NODES
+        partial = (self.speed(tt) * (half[..., None] * _GL_WEIGHTS)).sum(axis=-1)
         s = self._s_knots[idx] + partial + wind * self._perimeter
         return s if s.ndim else float(s)
 
@@ -244,6 +233,7 @@ class CircleTable(Table):
 
     def _build_arc_tables(self):
         self._perimeter = TWO_PI * self.radius
+        self._lazutkin = TWO_PI * self.radius ** (1.0 / 3.0)
 
     def chord_exit(self, t0, theta):
         # Inscribed-chord geometry: the central angle advances by exactly 2*theta.
@@ -336,6 +326,8 @@ class PerturbedCircleTable(Table):
         m, eps, phase = np.array(self.harmonics, dtype=float).reshape(-1, 3).T
         # r = R + sum er cos(m t + phase), r' = sum emr sin(m t + phase)
         self._modes = m, phase, self.radius * eps, -self.radius * eps * m
+        # First, on a grid that resolves harmonics too fast for the Gauss nodes.
+        self._check_convexity()
         super().__init__()
 
     def _radial(self, psi, order=2):

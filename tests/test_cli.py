@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from billiards.errors import SolverError
 from billiards.invariants import COND_LIMIT
 from billiards.orbits import STAT_TOL_FACTOR
 from billiards.tables import CHORD_TOL, load_table
+
+
+def _reject(token):
+    """parse_constant for json.loads that refuses NaN and Infinity."""
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 @pytest.fixture
@@ -100,6 +106,19 @@ class TestBetaCommand:
         for name in ("sweeps", "newton_steps", "candidates"):
             assert report[name] == [int(r[name]) for r in rows]
         assert report["converged"] == [r["converged"] == "1" for r in rows]
+
+    def test_report_is_strict_json(self, tmp_path):
+        class Report:
+            def to_dict(self):
+                return {"condition": math.inf, "c": [1.0, math.nan]}
+
+        samples = SimpleNamespace(q=[10], residual=[math.nan], sweeps=[3], newton_steps=[4],
+                                  converged=[False], candidates=[1])
+        path = tmp_path / "invariant_report.json"
+        cli._write_report(path, Report(), samples)
+        report = json.loads(path.read_text(), parse_constant=_reject)
+        assert report["condition"] is None and report["c"] == [1.0, None]
+        assert report["residual"] == [None] and report["converged"] == [False]
 
     def test_ellipse_ell0(self, ellipse_cfg, tmp_path):
         out = tmp_path / "out"
@@ -194,10 +213,7 @@ class TestConjugacyCommand:
                    "--threshold", "1e-6", "--out", str(out)])
         assert rc == 4
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject)
         assert summary["max_residual"] is None
 
     def test_requires_ellipses(self, circle_cfg, ellipse_cfg, tmp_path, capsys):
@@ -251,6 +267,19 @@ class TestWitnessCommand:
                    "--out", str(out)])
         assert rc == 0
         assert json.loads((out / "witness.json").read_text())["m"] is None
+
+    def test_circle_partner_is_strict_json(self, tmp_path):
+        # the circle's positivity margin is infinite: null, not Infinity
+        t1 = tmp_path / "e.json"
+        t1.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.6}))
+        t2 = tmp_path / "c.json"
+        t2.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 1.0}))
+        out = tmp_path / "out"
+        rc = main(["witness", "--table", str(t1), "--table2", str(t2), "--out", str(out)])
+        assert rc == 0
+        for name in ("witness.json", "summary.json"):
+            payload = json.loads((out / name).read_text(), parse_constant=_reject)
+            assert payload["m"] is not None and payload["u_min"] is None
 
 
 class TestOrbitCommand:

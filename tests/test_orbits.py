@@ -206,7 +206,7 @@ class TestBatchedSolver:
         rng = np.random.default_rng(5)
         t = orbits_mod._equal_arc_init(table, p, q, np.array([0.3]))
         t = t + rng.uniform(-0.1, 0.1, t.shape)  # off the critical set
-        F, diag, off = chain.hessian(t)
+        F, diag, off, _ = chain.hessian(t)
         bumps = h * np.eye(q)
         plus, minus = t + bumps, t - bumps  # row j moves vertex j
         grad_fd = (chain.value(plus) - chain.value(minus)) / (2 * h)
@@ -219,6 +219,18 @@ class TestBatchedSolver:
         band = np.zeros((q, q), dtype=bool)
         band[i, i] = band[i, (i + 1) % q] = band[(i + 1) % q, i] = True
         assert np.all(np.abs(J_fd[~band]) < 1e-8)
+
+    @pytest.mark.parametrize("name", ["circle", "ellipse21", "perturbed"])
+    def test_hessian_residual_is_arc_gradient(self, name, request):
+        # the fourth output is max |dL/ds_i| = max |F_i / |gamma'(t_i)||
+        table = request.getfixturevalue(name)
+        chain = orbits_mod._Chain(table, 1, 9)
+        rng = np.random.default_rng(6)
+        t = orbits_mod._equal_arc_init(table, 1, 9, rng.uniform(0.0, table.perimeter, 4))
+        t = t + rng.uniform(-0.05, 0.05, t.shape)
+        F, _, _, res = chain.hessian(t)
+        want = np.max(np.abs(F / table.speed(t)), axis=-1)
+        np.testing.assert_allclose(res, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("table_name,q,orbit_class,length,sweeps,steps,n_cand", [
         ("perturbed", 10, "max", 6.218979971400411, 3, 4, 2),

@@ -1,11 +1,16 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import billiards
 from billiards import (
     CircleTable,
     ConvexityError,
@@ -95,14 +100,6 @@ class TestEllipse:
         _, tan, _, _ = ellipse21.frame(ellipse21.angle_of_arc(2.3))
         assert math.hypot(*np.asarray(tan)) == pytest.approx(1.0, abs=1e-14)
 
-    def test_lazutkin_quadrature(self, ellipse21):
-        def integrand(t):
-            _, _, kappa, w = ellipse21.frame(t)
-            return kappa ** (2.0 / 3.0) * w
-
-        oracle = gauss_arc_oracle(integrand, TWO_PI)
-        assert ellipse21.lazutkin_perimeter == pytest.approx(oracle, rel=1e-10)
-
     def test_lazutkin_scaling(self, ellipse21):
         scaled = ellipse21.scaled(3.0)
         assert scaled.lazutkin_perimeter == pytest.approx(
@@ -115,6 +112,65 @@ class TestEllipse:
         assert E.focal_distance == pytest.approx(math.sqrt(3))
         assert E.theta_star == pytest.approx(math.asin(0.5))
         assert EllipseParams(1.0, 1.0).theta_star == pytest.approx(math.pi / 2)
+
+
+def lazutkin_integrand(table):
+    """kappa^(2/3) |gamma'(t)| in closed form and in mpmath, sharing no code
+    with the table: (ab)^(2/3) / w on the ellipse, N^(2/3) / sqrt(r^2 + r'^2)
+    with N = r^2 + 2 r'^2 - r r'' on the perturbed circle."""
+    third = mp.mpf(1) / 3
+    if isinstance(table, EllipseTable):
+        a, b = mp.mpf(table.a), mp.mpf(table.b)
+        return lambda t: (a * b) ** (2 * third) / mp.hypot(a * mp.sin(t), b * mp.cos(t))
+    R = mp.mpf(table.radius)
+    modes = [(m, mp.mpf(eps), mp.mpf(phase)) for m, eps, phase in table.harmonics]
+
+    def integrand(t):
+        r = R * (1 + mp.fsum(eps * mp.cos(m * t + ph) for m, eps, ph in modes))
+        r1 = -R * mp.fsum(eps * m * mp.sin(m * t + ph) for m, eps, ph in modes)
+        r2 = -R * mp.fsum(eps * m * m * mp.cos(m * t + ph) for m, eps, ph in modes)
+        return (r * r + 2 * r1 * r1 - r * r2) ** (2 * third) / mp.hypot(r, r1)
+
+    return integrand
+
+
+class TestConstruction:
+    """One Gauss pass builds the arc tables and the Lazutkin perimeter."""
+
+    @pytest.mark.parametrize("table", [
+        EllipseTable(2.0, 1.0),
+        EllipseTable(1.0, 0.01),
+        PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1)]),
+    ], ids=["ellipse21", "ellipse_thin", "perturbed2"])
+    def test_lazutkin_quadrature(self, table):
+        with mp.workdps(30):
+            oracle = mp.quad(lazutkin_integrand(table), mp.linspace(0, 2 * mp.pi, 9))
+            rel = abs((table.lazutkin_perimeter - oracle) / oracle)
+        assert rel <= 1e-14
+
+    @pytest.mark.parametrize("cls,args,calls", [
+        (CircleTable, (1.0,), 0),
+        (EllipseTable, (2.0, 1.0), 1),
+        (PerturbedCircleTable, (1.0, [(3, 0.05, 0.0)]), 1),
+    ], ids=["circle", "ellipse21", "perturbed"])
+    def test_one_frame_call(self, cls, args, calls, monkeypatch):
+        seen = []
+        frame = cls.frame
+
+        def counted(self, t):
+            seen.append(t)
+            return frame(self, t)
+
+        monkeypatch.setattr(cls, "frame", counted)
+        cls(*args)
+        assert len(seen) == calls
+
+    def test_imports_without_scipy(self):
+        src = str(Path(billiards.__file__).resolve().parents[1])
+        code = ("import sys; sys.modules['scipy'] = None; "
+                f"sys.path.insert(0, {src!r}); import billiards.cli")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestPerturbedCircle:
