@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import PhasePoint, trajectory, write_trajectory_csv
-from .ellipse_maps import build_conjugacy, eccentricity_witness, hyperbolic_orbit_exists
+from .ellipse_maps import _witness_decisions, build_conjugacy
 from .errors import (
     BilliardsError,
     ConditioningError,
@@ -302,7 +302,7 @@ def _cmd_witness(args, outdir: Path) -> int:
         raise TableConfigError("witness requires elliptic tables")
     stages.lap("load")
     e1, e2 = t1.params, t2.params
-    wit = eccentricity_witness(e1, e2)
+    decisions = _witness_decisions(e1, e2)
     payload = {
         "e1": e1.eccentricity,
         "e2": e2.eccentricity,
@@ -312,18 +312,9 @@ def _cmd_witness(args, outdir: Path) -> int:
         "xi_root": None,
         "u_min": None,
     }
-    if wit is not None:
-        m, n = wit
-        hot = e1 if e1.eccentricity > e2.eccentricity else e2
-        cold = e2 if hot is e1 else e1
-        dec_hot = hyperbolic_orbit_exists(hot, m, n)
-        dec_cold = hyperbolic_orbit_exists(cold, m, n)
-        payload.update({
-            "m": m,
-            "n": n,
-            "xi_root": dec_hot.xi_root,
-            "u_min": dec_cold.u_min,
-        })
+    if decisions is not None:
+        hot, cold = decisions
+        payload.update({"m": hot.m, "n": hot.n, "xi_root": hot.xi_root, "u_min": cold.u_min})
     stages.lap("witness")
     json_path = outdir / "witness.json"
     with open(json_path, "w") as fh:

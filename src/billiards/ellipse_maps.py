@@ -365,10 +365,10 @@ def _stern_brocot(lo: float, hi: float, max_den: int = 10**6) -> tuple[int, int]
             return pm, qm
 
 
-def eccentricity_witness(e1, e2) -> tuple[int, int] | None:
-    """A rotation number m/n whose hyperbolic-caustic periodic orbit exists
-    on exactly one of the two ellipses, or None when the eccentricities
-    coincide (no witness exists)."""
+def _witness_decisions(e1, e2):
+    """The hyperbolic-orbit decisions (on the more eccentric ellipse, on
+    the other one) for the witness rotation number of two ellipses, or
+    None when the eccentricities coincide (no witness exists)."""
     E1, E2 = _params(e1), _params(e2)
     ecc1, ecc2 = E1.eccentricity, E2.eccentricity
     if ecc1 == ecc2:
@@ -385,4 +385,12 @@ def eccentricity_witness(e1, e2) -> tuple[int, int] | None:
         raise SolverError(
             f"witness ({m},{n}) failed confirmation: {has_hi.exists} vs {has_lo.exists}"
         )
-    return m, n
+    return has_hi, has_lo
+
+
+def eccentricity_witness(e1, e2) -> tuple[int, int] | None:
+    """A rotation number m/n whose hyperbolic-caustic periodic orbit exists
+    on exactly one of the two ellipses, or None when the eccentricities
+    coincide (no witness exists)."""
+    decisions = _witness_decisions(e1, e2)
+    return None if decisions is None else (decisions[0].m, decisions[0].n)

@@ -18,7 +18,10 @@ The starts are solved as one batch: every start is a row of an
 one call.  The Hessian is cyclic tridiagonal and is assembled as its
 diagonal and off-diagonal vectors by slicing; the sweeps read only the
 diagonal, and the Newton polish runs a per-row accept/reject state
-machine, so every start takes the path it would take alone.
+machine, so every start takes the path it would take alone.  Its
+Levenberg-Marquardt step is one complex solve with the shifted Hessian
+H - i*sigma*I, which equals the normal-equations step without squaring
+the condition number of H.
 """
 
 from __future__ import annotations
@@ -126,18 +129,6 @@ class _Chain:
         return grad_s * w, diag, off, np.max(np.abs(grad_s), axis=-1)
 
 
-def _dense(diag, off):
-    """Stack of dense cyclic tridiagonal matrices from their bands."""
-    n, q = diag.shape
-    i = np.arange(q)
-    j = (i + 1) % q
-    J = np.zeros((n, q, q))
-    J[:, i, i] = diag
-    J[:, i, j] = off
-    J[:, j, i] = off
-    return J
-
-
 def _ordered(t, p):
     """Per row: strictly increasing and spanning less than p turns."""
     return np.all(np.diff(t, axis=-1) > 0.0, axis=-1) & (t[..., -1] - t[..., 0] < TWO_PI * p)
@@ -172,25 +163,25 @@ def _sweeps(chain: _Chain, t, n_sweeps: int):
     return t
 
 
-def _rowdot(a):
-    """Per-row a . a, rounded as np.dot rounds one row."""
-    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
-
-
-def _solve_stack(A, b):
-    """Solve A[k] x = b[k] for every k; a singular A[k] gives ok[k] False."""
+def _lm_step(diag, off, F, mu):
+    """Levenberg-Marquardt step of every row: d solves (H^2 + mu*s*I) d = -H F
+    for the cyclic tridiagonal Hessian H = (diag, off) and s = trace(H^2)/q.
+    As H^2 + sigma^2 I = (H + i*sigma*I)(H - i*sigma*I) with sigma^2 = mu*s,
+    d = -Re[(H - i*sigma*I)^-1 F]: one complex solve with the condition
+    number of H, not of H^2; its eigenvalues lambda - i*sigma never vanish."""
+    n, q = diag.shape
+    i = np.arange(q)
+    A = np.zeros((n, q, q), dtype=complex)
+    A[:, i, i] = diag
+    A[:, i, (i + 1) % q] = off
+    A[:, (i + 1) % q, i] = off
+    # s from the matrix itself: at q = 2 both corners hold the one entry off[1]
+    scale = np.sum(A.real**2, axis=(1, 2)) / q
+    A[:, i, i] -= 1j * np.sqrt(mu * scale)[:, None]
     try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        x = np.zeros_like(b)
-        ok = np.zeros(len(b), dtype=bool)
-        for k in range(len(b)):
-            try:
-                x[k] = np.linalg.solve(A[k], b[k])
-                ok[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return x, ok
+        return -np.linalg.solve(A, F[..., None])[..., 0].real
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular shifted Levenberg-Marquardt system: {exc}") from exc
 
 
 # states of a row in _newton
@@ -202,11 +193,12 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
 
     The Hessian of the length functional is exactly singular along the
     orbit families of integrable tables and nearly so for perturbed ones,
-    so the step solves the Levenberg-Marquardt system (J^T J + mu*I) d =
-    -J^T F; mu grows when a step is rejected and shrinks on success.
+    so the step solves the Levenberg-Marquardt system (J^T J + mu*s*I) d =
+    -J^T F, as the shifted complex solve of `_lm_step` (J = H is
+    symmetric); mu grows when a step is rejected and shrinks on success.
 
-    Every row runs its own state machine: an outer step builds the LM
-    system, up to 12 values of mu are tried, each with up to 20 halvings
+    Every row runs its own state machine: an outer step records |F|^2,
+    up to 12 values of mu are tried, each with up to 20 halvings
     of the step length.  Each pass of the loop moves every live row to its
     next trial points and evaluates all of them in one batch, so rows
     share evaluations but never decisions.  Returns (t, residual, steps,
@@ -219,13 +211,9 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
     mu = np.full(n, 1e-12)
     tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
     halvings = np.zeros(n, dtype=int)
-    gram = np.empty((n, q, q))
-    scale = np.empty(n)
-    rhs = np.empty((n, q))
     norm_f = np.empty(n)
     delta = np.empty((n, q))
     state = np.full(n, _OUTER)
-    eye = np.eye(q)
 
     def next_mu(rows):
         mu[rows] *= 100.0
@@ -240,26 +228,15 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
         stop = (res[rows] <= stat_tol) | (steps[rows] >= cap)
         state[rows[stop]] = _DONE
         rows = rows[~stop]
-        if rows.size:
-            J = _dense(diag[rows], off[rows])
-            JT = np.swapaxes(J, -1, -2)
-            g = JT @ J
-            gram[rows] = g
-            scale[rows] = g.diagonal(axis1=-2, axis2=-1).sum(axis=-1) / q
-            rhs[rows] = (-JT @ F[rows][..., None])[..., 0]
-            norm_f[rows] = _rowdot(F[rows])
-            tries[rows] = 0
-            state[rows] = _SOLVE
+        norm_f[rows] = np.sum(F[rows]**2, axis=-1)
+        tries[rows] = 0
+        state[rows] = _SOLVE
 
         rows = np.flatnonzero(state == _SOLVE)
         if rows.size:
-            A = gram[rows] + (mu[rows] * scale[rows])[:, None, None] * eye
-            x, solved = _solve_stack(A, rhs[rows])
-            good = rows[solved]
-            delta[good] = x[solved]
-            halvings[good] = 0
-            state[good] = _TRIAL
-            next_mu(rows[~solved])
+            delta[rows] = _lm_step(diag[rows], off[rows], F[rows], mu[rows])
+            halvings[rows] = 0
+            state[rows] = _TRIAL
 
         rows = np.flatnonzero(state == _TRIAL)
         if not rows.size:
@@ -275,7 +252,8 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
         ev = np.flatnonzero(_ordered(t_try, chain.p))
         if ev.size:
             F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev])
-            hit = np.flatnonzero(_rowdot(F_try) <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
+            norm_try = np.sum(F_try**2, axis=-1)
+            hit = np.flatnonzero(norm_try <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
             first = hit[np.unique(owner[ev[hit]], return_index=True)[1]]
             up = owner[ev[first]]
             t[up] = t_try[ev[first]]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import billiards.cli as cli
+import billiards.ellipse_maps as ellipse_maps
 from billiards.cli import main
 from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
@@ -268,6 +269,27 @@ class TestWitnessCommand:
         assert rc == 0
         assert json.loads((out / "witness.json").read_text())["m"] is None
 
+    def test_decides_each_ellipse_once(self, tmp_path, monkeypatch):
+        # one hyperbolic-orbit decision per ellipse, shared by the witness
+        # search and the payload (4 calls when the command decided again)
+        calls = []
+        real = ellipse_maps.hyperbolic_orbit_exists
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ellipse_maps, "hyperbolic_orbit_exists", counted)
+        monkeypatch.setattr(cli, "hyperbolic_orbit_exists", counted, raising=False)
+        t1 = tmp_path / "e08.json"
+        t1.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.6}))
+        t2 = tmp_path / "e062.json"
+        t2.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.62}))
+        rc = main(["witness", "--table", str(t1), "--table2", str(t2),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(calls) == 2
+
     def test_circle_partner_is_strict_json(self, tmp_path):
         # the circle's positivity margin is infinite: null, not Infinity
         t1 = tmp_path / "e.json"
@@ -348,6 +370,17 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "sample_beta", boom)
         rc = main(["beta", "--table", circle_cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    def test_singular_lm_solve_is_3(self, ellipse_cfg, tmp_path, monkeypatch):
+        # the shifted LM system cannot be singular; if LAPACK says so anyway,
+        # the orbit solver fails like any other solver failure
+        def singular(*a, **k):
+            raise np.linalg.LinAlgError("forced singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rc = main(["orbit", "--table", ellipse_cfg, "--pq", "1", "5",
+                   "--out", str(tmp_path / "o")])
         assert rc == 3
 
     def test_version_flag(self, capsys):
