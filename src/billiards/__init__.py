@@ -54,7 +54,6 @@ from .invariants import (
 from .orbits import OrbitConfig, find_orbit, lq_bounds
 from .tables import (
     CircleTable,
-    EllipseParams,
     EllipseTable,
     PerturbedCircleTable,
     Table,
@@ -79,6 +78,6 @@ __all__ = [
     "lazutkin_parameter", "mather_alpha", "mm_fit_from_samples",
     "mm_invariants", "mm_ratio_check", "sample_beta",
     "OrbitConfig", "find_orbit", "lq_bounds",
-    "CircleTable", "EllipseParams", "EllipseTable", "PerturbedCircleTable",
+    "CircleTable", "EllipseTable", "PerturbedCircleTable",
     "Table", "load_table", "table_from_config",
 ]

@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
         if two_tables:
             p.add_argument("--table2", required=True, help="second table file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1)
         if fit:
             p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
             p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
@@ -301,12 +301,11 @@ def _cmd_witness(args, outdir: Path) -> int:
     if not isinstance(t1, EllipseTable) or not isinstance(t2, EllipseTable):
         raise TableConfigError("witness requires elliptic tables")
     stages.lap("load")
-    e1, e2 = t1.params, t2.params
-    decisions = _witness_decisions(e1, e2)
+    decisions = _witness_decisions(t1, t2)
     payload = {
-        "e1": e1.eccentricity,
-        "e2": e2.eccentricity,
-        "interval": sorted([e1.theta_star / math.pi, e2.theta_star / math.pi]),
+        "e1": t1.eccentricity,
+        "e2": t2.eccentricity,
+        "interval": sorted([t1.theta_star / math.pi, t2.theta_star / math.pi]),
         "m": None,
         "n": None,
         "xi_root": None,

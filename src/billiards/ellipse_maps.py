@@ -14,7 +14,6 @@ table and not the other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from .dynamics import PhasePoint, step
 from .elliptic import ellip_f, ellip_k, invert_monotone, jacobi_am
 from .errors import BracketError, DomainError, SolverError, _require
-from .tables import EllipseParams, EllipseTable
+from .tables import EllipseTable
 
 __all__ = [
     "CausticCoord",
@@ -42,26 +41,13 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _params(e) -> EllipseParams:
-    if isinstance(e, EllipseTable):
-        return e.params
-    if isinstance(e, EllipseParams):
-        return e
-    raise DomainError(f"expected EllipseParams or EllipseTable, got {type(e)!r}")
+def _ellipse(e) -> EllipseTable:
+    if not isinstance(e, EllipseTable):
+        raise DomainError(f"expected an EllipseTable, got {type(e)!r}")
+    return e
 
 
-@functools.lru_cache(maxsize=16)
-def _table_of(E: EllipseParams) -> EllipseTable:
-    return EllipseTable(E.a, E.b)
-
-
-def _table(e) -> EllipseTable:
-    """The table whose boundary geometry (speed, chords) the chart uses;
-    tables are immutable, so one is built per semi-axis pair."""
-    return e if isinstance(e, EllipseTable) else _table_of(_params(e))
-
-
-def caustic_param(E, phi, theta):
+def caustic_param(E: EllipseTable, phi, theta):
     """Parameter of the confocal ellipse tangent to the chord leaving the
     boundary point of angle phi at incidence theta.
 
@@ -70,38 +56,38 @@ def caustic_param(E, phi, theta):
     crossing the focal segment have lambda >= b (hyperbolic caustic) and
     raise.  Takes arrays.
     """
-    table = _table(E)
+    E = _ellipse(E)
     theta = np.asarray(theta, dtype=float)
     _require((theta >= 0.0) & (theta < math.pi), "incidence angle must lie in [0, pi)", theta)
-    lam = np.sin(theta) * table.speed(phi)
-    if np.any(lam >= table.b):
+    lam = np.sin(theta) * E.speed(phi)
+    if np.any(lam >= E.b):
         raise DomainError(
-            f"chord crosses the focal segment (lambda={np.max(lam):.6g} >= b={table.b}); "
+            f"chord crosses the focal segment (lambda={np.max(lam):.6g} >= b={E.b}); "
             "caustic is not a confocal ellipse"
         )
     return lam if lam.ndim else float(lam)
 
 
-def _modulus(E: EllipseParams, lam):
-    return np.sqrt((E.a**2 - E.b**2) / (E.a**2 - lam * lam))
+def _modulus(E: EllipseTable, lam):
+    return np.sqrt(E.c2 / (E.a**2 - lam * lam))
 
 
-def rotation_number_of_caustic(E, lam):
+def rotation_number_of_caustic(E: EllipseTable, lam):
     """Rotation number of the caustic lambda:
     F(arcsin(lambda/b), k(lambda)) / (2 K(k(lambda))) in [0, 1/2).  Takes
     arrays."""
-    E = _params(E)
+    E = _ellipse(E)
     lam = np.asarray(lam, dtype=float)
     _require((lam >= 0.0) & (lam < E.b), "caustic parameter must lie in [0, b)", lam)
     k = _modulus(E, lam)
     return ellip_f(np.arcsin(lam / E.b), k) / (2.0 * ellip_k(k))
 
 
-def orbit_shift(E, lam):
+def orbit_shift(E: EllipseTable, lam):
     """Elliptic-time advance per bounce on caustic lambda:
     delta = 2 F(arcsin(lambda/b), k(lambda)) = 4 K(k) * rotation number.
     Takes arrays."""
-    E = _params(E)
+    E = _ellipse(E)
     lam = np.asarray(lam, dtype=float)
     _require((lam > 0.0) & (lam < E.b), "caustic parameter must lie in (0, b)", lam)
     k = _modulus(E, lam)
@@ -137,15 +123,14 @@ def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
     footpoint.  The elliptic time is t = F(phi - pi/2, k(lambda)) modulo
     the period 4K.  p may hold arrays.
     """
-    if not isinstance(table, EllipseTable):
-        raise DomainError("action_angle needs an EllipseTable")
+    _ellipse(table)
     theta = np.asarray(p.theta, dtype=float)
     _require(theta > 1e-12, "tangential degeneracy: theta = 0 is singular for the chart", theta)
     _require(theta <= 0.5 * math.pi + 1e-12,
              "retrograde branch theta > pi/2 not covered by the chart", theta)
     phi = table.angle_of_arc(np.asarray(p.s) % table.perimeter)
     lam = caustic_param(table, phi, theta)
-    k = _modulus(table.params, lam)
+    k = _modulus(table, lam)
     period = 4.0 * ellip_k(k)
     t = ellip_f(phi - 0.5 * math.pi, k) % period
     return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b)
@@ -154,11 +139,10 @@ def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
 def action_angle_inverse(table: EllipseTable, lam, t) -> PhasePoint:
     """Inverse chart: (lambda, t) -> (s, theta) on the forward branch.
     Takes arrays."""
-    if not isinstance(table, EllipseTable):
-        raise DomainError("action_angle_inverse needs an EllipseTable")
+    _ellipse(table)
     lam = np.asarray(lam, dtype=float)
     _require((lam > 0.0) & (lam < table.b), "caustic parameter must lie in (0, b)", lam)
-    k = _modulus(table.params, lam)
+    k = _modulus(table, lam)
     phi = jacobi_am(t, k) + 0.5 * math.pi
     theta = np.arcsin(np.minimum(1.0, lam / table.speed(phi)))
     s = table.arc_of_angle(phi % TWO_PI)
@@ -177,34 +161,33 @@ class ConjugacyMap:
     def __init__(self, table1: EllipseTable, table2: EllipseTable):
         self.table1 = table1
         self.table2 = table2
-        e1, e2 = table1.params, table2.params
-        self.theta1_star = e1.theta_star
-        self.theta2_star = e2.theta_star
+        self.theta1_star = table1.theta_star
+        self.theta2_star = table2.theta_star
         # Rotation-number range of table 1's near-boundary strip: caustics
         # entirely inside theta < theta1* have lambda < b1^2/a1 (= b1 for
         # the circle, where the clamp keeps the modulus below 1).
-        lam1_max = min(e1.b * math.sin(self.theta1_star), e1.b * (1.0 - 1e-12))
-        omega1_max = rotation_number_of_caustic(e1, lam1_max)
+        lam1_max = min(table1.b * math.sin(self.theta1_star), table1.b * (1.0 - 1e-12))
+        omega1_max = rotation_number_of_caustic(table1, lam1_max)
         # theta3*: pull the strip boundary back through the rotation matching.
         # The rotation number is arbitrarily steep in lambda near the strip
         # top, so only a modest residual in omega is representable; the
         # corresponding lambda (hence theta3*) is still ulp-accurate.
         try:
             lam2_max = invert_monotone(
-                lambda lam: rotation_number_of_caustic(e2, lam),
+                lambda lam: rotation_number_of_caustic(table2, lam),
                 omega1_max,
-                (0.0, e2.b * (1.0 - 1e-12)),
+                (0.0, table2.b * (1.0 - 1e-12)),
                 atol=1e-8,
                 xtol=1e-15,
             )
-            self.theta3_star = math.asin(min(1.0, lam2_max / e2.b))
+            self.theta3_star = math.asin(min(1.0, lam2_max / table2.b))
         except BracketError:
             # omega1_max exceeds the whole sampled range of table 2
             self.theta3_star = self.theta2_star
         self.theta_star = min(self.theta2_star, self.theta3_star)
         # Monotone grid for bracketing the omega_1 inversion tightly.
-        self._lam_grid = np.linspace(0.0, e1.b * (1.0 - 1e-9), 800)
-        self._om_grid = rotation_number_of_caustic(e1, self._lam_grid)
+        self._lam_grid = np.linspace(0.0, table1.b * (1.0 - 1e-9), 800)
+        self._om_grid = rotation_number_of_caustic(table1, self._lam_grid)
         # Largest |omega_1(lambda_1) - omega| left by the inversions so far.
         self._omega_residual = 0.0
 
@@ -218,26 +201,25 @@ class ConjugacyMap:
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
         if pos.any():
-            e1 = self.table1.params
             j = np.searchsorted(om, omega[pos])
             lo = self._lam_grid[np.maximum(j - 1, 0)]
             hi = self._lam_grid[np.minimum(j, len(om) - 1)]
             lam[pos] = invert_monotone(
-                lambda v: rotation_number_of_caustic(e1, v),
+                lambda v: rotation_number_of_caustic(self.table1, v),
                 omega[pos],
                 (lo, hi),
                 atol=1e-10,
                 xtol=1e-15,
             )
-            resid = np.abs(rotation_number_of_caustic(e1, lam[pos]) - omega[pos])
+            resid = np.abs(rotation_number_of_caustic(self.table1, lam[pos]) - omega[pos])
             self._omega_residual = max(self._omega_residual, float(np.max(resid)))
         return lam if lam.ndim else float(lam)
 
     def __call__(self, p: PhasePoint) -> PhasePoint:
         coord2 = action_angle(self.table2, p)
-        omega = rotation_number_of_caustic(self.table2.params, coord2.lam)
+        omega = rotation_number_of_caustic(self.table2, coord2.lam)
         lam1 = self._lambda1_of_omega(omega)
-        k1 = _modulus(self.table1.params, lam1)
+        k1 = _modulus(self.table1, lam1)
         period1 = 4.0 * ellip_k(k1)
         t1 = coord2.t_hat * period1
         return action_angle_inverse(self.table1, lam1, t1)
@@ -264,10 +246,10 @@ class ConjugacyMap:
         return float(np.max(np.concatenate((rs, rt))))  # NaN propagates
 
 
-def build_conjugacy(e1, e2) -> ConjugacyMap:
+def build_conjugacy(e1: EllipseTable, e2: EllipseTable) -> ConjugacyMap:
     """Conjugacy from table 2's phase cylinder to table 1's, valid on
     incidence angles below min(theta2*, theta3*)."""
-    return ConjugacyMap(_table(e1), _table(e2))
+    return ConjugacyMap(_ellipse(e1), _ellipse(e2))
 
 
 @dataclass(frozen=True)
@@ -294,35 +276,36 @@ class HyperbolicDecision:
         }
 
 
-def _hyperbolic_fk(E: EllipseParams, xi):
+def _hyperbolic_fk(E: EllipseTable, xi):
     """(F(amp, k), K(k)) of the hyperbolic caustic xi in (-c^2, 0)."""
-    k = np.sqrt(np.maximum(1.0 + xi / E.focal_distance**2, 0.0))
+    k = np.sqrt(np.maximum(1.0 + xi / E.c2, 0.0))
     amp = np.arcsin(np.sqrt(E.b**2 / (E.b**2 - xi)))
     return ellip_f(amp, k), ellip_k(k)
 
 
-def _g_hyperbolic(E: EllipseParams, m: int, n: int, xi):
+def _g_hyperbolic(E: EllipseTable, m: int, n: int, xi):
     f, bigk = _hyperbolic_fk(E, xi)
     return f - (2.0 * m / n) * bigk
 
 
-def _u_hyperbolic(E: EllipseParams, xi):
+def _u_hyperbolic(E: EllipseTable, xi):
     f, bigk = _hyperbolic_fk(E, xi)
     return f - (2.0 / math.pi) * E.theta_star * bigk
 
 
-def hyperbolic_orbit_exists(E, m: int, n: int, *, u_grid: int = 200) -> HyperbolicDecision:
+def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int, *,
+                            u_grid: int = 200) -> HyperbolicDecision:
     """Whether the ellipse has an (m, n)-periodic orbit with a hyperbolic
     caustic: root of the phase condition on xi in (-c^2, 0) when m/n
-    reaches the threshold (1/pi) arcsin(b/a), otherwise a certificate that
-    the condition stays positive."""
-    E = _params(E)
+    reaches the threshold (1/pi) arcsin(b/a), otherwise a grid check that
+    the condition stays positive (u_min over u_grid points; not a proof)."""
+    E = _ellipse(E)
     if n <= 0 or m <= 0 or 2 * m >= n:
         raise DomainError(f"need coprime 0 < m < n/2, got ({m}, {n})")
     if math.gcd(m, n) != 1:
         raise DomainError(f"m and n must be coprime, got ({m}, {n})")
     threshold = E.theta_star / math.pi
-    c2 = E.focal_distance**2
+    c2 = E.c2
     if c2 == 0.0:
         # circle: every caustic is a concentric circle
         return HyperbolicDecision(False, m, n, threshold, u_min=math.inf)
@@ -365,11 +348,11 @@ def _stern_brocot(lo: float, hi: float, max_den: int = 10**6) -> tuple[int, int]
             return pm, qm
 
 
-def _witness_decisions(e1, e2):
+def _witness_decisions(e1: EllipseTable, e2: EllipseTable):
     """The hyperbolic-orbit decisions (on the more eccentric ellipse, on
     the other one) for the witness rotation number of two ellipses, or
     None when the eccentricities coincide (no witness exists)."""
-    E1, E2 = _params(e1), _params(e2)
+    E1, E2 = _ellipse(e1), _ellipse(e2)
     ecc1, ecc2 = E1.eccentricity, E2.eccentricity
     if ecc1 == ecc2:
         return None
@@ -388,7 +371,7 @@ def _witness_decisions(e1, e2):
     return has_hi, has_lo
 
 
-def eccentricity_witness(e1, e2) -> tuple[int, int] | None:
+def eccentricity_witness(e1: EllipseTable, e2: EllipseTable) -> tuple[int, int] | None:
     """A rotation number m/n whose hyperbolic-caustic periodic orbit exists
     on exactly one of the two ellipses, or None when the eccentricities
     coincide (no witness exists)."""

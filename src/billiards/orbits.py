@@ -291,10 +291,10 @@ def _solve_from(chain: _Chain, t_init, ascent: bool, stat_tol: float):
     """Solve every start (row) of t_init, after 3 sweeps when ascending.
 
     All rows are swept and polished together.  A row whose polish fails is
-    then retried alone, in row order, with more sweeps.  Once an earlier
-    row has converged, the later ones only probe for other critical
-    families, so their retry budget drops from SWEEP_CAP to 60 sweeps and
-    a start stranded on a degenerate ridge cannot dominate the runtime.
+    then retried alone, in row order, with more sweeps.  Once any row has
+    converged, the others only probe for other critical families, so their
+    retry budget drops from SWEEP_CAP to 60 sweeps and a start stranded on
+    a degenerate ridge cannot dominate the runtime.
     Returns (t, residual, sweeps, newton_steps, ok) arrays, where ok means
     converged to an ordered configuration.
     """
@@ -305,7 +305,7 @@ def _solve_from(chain: _Chain, t_init, ascent: bool, stat_tol: float):
     conv = ok & _ordered(t_new, p)
     extra = 50 if ascent else 25
     for k in np.flatnonzero(~ok):
-        budget = 60 if conv[:k].any() else SWEEP_CAP
+        budget = 60 if conv.any() else SWEEP_CAP
         tk, tk_new = t[k:k + 1], t_new[k:k + 1]
         while not ok[k] and sweeps[k] + extra <= budget:
             tk = _sweeps(chain, tk_new if _ordered(tk_new, p)[0] else tk, extra)

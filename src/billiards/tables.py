@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import ConvexityError, SolverError, TableConfigError
 
 __all__ = [
-    "EllipseParams",
     "Table",
     "CircleTable",
     "EllipseTable",
@@ -42,37 +40,6 @@ CHORD_TOL = 1e-13  # relative Newton step |dh|/h that stops PerturbedCircleTable
 # Largest |s(t) - s| per unit perimeter that angle_of_arc accepts; dense grids
 # on ellipses down to b/a = 0.01 and on perturbed circles reach 2.4e-16.
 ARC_INVERSE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class EllipseParams:
-    """Semi-axes of an ellipse with the derived focal data.
-
-    theta_star is the incidence-angle threshold below which every chord,
-    from every boundary point, stays clear of the focal segment (so its
-    caustic is a confocal ellipse).  It equals arctan(b/c) = arcsin(b/a)
-    and degenerates to pi/2 for the circle.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 < self.b <= self.a):
-            raise ConvexityError(f"ellipse needs 0 < b <= a, got a={self.a}, b={self.b}")
-
-    @property
-    def eccentricity(self) -> float:
-        return math.sqrt(1.0 - (self.b / self.a) ** 2)
-
-    @property
-    def focal_distance(self) -> float:
-        """Semi-focal distance c = sqrt(a^2 - b^2)."""
-        return math.sqrt((self.a - self.b) * (self.a + self.b))
-
-    @property
-    def theta_star(self) -> float:
-        return math.asin(self.b / self.a)
 
 
 class Table:
@@ -249,13 +216,26 @@ class CircleTable(Table):
 
 
 class EllipseTable(Table):
+    """Ellipse with semi-axes a >= b and its focal data.
+
+    c2 = a^2 - b^2 is the squared focal distance.  theta_star is the
+    incidence-angle threshold below which every chord, from every boundary
+    point, stays clear of the focal segment (so its caustic is a confocal
+    ellipse).  It equals arctan(b/c) = arcsin(b/a) and degenerates to pi/2
+    for the circle.
+    """
+
     kind = "ellipse"
     integrable = True
 
     def __init__(self, a: float, b: float):
-        self.params = EllipseParams(float(a), float(b))
-        self.a = float(a)
-        self.b = float(b)
+        a, b = float(a), float(b)
+        if not (0.0 < b <= a):
+            raise ConvexityError(f"ellipse needs 0 < b <= a, got a={a}, b={b}")
+        self.a, self.b = a, b
+        self.c2 = (a - b) * (a + b)
+        self.eccentricity = math.sqrt(1.0 - (b / a) ** 2)
+        self.theta_star = math.asin(b / a)
         super().__init__()
 
     def position(self, t):
@@ -271,7 +251,7 @@ class EllipseTable(Table):
         t = np.asarray(t, dtype=float)
         st, ct = np.sin(t), np.cos(t)
         w = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
-        return (self.a**2 - self.b**2) * st * ct / w
+        return self.c2 * st * ct / w
 
     def frame(self, t):
         t = np.asarray(t, dtype=float)
@@ -288,8 +268,8 @@ class EllipseTable(Table):
         # atan2(ab sin h, w(t)^2 cos h + c^2 sin t cos t sin h).  Setting that
         # turn to theta from t0 gives h; the turn from m gives theta1.  Nothing
         # O(1) cancels, so theta -> 0 keeps full relative accuracy.
-        a, b = self.a, self.b
-        ab, c2 = a * b, (a - b) * (a + b)
+        a, b, c2 = self.a, self.b, self.c2
+        ab = a * b
         t0 = np.asarray(t0, dtype=float)
         st, ct, s0, c0 = np.sin(theta), np.cos(theta), np.sin(t0), np.cos(t0)
         h = np.arctan2(((a * s0) ** 2 + (b * c0) ** 2) * st, ab * ct - c2 * s0 * c0 * st)

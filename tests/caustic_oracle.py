@@ -17,7 +17,7 @@ from billiards import DomainError
 def caustic_param_oracle(E, phi, theta):
     """Caustic parameter by direct tangency: the deepest confocal-ellipse
     level reached along the explicit chord, on the ellipse of semi-axes
-    E.a >= E.b (EllipseParams or EllipseTable).
+    E.a >= E.b (an EllipseTable).
 
     Each interior point (x, y) lies on one confocal ellipse
     x^2/(a^2-mu) + y^2/(b^2-mu) = 1 with mu in [0, b^2); the chord is

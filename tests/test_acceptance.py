@@ -8,7 +8,6 @@ import pytest
 
 from billiards import (
     CircleTable,
-    EllipseParams,
     EllipseTable,
     PerturbedCircleTable,
     PhasePoint,
@@ -132,14 +131,14 @@ def test_criterion_04_scaling_invariance(beta_fits):
 def test_criterion_05_caustic_oracle(tables):
     worst = 0.0
     for ecc in (0.0, 0.5, 0.8):
-        E = EllipseParams(1.0, math.sqrt(1.0 - ecc * ecc))
+        E = EllipseTable(1.0, math.sqrt(1.0 - ecc * ecc))
         phis = np.linspace(0.0, 2 * math.pi, 100, endpoint=False)
         thetas = np.linspace(0.01, E.theta_star - 0.01, 100)
         phi, th = np.meshgrid(phis, thetas, indexing="ij")
         err = np.abs(caustic_param(E, phi, th) - caustic_param_oracle(E, phi, th))
         worst = max(worst, float(np.max(err)))
     table = tables["ellipse21"]
-    E = table.params
+    E = table
     lam0 = caustic_param(E, 0.4, 0.21)
     p = PhasePoint(table.arc_of_angle(0.4), 0.21)
     drift = 0.0
@@ -178,7 +177,7 @@ def test_criterion_07_action_angle_shift(tables):
     worst = 0.0
     for name in ("ellipse21", "ellipse32", "ellipse515"):
         table = tables[name]
-        E = table.params
+        E = table
         s, th = rng.uniform((0.0, 0.01), (table.perimeter, 0.95 * E.theta_star), (500, 2)).T
         p = PhasePoint(s, th)
         coord = action_angle(table, p)
@@ -192,15 +191,15 @@ def test_criterion_07_action_angle_shift(tables):
 
 
 def test_criterion_08_hyperbolic_witness():
-    E8 = EllipseParams(1.0, 0.6)  # eccentricity 0.8
+    E8 = EllipseTable(1.0, 0.6)  # eccentricity 0.8
     dec14 = hyperbolic_orbit_exists(E8, 1, 4)
-    root_ok = (dec14.exists and -E8.focal_distance**2 < dec14.xi_root < 0.0
+    root_ok = (dec14.exists and -E8.c2 < dec14.xi_root < 0.0
                and abs(dec14.g_at_root) <= 1e-10)
     dec15 = hyperbolic_orbit_exists(E8, 1, 5, u_grid=200)
     positive_ok = (not dec15.exists) and dec15.u_min > 0.0
-    E5 = EllipseParams(1.0, math.sqrt(0.75))  # eccentricity 0.5
+    E5 = EllipseTable(1.0, math.sqrt(0.75))  # eccentricity 0.5
     wit = eccentricity_witness(E8, E5)
-    none_wit = eccentricity_witness(E5, EllipseParams(2.0, 2.0 * math.sqrt(0.75)))
+    none_wit = eccentricity_witness(E5, EllipseTable(2.0, 2.0 * math.sqrt(0.75)))
     ok = root_ok and positive_ok and wit == (1, 4) and none_wit is None
     report(8, ok, "hyperbolic-caustic root (1,4); u > 0 for (1,5); witness logic",
            f"|g(xi)| {abs(dec14.g_at_root):.2e}; u_min {dec15.u_min:.2e}; "

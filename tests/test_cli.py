@@ -387,3 +387,8 @@ class TestExitCodes:
         rc = main(["--version"])
         assert rc == 0
         assert "billiards" in capsys.readouterr().out
+
+
+def test_threads_default_is_one():
+    # each worker's BLAS starts its own threads, so the default is one process
+    assert cli._parser().parse_args(["beta", "--table", "t.json"]).threads == 1

@@ -5,7 +5,6 @@ import pytest
 
 from billiards import (
     DomainError,
-    EllipseParams,
     EllipseTable,
     PhasePoint,
     action_angle,
@@ -25,28 +24,46 @@ from caustic_oracle import caustic_param_oracle
 TWO_PI = 2.0 * math.pi
 
 
-def params_from_ecc(e, a=1.0):
-    return EllipseParams(a, a * math.sqrt(1.0 - e * e))
+def ellipse_from_ecc(e, a=1.0):
+    return EllipseTable(a, a * math.sqrt(1.0 - e * e))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, e: caustic_param(t, 0.3, 0.2),
+    lambda t, e: rotation_number_of_caustic(t, 0.1),
+    lambda t, e: orbit_shift(t, 0.1),
+    lambda t, e: action_angle(t, PhasePoint(0.3, 0.2)),
+    lambda t, e: action_angle_inverse(t, 0.1, 0.2),
+    lambda t, e: build_conjugacy(e, t),
+    lambda t, e: hyperbolic_orbit_exists(t, 1, 4),
+    lambda t, e: eccentricity_witness(e, t),
+], ids=["caustic_param", "rotation_number_of_caustic", "orbit_shift", "action_angle",
+        "action_angle_inverse", "build_conjugacy", "hyperbolic_orbit_exists",
+        "eccentricity_witness"])
+@pytest.mark.parametrize("name", ["circle", "perturbed"])
+def test_needs_an_ellipse(call, name, request, ellipse21):
+    with pytest.raises(DomainError):
+        call(request.getfixturevalue(name), ellipse21)
 
 
 class TestCausticParam:
     def test_circle_reduction(self):
-        E = EllipseParams(1.0, 1.0)
+        E = EllipseTable(1.0, 1.0)
         for phi in (0.0, 0.7, 2.2, 5.0):
             assert caustic_param(E, phi, math.pi / 6) == pytest.approx(0.5, abs=1e-14)
 
     def test_minor_vertex(self):
-        E = EllipseParams(2.0, 1.0)
+        E = EllipseTable(2.0, 1.0)
         assert caustic_param(E, math.pi / 2, 0.3) == pytest.approx(
             2.0 * math.sin(0.3), rel=1e-14
         )
 
     def test_grazing_chord(self):
-        E = EllipseParams(2.0, 1.0)
+        E = EllipseTable(2.0, 1.0)
         assert caustic_param(E, 1.1, 0.0) == 0.0
 
     def test_focal_crossing_signalled(self):
-        E = EllipseParams(2.0, 1.0)
+        E = EllipseTable(2.0, 1.0)
         with pytest.raises(DomainError):
             caustic_param(E, math.pi / 2, math.pi / 2)
         with pytest.raises(DomainError):
@@ -54,7 +71,7 @@ class TestCausticParam:
 
     @pytest.mark.parametrize("ecc", [0.0, 0.5, 0.8])
     def test_oracle_agreement(self, ecc):
-        E = params_from_ecc(ecc)
+        E = ellipse_from_ecc(ecc)
         phis = np.linspace(0.0, TWO_PI, 25, endpoint=False)
         thetas = np.linspace(0.01, E.theta_star - 0.01, 25)
         p, t = np.meshgrid(phis, thetas, indexing="ij")
@@ -62,7 +79,7 @@ class TestCausticParam:
         assert worst < 1e-10
 
     def test_conserved_along_orbit(self, ellipse21):
-        E = ellipse21.params
+        E = ellipse21
         phi, theta = 0.9, 0.25
         lam0 = caustic_param_oracle(E, phi, theta)
         p = PhasePoint(ellipse21.arc_of_angle(phi), theta)
@@ -76,17 +93,17 @@ class TestCausticParam:
 
 class TestRotationNumber:
     def test_zero_caustic(self):
-        assert rotation_number_of_caustic(EllipseParams(2.0, 1.0), 0.0) == 0.0
+        assert rotation_number_of_caustic(EllipseTable(2.0, 1.0), 0.0) == 0.0
 
     def test_circle_closed_form(self):
-        E = EllipseParams(1.0, 1.0)
+        E = EllipseTable(1.0, 1.0)
         for lam in (0.1, 0.5, 0.9):
             assert rotation_number_of_caustic(E, lam) == pytest.approx(
                 math.asin(lam) / math.pi, rel=1e-13
             )
 
     def test_strictly_increasing(self, ellipse21):
-        E = ellipse21.params
+        E = ellipse21
         lams = np.linspace(0.0, E.b * (1 - 1e-6), 200)
         oms = [rotation_number_of_caustic(E, v) for v in lams]
         assert np.all(np.diff(oms) > 0)
@@ -94,12 +111,12 @@ class TestRotationNumber:
 
     def test_domain(self, ellipse21):
         with pytest.raises(DomainError):
-            rotation_number_of_caustic(ellipse21.params, 1.0)
+            rotation_number_of_caustic(ellipse21, 1.0)
 
 
 class TestOrbitShift:
     def test_rotation_identity(self):
-        E = params_from_ecc(0.6)
+        E = ellipse_from_ecc(0.6)
         lam = E.b / 2
         k = math.sqrt((E.a**2 - E.b**2) / (E.a**2 - lam**2))
         assert orbit_shift(E, lam) == pytest.approx(
@@ -108,7 +125,7 @@ class TestOrbitShift:
 
     def test_circle_arc_advance(self):
         # k = 0 makes the elliptic time the boundary angle: shift = 2 theta
-        E = EllipseParams(1.0, 1.0)
+        E = EllipseTable(1.0, 1.0)
         theta = 0.37
         lam = math.sin(theta)
         assert orbit_shift(E, lam) == pytest.approx(2.0 * theta, rel=1e-13)
@@ -116,7 +133,7 @@ class TestOrbitShift:
     def test_qfold_advance(self, ellipse21):
         p = PhasePoint(0.7, 0.2)
         coord0 = action_angle(ellipse21, p)
-        delta = orbit_shift(ellipse21.params, coord0.lam)
+        delta = orbit_shift(ellipse21, coord0.lam)
         for n in (1, 2, 5, 9):
             pn = p
             for _ in range(n):
@@ -130,7 +147,7 @@ class TestOrbitShift:
 class TestActionAngle:
     def test_roundtrip(self, ellipse_e05):
         rng = np.random.default_rng(21)
-        E = ellipse_e05.params
+        E = ellipse_e05
         for _ in range(500):
             p = PhasePoint(
                 rng.uniform(0, ellipse_e05.perimeter),
@@ -145,7 +162,7 @@ class TestActionAngle:
         # lambda -> 0 and the elliptic time tends to F(phi - pi/2, e)
         from billiards import ellip_f
 
-        E = ellipse21.params
+        E = ellipse21
         phi = 1.3
         p = PhasePoint(ellipse21.arc_of_angle(phi), 1e-6)
         coord = action_angle(ellipse21, p)
@@ -155,7 +172,7 @@ class TestActionAngle:
 
     def test_shift_conjugation(self, ellipse21):
         rng = np.random.default_rng(22)
-        E = ellipse21.params
+        E = ellipse21
         for _ in range(200):
             p = PhasePoint(
                 rng.uniform(0, ellipse21.perimeter),
@@ -218,36 +235,36 @@ class TestConjugacy:
         assert 0.0 < h.theta_star <= min(h.theta2_star, h.theta3_star)
         # above the strip the chart must refuse (retrograde or hyperbolic)
         with pytest.raises(DomainError):
-            h(PhasePoint(t2.arc_of_angle(math.pi / 2), t2.params.theta_star + 0.05))
+            h(PhasePoint(t2.arc_of_angle(math.pi / 2), t2.theta_star + 0.05))
 
 
 class TestHyperbolicOrbits:
     def test_root_exists_above_threshold(self):
-        E = params_from_ecc(0.8)
+        E = ellipse_from_ecc(0.8)
         dec = hyperbolic_orbit_exists(E, 1, 4)
         assert dec.exists
-        c2 = E.focal_distance**2
+        c2 = E.c2
         assert -c2 < dec.xi_root < 0.0
         assert abs(dec.g_at_root) <= 1e-10
 
     def test_no_root_below_threshold(self):
-        E = params_from_ecc(0.8)
+        E = ellipse_from_ecc(0.8)
         dec = hyperbolic_orbit_exists(E, 1, 5)
         assert not dec.exists
         assert dec.u_min > 0.0
 
     def test_near_circle_never_exists(self):
-        E = params_from_ecc(1e-4)
+        E = ellipse_from_ecc(1e-4)
         assert E.theta_star / math.pi == pytest.approx(0.5, abs=1e-4)
         dec = hyperbolic_orbit_exists(E, 1, 3)
         assert not dec.exists and dec.u_min > 0.0
 
     def test_exact_circle(self):
-        dec = hyperbolic_orbit_exists(EllipseParams(1.0, 1.0), 1, 3)
+        dec = hyperbolic_orbit_exists(EllipseTable(1.0, 1.0), 1, 3)
         assert not dec.exists
 
     def test_validation(self):
-        E = params_from_ecc(0.5)
+        E = ellipse_from_ecc(0.5)
         with pytest.raises(DomainError):
             hyperbolic_orbit_exists(E, 2, 4)
         with pytest.raises(DomainError):
@@ -262,8 +279,8 @@ class TestHyperbolicOrbits:
         for _ in range(12):
             a = rng.uniform(1.0, 4.0)
             b = rng.uniform(0.2, a * 0.999)
-            E = EllipseParams(a, b)
-            c2 = E.focal_distance**2
+            E = EllipseTable(a, b)
+            c2 = E.c2
             if c2 == 0.0:
                 continue
             for xi in np.linspace(-c2 * (1 - 1e-4), -1e-4 * c2, 50):
@@ -272,19 +289,19 @@ class TestHyperbolicOrbits:
 
 class TestWitness:
     def test_canonical_pair(self):
-        assert eccentricity_witness(params_from_ecc(0.8), params_from_ecc(0.5)) == (1, 4)
+        assert eccentricity_witness(ellipse_from_ecc(0.8), ellipse_from_ecc(0.5)) == (1, 4)
 
     def test_order_independent(self):
-        assert eccentricity_witness(params_from_ecc(0.5), params_from_ecc(0.8)) == (1, 4)
+        assert eccentricity_witness(ellipse_from_ecc(0.5), ellipse_from_ecc(0.8)) == (1, 4)
 
     def test_equal_eccentricity(self):
-        assert eccentricity_witness(params_from_ecc(0.5), params_from_ecc(0.5)) is None
+        assert eccentricity_witness(ellipse_from_ecc(0.5), ellipse_from_ecc(0.5)) is None
 
     def test_similar_ellipses(self):
-        assert eccentricity_witness(EllipseParams(2.0, 1.0), EllipseParams(4.0, 2.0)) is None
+        assert eccentricity_witness(EllipseTable(2.0, 1.0), EllipseTable(4.0, 2.0)) is None
 
     def test_circle_pair(self):
-        assert eccentricity_witness(EllipseParams(1.0, 1.0), EllipseParams(3.0, 3.0)) is None
+        assert eccentricity_witness(EllipseTable(1.0, 1.0), EllipseTable(3.0, 3.0)) is None
 
 
 class TestBatchIndependence:
@@ -293,7 +310,7 @@ class TestBatchIndependence:
     def test_action_angle(self, ellipse21):
         rng = np.random.default_rng(62)
         s = rng.uniform(0.0, ellipse21.perimeter, 100)
-        th = rng.uniform(0.01, 0.99 * ellipse21.params.theta_star, 100)
+        th = rng.uniform(0.01, 0.99 * ellipse21.theta_star, 100)
         coord = action_angle(ellipse21, PhasePoint(s, th))
         for i, (a, b) in enumerate(zip(s, th)):
             one = action_angle(ellipse21, PhasePoint(a, b))
@@ -311,7 +328,7 @@ class TestBatchIndependence:
         assert np.array_equal(out.theta, [p.theta for p in ref])
 
     def test_oracle(self):
-        E = params_from_ecc(0.8)
+        E = ellipse_from_ecc(0.8)
         rng = np.random.default_rng(64)
         phi = rng.uniform(0.0, TWO_PI, 30)
         th = rng.uniform(0.0, E.theta_star, 30)

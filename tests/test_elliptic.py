@@ -178,7 +178,7 @@ class TestInvertMonotone:
         # bracket the expected answer, then invert
         from billiards import rotation_number_of_caustic
 
-        E = ellipse21.params
+        E = ellipse21
         target = 0.2
         lam = invert_monotone(
             lambda v: rotation_number_of_caustic(E, v), target, (0.0, E.b * (1 - 1e-9))

@@ -248,6 +248,23 @@ class TestBatchedSolver:
         assert orb.length == pytest.approx(length, rel=1e-14)
         assert (orb.sweeps, orb.newton_steps, len(orb.candidates)) == (sweeps, steps, n_cand)
 
+    def test_retry_budget_once_any_row_converged(self, monkeypatch):
+        # Rows 1-3 and 5-7 converge in the batched polish, so the failed row 0
+        # gets the 60-sweep probe budget too, not SWEEP_CAP (it took 153).
+        solved = []
+        solve_from = orbits_mod._solve_from
+
+        def record(*args):
+            out = solve_from(*args)
+            solved.append(out)
+            return out
+
+        monkeypatch.setattr(orbits_mod, "_solve_from", record)
+        orb = find_orbit(PerturbedCircleTable(1, [(3, 0.05, 2.5)]), 1, 28, "max")
+        assert orb.length == pytest.approx(6.305534031577483, rel=1e-14)
+        (_, _, sweeps, _, ok), = solved
+        assert ok.sum() > 1 and sweeps.max() <= 60
+
 
 def _dense_hessian(diag, off):
     """The symmetric cyclic tridiagonal H with H[i, i+1] = H[i+1, i] = off[i]."""

@@ -14,7 +14,6 @@ import billiards
 from billiards import (
     CircleTable,
     ConvexityError,
-    EllipseParams,
     EllipseTable,
     PerturbedCircleTable,
     SolverError,
@@ -107,11 +106,11 @@ class TestEllipse:
         )
 
     def test_params(self):
-        E = EllipseParams(2.0, 1.0)
+        E = EllipseTable(2.0, 1.0)
         assert E.eccentricity == pytest.approx(math.sqrt(3) / 2)
-        assert E.focal_distance == pytest.approx(math.sqrt(3))
+        assert math.sqrt(E.c2) == pytest.approx(math.sqrt(3))
         assert E.theta_star == pytest.approx(math.asin(0.5))
-        assert EllipseParams(1.0, 1.0).theta_star == pytest.approx(math.pi / 2)
+        assert EllipseTable(1.0, 1.0).theta_star == pytest.approx(math.pi / 2)
 
 
 def lazutkin_integrand(table):
