@@ -51,7 +51,7 @@ from .invariants import (
     mm_ratio_check,
     sample_beta,
 )
-from .orbits import OrbitConfig, find_orbit, lq_bounds
+from .orbits import OrbitConfig, find_orbit, find_orbits, lq_bounds
 from .tables import (
     CircleTable,
     EllipseTable,
@@ -77,7 +77,7 @@ __all__ = [
     "BetaSamples", "InvariantReport", "RatioRow", "fit_normalized_beta",
     "lazutkin_parameter", "mather_alpha", "mm_fit_from_samples",
     "mm_invariants", "mm_ratio_check", "sample_beta",
-    "OrbitConfig", "find_orbit", "lq_bounds",
+    "OrbitConfig", "find_orbit", "find_orbits", "lq_bounds",
     "CircleTable", "EllipseTable", "PerturbedCircleTable",
     "Table", "load_table", "table_from_config",
 ]

@@ -146,7 +146,8 @@ def _write_report(path: Path, report, samples) -> None:
     """invariant_report.json: the fit, plus the per-q solver diagnostics
     under the beta_samples.csv column names."""
     out = report.to_dict()
-    for name in ("q", "residual", "sweeps", "newton_steps", "converged", "candidates"):
+    for name in ("q", "residual", "sweeps", "newton_steps", "converged", "candidates",
+                 "total_sweeps", "total_newton_steps"):
         out[name] = np.asarray(getattr(samples, name)).tolist()
     with open(path, "w") as fh:
         json.dump(_strict(out), fh, indent=2, allow_nan=False)
@@ -170,13 +171,13 @@ def _cmd_beta(args, outdir: Path) -> int:
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["p", "q", "omega", "beta", "residual", "sweeps", "newton_steps",
-                    "converged", "candidates"])
+                    "converged", "candidates", "total_sweeps", "total_newton_steps"])
         for row in zip(samples.p, samples.q, samples.omega, samples.beta, samples.residual,
                        samples.sweeps, samples.newton_steps, samples.converged,
-                       samples.candidates):
-            p, q, om, b, res, sweeps, steps, conv, cand = row
+                       samples.candidates, samples.total_sweeps, samples.total_newton_steps):
+            p, q, om, b, res, sweeps, steps, conv, cand, total_sweeps, total_steps = row
             w.writerow([int(p), int(q), float(om), float(b), float(res), int(sweeps),
-                        int(steps), int(conv), int(cand)])
+                        int(steps), int(conv), int(cand), int(total_sweeps), int(total_steps)])
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
     stages.lap("write")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .orbits import find_orbit
+from .orbits import find_orbits
 from .tables import Table
 
 __all__ = [
@@ -50,8 +50,10 @@ class BetaSamples:
 
     sample_beta also records, per sample, how its maximal orbit was
     solved: the stationarity residual max |dL/ds_i|, the sweeps and Newton
-    steps spent, whether it converged and how many distinct critical
-    values the multistart found.  Samples built by hand leave them None.
+    steps spent on the chosen start, whether it converged, how many
+    distinct critical values the multistart found, and the sweeps and
+    Newton steps of all starts of that q.  Samples built by hand leave them
+    None.
     """
 
     p: np.ndarray
@@ -65,6 +67,8 @@ class BetaSamples:
     newton_steps: np.ndarray | None = None
     converged: np.ndarray | None = None
     candidates: np.ndarray | None = None
+    total_sweeps: np.ndarray | None = None
+    total_newton_steps: np.ndarray | None = None
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -83,30 +87,31 @@ class BetaSamples:
         return -np.asarray(self.q, dtype=float) * np.asarray(self.beta)
 
 
-def _beta_job(args):
-    table, p, q = args
-    orb = find_orbit(table, p, q, "max")
-    return (q, orb.beta, orb.residual, orb.sweeps, orb.newton_steps, orb.converged,
-            len(orb.candidates))
-
-
 def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
                 q_max: int = DEFAULT_Q_RANGE[1], p: int = 1,
                 workers: int = 1) -> BetaSamples:
-    """Compute beta(p/q) over an integer q range (coprime q, p/q <= 1/2)."""
+    """Compute beta(p/q) over an integer q range (coprime q, p/q <= 1/2).
+
+    The maximal orbits of all q are solved as one batch of find_orbits, whose
+    rows carry their own q; with workers > 1, each worker process solves one
+    contiguous chunk of the q range as one batch.
+    """
     qs = [q for q in range(q_min, q_max + 1) if math.gcd(p, q) == 1 and q >= 2 * p]
-    jobs = [(table, p, q) for q in qs]
     if workers > 1:
+        chunks = [c.tolist() for c in np.array_split(qs, workers) if c.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_beta_job, jobs, chunksize=4))
+            parts = pool.map(find_orbits, [table] * len(chunks), [p] * len(chunks), chunks)
+            orbits = [orb for part in parts for orb in part]
     else:
-        rows = [_beta_job(j) for j in jobs]
-    rows.sort(key=lambda r: r[0])
-    for q, beta, res, sweeps, steps, conv, cand in rows:
+        orbits = find_orbits(table, p, qs)
+    rows = [(orb.q, orb.beta, orb.residual, orb.sweeps, orb.newton_steps, orb.converged,
+             len(orb.candidates), orb.total_sweeps, orb.total_newton_steps) for orb in orbits]
+    for row in rows:
         log.info("beta(%d/%d) = %.15g: residual %.2e, %d sweeps, %d Newton steps, "
-                 "converged %s, %d candidates", p, q, beta, res, sweeps, steps, conv, cand)
-    q_arr, b_arr, res, sweeps, steps, conv, cand = (
-        np.array([r[k] for r in rows]) for k in range(7))
+                 "converged %s, %d candidates; all starts: %d sweeps, %d Newton steps",
+                 p, *row)
+    q_arr, b_arr, res, sweeps, steps, conv, cand, total_sweeps, total_steps = (
+        np.array([r[k] for r in rows]) for k in range(9))
     return BetaSamples(
         p=np.full_like(q_arr, p),
         q=q_arr,
@@ -119,6 +124,8 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
         newton_steps=steps,
         converged=conv,
         candidates=cand,
+        total_sweeps=total_sweeps,
+        total_newton_steps=total_steps,
     )
 
 

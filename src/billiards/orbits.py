@@ -13,15 +13,19 @@ produce.  Minimal critical values are collected by running the same
 Newton solver from rotated (and, at low q, scattered) initializations
 and keeping every distinct critical value found.
 
-The starts are solved as one batch: every start is a row of an
-(n_starts, q) array, and each sweep or Newton pass evaluates all rows in
-one call.  The Hessian is cyclic tridiagonal and is assembled as its
-diagonal and off-diagonal vectors by slicing; the sweeps read only the
-diagonal, and the Newton polish runs a per-row accept/reject state
-machine, so every start takes the path it would take alone.  Its
-Levenberg-Marquardt step is one complex solve with the shifted Hessian
-H - i*sigma*I, which equals the normal-equations step without squaring
-the condition number of H.
+The starts of one q, or of a whole range of q, are solved as one batch:
+every start is a row of an (n_rows, max q) array and carries its own q.
+A row of smaller q is padded past its own columns.  Padded columns are
+inert (no gradient, unit Hessian diagonal, no coupling, no sweep step),
+and cyclic neighbours, row sums and the ordering test read only each
+row's own columns.  Each sweep or Newton pass evaluates all rows in one
+call.  The Hessian is cyclic tridiagonal and is assembled as its diagonal
+and off-diagonal vectors; the sweeps read only the diagonal, and the
+Newton polish runs a per-row accept/reject state machine, so every start
+takes the path it would take alone.  Its Levenberg-Marquardt step is one
+complex solve with the shifted Hessian H - i*sigma*I, which equals the
+normal-equations step without squaring the condition number of H; it runs
+once per q, on that q's own columns.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .tables import Table
 
-__all__ = ["OrbitConfig", "find_orbit", "lq_bounds"]
+__all__ = ["OrbitConfig", "find_orbit", "find_orbits", "lq_bounds"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +64,9 @@ class OrbitConfig:
     newton_steps: int
     converged: bool
     candidates: list = field(default_factory=list)  # distinct critical values seen
+    # the work of all starts of this q; sweeps and newton_steps are the chosen one's
+    total_sweeps: int = 0
+    total_newton_steps: int = 0
 
     @property
     def beta(self) -> float:
@@ -69,41 +76,65 @@ class OrbitConfig:
         return table.position(np.mod(self.t, TWO_PI))
 
 
-def _next(a):
-    """a[..., i + 1] at vertex i, cyclically along the last axis."""
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+def _next(a, last):
+    """a[:, i + 1] at vertex i, cyclically over each row's own columns
+    0..last[row]; a has shape (n, Q) or (n, Q, k)."""
+    out = np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+    out[np.arange(len(a)), last] = a[:, 0]
+    return out
 
 
-def _prev(a):
-    """a[..., i - 1] at vertex i, cyclically along the last axis."""
-    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+def _prev(a, last):
+    """a[:, i - 1] at vertex i, cyclically over each row's own columns."""
+    out = np.concatenate((a[:, -1:], a[:, :-1]), axis=1)
+    out[:, 0] = a[np.arange(len(a)), last]
+    return out
+
+
+def _runs(q):
+    """(start, stop) of every run of rows with equal q."""
+    cut = (np.flatnonzero(np.diff(q)) + 1).tolist()
+    return list(zip([0] + cut, cut + [len(q)])) if len(q) else []
+
+
+def _row_sums(a, q):
+    """Sum of every row over its own q columns.  A run of rows of one q is
+    summed by one np.sum on its own columns: zeros past the end of a row
+    would change how the pairwise summation rounds."""
+    out = np.empty(len(q))
+    for lo, hi in _runs(q):
+        out[lo:hi] = np.sum(a[lo:hi, :q[lo]], axis=-1)
+    return out
 
 
 class _Chain:
     """Length, gradient and Hessian of the lifted length functional in t,
-    for a batch of configurations t of shape (n, q), one per row."""
+    for a batch of configurations t of shape (n, Q), one per row: row r is
+    a q[r]-gon in its first q[r] columns."""
 
-    def __init__(self, table: Table, p: int, q: int):
+    def __init__(self, table: Table, p: int):
         self.table = table
         self.p = p
-        self.q = q
 
-    def value(self, t):
+    def value(self, t, q):
         """Total chord length of every row."""
         pos = self.table.position(t)
-        x, y = pos[..., 0], pos[..., 1]
-        return np.hypot(_next(x) - x, _next(y) - y).sum(axis=-1)
+        chord = _next(pos, q - 1) - pos
+        return _row_sums(np.hypot(chord[..., 0], chord[..., 1]), q)
 
-    def hessian(self, t):
+    def hessian(self, t, q):
         """F = dL/dt, its cyclic tridiagonal Jacobian as (diag, off), where
-        off[..., i] is the (i, i+1) entry (and the (i+1, i) one), and the
-        residual max |dL/ds_i| of every row."""
+        off[:, i] is the (i, i+1) entry (and the (i+1, i) one), and the
+        residual max |dL/ds_i| of every row.  Padded columns hold F = 0,
+        diag = 1 and off = 0."""
+        last = q - 1
         pos, tan, kappa, w = self.table.frame(t)
         dw = self.table.dspeed(t)
+        pos_n, tan_n = _next(pos, last), _next(tan, last)
         x, y = pos[..., 0], pos[..., 1]
         tx, ty = tan[..., 0], tan[..., 1]
-        tnx, tny = _next(tx), _next(ty)
-        dx, dy = _next(x) - x, _next(y) - y
+        tnx, tny = tan_n[..., 0], tan_n[..., 1]
+        dx, dy = pos_n[..., 0] - x, pos_n[..., 1] - y
         d = np.hypot(dx, dy)
         # Two consecutive vertices on one boundary point (a chord of length
         # 0) are no Birkhoff configuration: NaN marks the row, and every
@@ -117,49 +148,59 @@ class _Chain:
         tt = tx * tnx + ty * tny
         # second partials of the chord length d(s_i, s_{i+1})
         h_aa = sin_out**2 / d - kappa * sin_out
-        h_bb = sin_in**2 / d - _next(kappa) * sin_in
+        h_bb = sin_in**2 / d - _next(kappa, last) * sin_in
         h_ab = -(tt - cos_out * cos_in) / d
         # dL/ds_i = cos(theta_in at i) - cos(theta_out at i)
-        grad_s = _prev(cos_in) - cos_out
-        w_n = _next(w)
-        diag = (w * w * h_aa + _prev(w_n * w_n * h_bb)) + dw * grad_s
+        grad_s = _prev(cos_in, last) - cos_out
+        w_n = _next(w, last)
+        diag = (w * w * h_aa + _prev(w_n * w_n * h_bb, last)) + dw * grad_s
         off = w * w_n * h_ab
-        if self.q == 2:  # both neighbours of a vertex are the same vertex
-            off = off + off[..., ::-1]
+        pair = q == 2  # both neighbours of a vertex are the same vertex
+        if pair.any():
+            off[pair, :2] = off[pair, :2] + off[pair, 1::-1]
+        pad = np.arange(t.shape[1]) > last[:, None]
+        grad_s[pad] = 0.0
+        diag[pad] = 1.0
+        off[pad] = 0.0
         return grad_s * w, diag, off, np.max(np.abs(grad_s), axis=-1)
 
 
-def _ordered(t, p):
-    """Per row: strictly increasing and spanning less than p turns."""
-    return np.all(np.diff(t, axis=-1) > 0.0, axis=-1) & (t[..., -1] - t[..., 0] < TWO_PI * p)
+def _ordered(t, q, p):
+    """Per row: strictly increasing over its own q columns and spanning
+    less than p turns."""
+    beyond = np.arange(t.shape[1] - 1) >= (q - 1)[:, None]
+    rising = np.all((np.diff(t, axis=-1) > 0.0) | beyond, axis=-1)
+    return rising & (t[np.arange(len(t)), q - 1] - t[:, 0] < TWO_PI * p)
 
 
-def _sweeps(chain: _Chain, t, n_sweeps: int):
+def _sweeps(chain: _Chain, t, q, n_sweeps: int):
     """Red-black coordinate passes: a clamped 1-d Newton step of the local
     reflection residual at every even vertex, then every odd one.  Each
     update moves toward the interior maximum of its two adjacent chords, so
     the pass is a coordinate-ascent globalizer for the Newton polish."""
-    q = chain.q
     span = TWO_PI * chain.p
     t = t.copy()
+    rows = np.arange(len(t))[:, None]
+    qc = q[:, None]
     passes = []
     for parity in (0, 1):
-        idx = np.arange(parity, q, 2)
+        idx = np.arange(parity, t.shape[1], 2)
         # lifted neighbours: vertex -1 is t_{q-1} - span, vertex q is t_0 + span
-        passes.append((idx, idx - 1, np.where(idx == 0, span, 0.0),
-                       (idx + 1) % q, np.where(idx + 1 == q, span, 0.0)))
+        passes.append((idx, idx < qc, np.where(idx == 0, qc - 1, idx - 1),
+                       np.where(idx == 0, span, 0.0), np.where(idx + 1 >= qc, 0, idx + 1),
+                       np.where(idx + 1 == qc, span, 0.0)))
     for _ in range(n_sweeps):
-        for idx, lo, lo_shift, hi, hi_shift in passes:
-            F, diag, _, _ = chain.hessian(t)
+        for idx, live, lo, lo_shift, hi, hi_shift in passes:
+            F, diag, _, _ = chain.hessian(t, q)
             jd = diag[:, idx]
             fi = F[:, idx]
-            gap_lo = t[:, idx] - (t[:, lo] - lo_shift)
-            gap_hi = (t[:, hi] + hi_shift) - t[:, idx]
+            gap_lo = t[:, idx] - (t[rows, lo] - lo_shift)
+            gap_hi = (t[rows, hi] + hi_shift) - t[:, idx]
             newton = np.where(jd < -1e-14, -fi / np.where(jd < -1e-14, jd, -1.0), 0.0)
             fallback = 0.125 * np.minimum(gap_lo, gap_hi) * np.sign(fi)
             step = np.where(jd < -1e-14, newton, fallback)
             step = np.clip(step, -0.45 * gap_lo, 0.45 * gap_hi)
-            t[:, idx] += step
+            t[:, idx] += np.where(live, step, 0.0)
     return t
 
 
@@ -168,7 +209,8 @@ def _lm_step(diag, off, F, mu):
     for the cyclic tridiagonal Hessian H = (diag, off) and s = trace(H^2)/q.
     As H^2 + sigma^2 I = (H + i*sigma*I)(H - i*sigma*I) with sigma^2 = mu*s,
     d = -Re[(H - i*sigma*I)^-1 F]: one complex solve with the condition
-    number of H, not of H^2; its eigenvalues lambda - i*sigma never vanish."""
+    number of H, not of H^2; its eigenvalues lambda - i*sigma never vanish.
+    All rows share one q."""
     n, q = diag.shape
     i = np.arange(q)
     A = np.zeros((n, q, q), dtype=complex)
@@ -188,14 +230,16 @@ def _lm_step(diag, off, F, mu):
 _OUTER, _SOLVE, _TRIAL, _DONE = range(4)
 
 
-def _newton(chain: _Chain, t, cap: int, stat_tol: float):
-    """Damped Gauss-Newton on the stationarity system, one start per row.
+def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
+    """Damped Gauss-Newton on the stationarity system, one start per row,
+    row r on its own q[r] columns.
 
     The Hessian of the length functional is exactly singular along the
     orbit families of integrable tables and nearly so for perturbed ones,
     so the step solves the Levenberg-Marquardt system (J^T J + mu*s*I) d =
     -J^T F, as the shifted complex solve of `_lm_step` (J = H is
-    symmetric); mu grows when a step is rejected and shrinks on success.
+    symmetric), once per q among the rows that need a step; mu grows when
+    a step is rejected and shrinks on success.
 
     Every row runs its own state machine: an outer step records |F|^2,
     up to 12 values of mu are tried, each with up to 20 halvings
@@ -205,14 +249,14 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
     ok) arrays with the residual in max |dL/ds_i|.
     """
     t = np.array(t, dtype=float)
-    n, q = t.shape
-    F, diag, off, res = chain.hessian(t)
+    n = len(t)
+    F, diag, off, res = chain.hessian(t, q)
     steps = np.zeros(n, dtype=int)
     mu = np.full(n, 1e-12)
     tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
     halvings = np.zeros(n, dtype=int)
     norm_f = np.empty(n)
-    delta = np.empty((n, q))
+    delta = np.zeros(t.shape)  # padded columns never move
     state = np.full(n, _OUTER)
 
     def next_mu(rows):
@@ -228,15 +272,17 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
         stop = (res[rows] <= stat_tol) | (steps[rows] >= cap)
         state[rows[stop]] = _DONE
         rows = rows[~stop]
-        norm_f[rows] = np.sum(F[rows]**2, axis=-1)
+        norm_f[rows] = _row_sums(F[rows]**2, q[rows])
         tries[rows] = 0
         state[rows] = _SOLVE
 
         rows = np.flatnonzero(state == _SOLVE)
-        if rows.size:
-            delta[rows] = _lm_step(diag[rows], off[rows], F[rows], mu[rows])
-            halvings[rows] = 0
-            state[rows] = _TRIAL
+        for lo, hi in _runs(q[rows]):
+            g = rows[lo:hi]
+            m = q[g[0]]
+            delta[g, :m] = _lm_step(diag[g, :m], off[g, :m], F[g, :m], mu[g])
+        halvings[rows] = 0
+        state[rows] = _TRIAL
 
         rows = np.flatnonzero(state == _TRIAL)
         if not rows.size:
@@ -248,16 +294,18 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
         owner = np.repeat(rows, count)
         k = halvings[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
         alpha = np.ldexp(1.0, -k)
-        t_try = t[owner] + alpha[:, None] * delta[owner]
-        ev = np.flatnonzero(_ordered(t_try, chain.p))
+        w = q[rows].max()  # the trial batch is as wide as its widest row
+        t_try = t[owner, :w] + alpha[:, None] * delta[owner, :w]
+        ev = np.flatnonzero(_ordered(t_try, q[owner], chain.p))
         if ev.size:
-            F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev])
-            norm_try = np.sum(F_try**2, axis=-1)
+            q_ev = q[owner[ev]]
+            F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev], q_ev)
+            norm_try = _row_sums(F_try**2, q_ev)
             hit = np.flatnonzero(norm_try <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
             first = hit[np.unique(owner[ev[hit]], return_index=True)[1]]
             up = owner[ev[first]]
-            t[up] = t_try[ev[first]]
-            F[up], diag[up], off[up] = F_try[first], diag_try[first], off_try[first]
+            t[up, :w] = t_try[ev[first]]
+            F[up, :w], diag[up, :w], off[up, :w] = F_try[first], diag_try[first], off_try[first]
             mu[up] = np.maximum(mu[up] * 0.1, 1e-14)
             steps[up] += 1
             res[up] = res_try[first]
@@ -269,63 +317,74 @@ def _newton(chain: _Chain, t, cap: int, stat_tol: float):
     return t, res, steps, res <= stat_tol
 
 
-def _equal_arc_init(table: Table, p: int, q: int, offsets):
-    """One start per offset: q points equally spaced in arc from it."""
-    s = np.arange(q) * p * table.perimeter / q + offsets[:, None]
-    return np.asarray(table.angle_of_arc(s))
+def _equal_arc_init(table: Table, p: int, q, offsets):
+    """One start per offset: q points equally spaced in arc from it.  q is
+    one value or one per offset; rows are padded to the largest q with 0."""
+    q = np.broadcast_to(q, offsets.shape)
+    s = np.arange(q.max()) * p * table.perimeter / q[:, None] + offsets[:, None]
+    own = np.arange(q.max()) < q[:, None]
+    t = np.zeros(s.shape)
+    t[own] = table.angle_of_arc(s[own])  # only the own columns are inverted
+    return t
 
 
-def _canonical(table: Table, t, p, q):
-    """Rotate labels so s_0 = min(s_i mod ell) and anchor the lift at it."""
-    ell = table.perimeter
-    s = np.asarray(table.arc_of_angle(t))
-    s_mod = np.mod(s, ell)
-    k = int(np.argmin(s_mod))
-    s_rot = np.concatenate([s[k:], s[:k] + p * ell])
-    s_rot = s_rot - (s[k] - s_mod[k])
-    t_rot = np.asarray(table.angle_of_arc(s_rot))
-    return s_rot, t_rot
+def _turn(t):
+    """t mod 2*pi in [0, 2*pi): np.mod rounds a t just below a multiple of
+    2*pi up to 2*pi itself, which is the point at 0."""
+    t_mod = np.mod(t, TWO_PI)
+    return np.where(t_mod < TWO_PI, t_mod, 0.0)
 
 
-def _solve_from(chain: _Chain, t_init, ascent: bool, stat_tol: float):
-    """Solve every start (row) of t_init, after 3 sweeps when ascending.
+def _canonical(t, p):
+    """Rotate labels so t_0 = min(t_i mod 2*pi) and anchor the lift at it."""
+    t_mod = _turn(t)
+    k = int(np.argmin(t_mod))
+    return np.concatenate([t[k:], t[:k] + TWO_PI * p]) - (t[k] - t_mod[k])
+
+
+def _solve_from(chain: _Chain, t_init, q, ascent: bool, stat_tol: float):
+    """Solve every start (row) of t_init, row r a q[r]-gon, after 3 sweeps
+    when ascending.
 
     All rows are swept and polished together.  A row whose polish fails is
-    then retried alone, in row order, with more sweeps.  Once any row has
-    converged, the others only probe for other critical families, so their
-    retry budget drops from SWEEP_CAP to 60 sweeps and a start stranded on
-    a degenerate ridge cannot dominate the runtime.
+    then retried with more sweeps, in row order within its q; the retries
+    of different q run together, one row per q at a time.  Once any row of
+    a q has converged, the others of that q only probe for other critical
+    families, so their retry budget drops from SWEEP_CAP to 60 sweeps and a
+    start stranded on a degenerate ridge cannot dominate the runtime.
     Returns (t, residual, sweeps, newton_steps, ok) arrays, where ok means
     converged to an ordered configuration.
     """
     p = chain.p
-    t = _sweeps(chain, t_init, 3) if ascent else np.array(t_init, dtype=float)
+    t = _sweeps(chain, t_init, q, 3) if ascent else np.array(t_init, dtype=float)
     sweeps = np.full(len(t), 3 if ascent else 0)
-    t_new, res, steps, ok = _newton(chain, t, NEWTON_CAP, stat_tol)
-    conv = ok & _ordered(t_new, p)
+    t_new, res, steps, ok = _newton(chain, t, q, NEWTON_CAP, stat_tol)
+    conv = ok & _ordered(t_new, q, p)
     extra = 50 if ascent else 25
-    for k in np.flatnonzero(~ok):
-        budget = 60 if conv.any() else SWEEP_CAP
-        tk, tk_new = t[k:k + 1], t_new[k:k + 1]
-        while not ok[k] and sweeps[k] + extra <= budget:
-            tk = _sweeps(chain, tk_new if _ordered(tk_new, p)[0] else tk, extra)
-            sweeps[k] += extra
-            tk_new, res_k, steps_k, ok_k = _newton(chain, tk, NEWTON_CAP, stat_tol)
-            res[k], ok[k] = res_k[0], ok_k[0]
-            steps[k] += steps_k[0]
-        t_new[k] = tk_new[0]
-        conv[k] = ok[k] and _ordered(tk_new, p)[0]
+    failed = np.flatnonzero(~ok)
+    while failed.size:
+        # the first failed row of every q, and the budget its q grants it
+        rows = failed[np.unique(q[failed], return_index=True)[1]]
+        failed = np.setdiff1d(failed, rows)
+        budget = np.array([60 if conv[q == qk].any() else SWEEP_CAP for qk in q[rows]])
+        w = q[rows].max()
+        tk, tk_new = t[rows, :w], t_new[rows, :w]
+        live = np.flatnonzero(sweeps[rows] + extra <= budget)
+        while live.size:
+            r, qr = rows[live], q[rows[live]]
+            start = np.where(_ordered(tk_new[live], qr, p)[:, None], tk_new[live], tk[live])
+            tk[live] = _sweeps(chain, start, qr, extra)
+            sweeps[r] += extra
+            tk_new[live], res[r], steps_r, ok[r] = _newton(chain, tk[live], qr, NEWTON_CAP,
+                                                           stat_tol)
+            steps[r] += steps_r
+            live = np.flatnonzero(~ok[rows] & (sweeps[rows] + extra <= budget))
+        t_new[rows, :w] = tk_new
+        conv[rows] = ok[rows] & _ordered(tk_new, q[rows], p)
     return t_new, res, sweeps, steps, conv
 
 
-def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitConfig:
-    """Stationary (p, q) configuration of the chord-length functional.
-
-    orbit_class "max" returns the Birkhoff maximizer; "min" returns the
-    smallest critical value discovered by the rotated multistart (the
-    minimax orbit for the tables shipped here).  Raises SolverError with
-    the best iterate attached when nothing converges.
-    """
+def _check(p: int, q: int, orbit_class: str):
     if q < 2:
         raise DomainError(f"need q >= 2, got q={q}")
     if not (0 < p < q):
@@ -335,56 +394,100 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     if orbit_class not in ("max", "min"):
         raise DomainError(f"orbit_class must be 'max' or 'min', got {orbit_class!r}")
 
-    chain = _Chain(table, p, q)
+
+def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[OrbitConfig]:
+    """find_orbit at every q of qs, all solved as one batch.
+
+    Every start of every q is a row that carries its own q, so all q share
+    each sweep and Newton evaluation but no decision: each q gets the orbit,
+    residual and work that it gets alone.  Returns one OrbitConfig per
+    distinct q, in increasing q.  Raises SolverError, with the best iterate
+    attached, for the smallest q at which no start converged.
+    """
+    qs = sorted({int(q) for q in qs})
+    for q in qs:
+        _check(p, q, orbit_class)
+    if not qs:
+        return []
+    chain = _Chain(table, p)
     ell = table.perimeter
     stat_tol = STAT_TOL_FACTOR * ell
 
-    multistart = orbit_class == "min" or not table.integrable
-    offsets = np.arange(8) * ell * p / (8.0 * q) if multistart else np.zeros(1)
-    inits = [_equal_arc_init(table, p, q, offsets)]
-    if orbit_class == "min" and q <= 16:
-        # Rotations of the equal spacing all sit in the basin of the ordered
-        # family; low-q saddle orbits (focal-crossing ones on the ellipse)
-        # need genuinely scattered ordered starts to be discovered.
-        rng = np.random.default_rng(1000 * q + p)
-        for _ in range(16):
-            t0 = np.sort(rng.uniform(0.0, TWO_PI * p, q))
-            if np.min(np.diff(t0)) > 1e-3:
-                inits.append(t0[None])
+    n_eq = 8 if orbit_class == "min" or not table.integrable else 1
+    q_eq = np.repeat(qs, n_eq)
+    offsets = np.tile(np.arange(n_eq), len(qs)) * ell * p / (8.0 * q_eq)
+    t_eq = _equal_arc_init(table, p, q_eq, offsets)
+    starts = []  # the starts of every q, as its rows of t
+    for i, q in enumerate(qs):
+        rows = [t_eq[i * n_eq:(i + 1) * n_eq, :q]]
+        if orbit_class == "min" and q <= 16:
+            # Rotations of the equal spacing all sit in the basin of the
+            # ordered family; low-q saddle orbits (focal-crossing ones on the
+            # ellipse) need genuinely scattered ordered starts to be found.
+            rng = np.random.default_rng(1000 * q + p)
+            for _ in range(16):
+                t0 = np.sort(rng.uniform(0.0, TWO_PI * p, q))
+                if np.min(np.diff(t0)) > 1e-3:
+                    rows.append(t0[None])
+        starts.append(np.concatenate(rows))
+    q_row = np.repeat(qs, [len(rows) for rows in starts])
+    t_init = np.zeros((q_row.size, qs[-1]))
+    t_init[np.arange(qs[-1]) < q_row[:, None]] = np.concatenate([r.ravel() for r in starts])
 
-    t, res, sweeps, nsteps, ok = _solve_from(
-        chain, np.concatenate(inits), orbit_class == "max", stat_tol
-    )
+    t, res, sweeps, nsteps, ok = _solve_from(chain, t_init, q_row, orbit_class == "max",
+                                             stat_tol)
+    conv = np.flatnonzero(ok)
+    lengths = np.empty(len(t))
+    lengths[conv] = chain.value(t[conv], q_row[conv])
+    t_min = np.min(np.where(np.arange(qs[-1]) < q_row[:, None], _turn(t), np.inf), axis=-1)
+    runs = _runs(q_row)  # one run of rows per q, in increasing q
+    chosen, t_rot = [], np.zeros((len(qs), qs[-1]))
+    for i, ((lo, hi), q) in enumerate(zip(runs, qs)):
+        rows = lo + np.flatnonzero(ok[lo:hi])
+        if not rows.size:
+            k = lo + min(range(hi - lo), key=lambda j: res[lo + j])  # first of the smallest
+            best = OrbitConfig(p, q, orbit_class, np.asarray(table.arc_of_angle(t[k, :q])),
+                               t[k, :q], float(chain.value(t[k:k + 1], q_row[k:k + 1])[0]),
+                               float(res[k]), int(sweeps[k]), int(nsteps[k]), False,
+                               total_sweeps=int(sweeps[lo:hi].sum()),
+                               total_newton_steps=int(nsteps[lo:hi].sum()))
+            raise SolverError(
+                f"find_orbit({p},{q},{orbit_class}): no start converged "
+                f"(best residual {res[k]:.3e})",
+                best=best,
+            )
+        # "max" takes the longest orbit found, "min" the shortest; exact ties
+        # break to the smallest t_0 = min(t_i mod 2*pi) (max() keeps the
+        # first of equal keys).
+        length, key = lengths[rows].tolist(), t_min[rows].tolist()
+        order = sorted(range(rows.size), key=lambda j: (length[j], key[j]))
+        pick = max(order, key=lambda j: length[j]) if orbit_class == "max" else order[0]
+        candidates = []  # critical values closer than the dedupe tolerance count once
+        for j in order:
+            if not candidates or length[j] - candidates[-1] > VALUE_DEDUPE_RTOL * max(1.0, candidates[-1]):
+                candidates.append(length[j])
+        chosen.append((rows[pick], candidates))
+        t_rot[i, :q] = _canonical(t[rows[pick], :q], p)
+    s_rot = np.asarray(table.arc_of_angle(t_rot))  # s appears only at output
+    return [
+        OrbitConfig(p, q, orbit_class, s_rot[i, :q], t_rot[i, :q], float(lengths[k]),
+                    float(res[k]), int(sweeps[k]), int(nsteps[k]), True, candidates=candidates,
+                    total_sweeps=int(sweeps[lo:hi].sum()),
+                    total_newton_steps=int(nsteps[lo:hi].sum()))
+        for i, (q, (lo, hi), (k, candidates)) in enumerate(zip(qs, runs, chosen))
+    ]
 
-    if not ok.any():
-        k = min(range(len(res)), key=lambda j: res[j])  # first of the smallest
-        best = OrbitConfig(p, q, orbit_class, np.asarray(table.arc_of_angle(t[k])), t[k],
-                           float(chain.value(t[k:k + 1])[0]), float(res[k]),
-                           int(sweeps[k]), int(nsteps[k]), False)
-        raise SolverError(
-            f"find_orbit({p},{q},{orbit_class}): no start converged "
-            f"(best residual {res[k]:.3e})",
-            best=best,
-        )
 
-    # "max" takes the longest orbit found, "min" the shortest; exact ties
-    # break to the smallest s_0 = min(s_i mod ell) (max() keeps the first
-    # of equal keys).
-    rows = np.flatnonzero(ok)
-    lengths = chain.value(t[rows]).tolist()
-    s0 = np.min(np.mod(np.asarray(table.arc_of_angle(t[rows])), ell), axis=-1).tolist()
-    order = sorted(range(rows.size), key=lambda i: (lengths[i], s0[i]))
-    chosen = max(order, key=lambda i: lengths[i]) if orbit_class == "max" else order[0]
-    k = rows[chosen]
-    s_rot, t_rot = _canonical(table, t[k], p, q)
-    candidates = []  # critical values closer than the dedupe tolerance count once
-    for i in order:
-        if not candidates or lengths[i] - candidates[-1] > VALUE_DEDUPE_RTOL * max(1.0, candidates[-1]):
-            candidates.append(lengths[i])
-    return OrbitConfig(
-        p, q, orbit_class, s_rot, t_rot, lengths[chosen], float(res[k]),
-        int(sweeps[k]), int(nsteps[k]), True, candidates=candidates,
-    )
+def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitConfig:
+    """Stationary (p, q) configuration of the chord-length functional.
+
+    orbit_class "max" returns the Birkhoff maximizer; "min" returns the
+    smallest critical value discovered by the rotated multistart (the
+    minimax orbit for the tables shipped here).  Raises SolverError with
+    the best iterate attached when nothing converges.  This is
+    find_orbits at the one q.
+    """
+    return find_orbits(table, p, [q], orbit_class)[0]
 
 
 def lq_bounds(table: Table, q: int) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
 from billiards.errors import SolverError
 from billiards.invariants import COND_LIMIT
-from billiards.orbits import STAT_TOL_FACTOR
+from billiards.orbits import STAT_TOL_FACTOR, find_orbit
 from billiards.tables import CHORD_TOL, load_table
 
 
@@ -88,15 +88,23 @@ class TestBetaCommand:
             reader = csv.DictReader(fh)
             rows = list(reader)
         assert reader.fieldnames == ["p", "q", "omega", "beta", "residual", "sweeps",
-                                     "newton_steps", "converged", "candidates"]
+                                     "newton_steps", "converged", "candidates",
+                                     "total_sweeps", "total_newton_steps"]
         assert [int(r["q"]) for r in rows] == list(range(10, 21))
         perimeter = read_summary(out)["perimeter"]
         for r in rows:
             assert float(r["residual"]) <= STAT_TOL_FACTOR * perimeter
             assert int(r["sweeps"]) >= 3 and int(r["newton_steps"]) >= 1
             assert r["converged"] == "1" and int(r["candidates"]) >= 1
+            # all 8 starts of the q, the chosen one among them
+            assert int(r["total_sweeps"]) >= 8 * 3
+            assert int(r["total_sweeps"]) >= int(r["sweeps"])
+            assert int(r["total_newton_steps"]) >= int(r["newton_steps"])
         q10 = rows[0]  # the maximal 10-gon of this table, solved from 8 starts
         assert (q10["sweeps"], q10["newton_steps"], q10["candidates"]) == ("3", "4", "2")
+        orb = find_orbit(load_table(perturbed_cfg), 1, 10)
+        assert (int(q10["total_sweeps"]), int(q10["total_newton_steps"])) == (
+            orb.total_sweeps, orb.total_newton_steps)
         per_q = [rec for rec in caplog.records
                  if rec.name == "billiards.invariants" and rec.levelno == logging.INFO]
         assert len(per_q) == len(rows)
@@ -104,7 +112,8 @@ class TestBetaCommand:
             report = json.load(fh)
         assert report["q"] == [int(r["q"]) for r in rows]
         assert report["residual"] == [float(r["residual"]) for r in rows]
-        for name in ("sweeps", "newton_steps", "candidates"):
+        for name in ("sweeps", "newton_steps", "candidates", "total_sweeps",
+                     "total_newton_steps"):
             assert report[name] == [int(r[name]) for r in rows]
         assert report["converged"] == [r["converged"] == "1" for r in rows]
 
@@ -114,7 +123,8 @@ class TestBetaCommand:
                 return {"condition": math.inf, "c": [1.0, math.nan]}
 
         samples = SimpleNamespace(q=[10], residual=[math.nan], sweeps=[3], newton_steps=[4],
-                                  converged=[False], candidates=[1])
+                                  converged=[False], candidates=[1], total_sweeps=[24],
+                                  total_newton_steps=[30])
         path = tmp_path / "invariant_report.json"
         cli._write_report(path, Report(), samples)
         report = json.loads(path.read_text(), parse_constant=_reject)

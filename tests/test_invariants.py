@@ -126,11 +126,16 @@ class TestMarviziMelrose:
         rep = mm_invariants(circle, (10, 40), K=2)
         assert rep.mm_ell[0] == pytest.approx(2 * math.pi, abs=1e-8)
 
-    def test_parallel_sampling_matches_serial(self, circle):
-        serial = sample_beta(circle, 10, 24)
-        parallel = sample_beta(circle, 10, 24, workers=2)
-        assert np.array_equal(serial.q, parallel.q)
-        assert np.array_equal(serial.beta, parallel.beta)
+    def test_parallel_sampling_matches_serial(self, circle, perturbed):
+        # each worker solves a contiguous chunk of q as one batch; on the
+        # perturbed circle every q runs the 8-start multistart
+        for table in (circle, perturbed):
+            serial = sample_beta(table, 10, 24)
+            parallel = sample_beta(table, 10, 24, workers=2)
+            assert np.array_equal(serial.q, parallel.q)
+            assert np.array_equal(serial.beta, parallel.beta)
+            assert np.array_equal(serial.converged, parallel.converged)
+            assert np.array_equal(serial.candidates, parallel.candidates)
 
     def test_q_range_validation(self, circle):
         with pytest.raises(DomainError):

@@ -12,9 +12,11 @@ from billiards import (
     PhasePoint,
     SolverError,
     find_orbit,
+    find_orbits,
     generating,
     lq_bounds,
     rotation_estimate,
+    sample_beta,
 )
 import billiards.orbits as orbits_mod
 
@@ -150,17 +152,34 @@ class TestProperties:
         # At q = 29 two critical values lie within the dedupe tolerance; the
         # maximizer must be the longer one, whichever start found it.
         p, q = 1, 29
-        chain = orbits_mod._Chain(perturbed, p, q)
+        chain = orbits_mod._Chain(perturbed, p)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
         starts = orbits_mod._equal_arc_init(
             perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
         lengths = []
+        one = np.array([q])
         for j in range(8):
-            t, _, _, _, ok = orbits_mod._solve_from(chain, starts[j:j + 1], True, stat_tol)
+            t, _, _, _, ok = orbits_mod._solve_from(chain, starts[j:j + 1], one, True, stat_tol)
             if ok[0]:
-                lengths.append(chain.value(t)[0])
+                lengths.append(chain.value(t, one)[0])
         assert lengths
         assert find_orbit(perturbed, p, q, "max").length >= max(lengths) - 1e-12
+
+    @pytest.mark.parametrize("q,k", [
+        pytest.param(q, k, marks=pytest.mark.xfail(
+            strict=True, reason="all 8 starts polish to the min class (6.259087954816307)"))
+        if (q, k) == (13, 2) else (q, k)
+        for q in (13, 17) for k in range(10)
+    ])
+    def test_max_length_is_rotation_invariant(self, q, k):
+        # L_q does not change when the table is rotated: ten phases across
+        # one period 2 pi / 3 of the m = 3 harmonic, by find_orbit and by the
+        # batched sample_beta, give the phase-0 maximal lengths.
+        table = PerturbedCircleTable(1, [(3, 0.05, k * (2 * math.pi / 3) / 10)])
+        length = {13: 6.259117106469387, 17: 6.283584880326566}[q]
+        assert find_orbit(table, 1, q, "max").length == pytest.approx(length, rel=1e-14)
+        samples = sample_beta(table, 13, 17)
+        assert -q * samples.beta[q - 13] == pytest.approx(length, rel=1e-14)
 
     def test_perturbed_gap_positive_small_q(self, perturbed):
         big, small = lq_bounds(perturbed, 10)
@@ -182,54 +201,133 @@ class TestProperties:
         assert np.all(np.diff(orb.s) > 0)
 
 
+    def test_canonical_labeling_at_the_wrap(self, circle, perturbed):
+        # A vertex polished to t = -1e-16 is the vertex at 0 (np.mod rounds it
+        # up to 2 pi): it takes label 0 and wins the tie-break among equal
+        # lengths.  On the perturbed circle that is the start that needed no
+        # Newton step.
+        orb = find_orbit(circle, 1, 2)
+        assert orb.t[0] == 0.0 and orb.s[0] == 0.0
+        orb = find_orbit(perturbed, 1, 3, "max")
+        assert orb.t[0] == 0.0 and orb.s[0] == 0.0
+        assert (orb.sweeps, orb.newton_steps) == (3, 0)
+
+
 class TestBatchedSolver:
     def test_batch_rows_are_independent(self, perturbed):
         # A start solved inside a batch takes exactly the path it takes alone.
         p, q = 1, 15
-        chain = orbits_mod._Chain(perturbed, p, q)
+        chain = orbits_mod._Chain(perturbed, p)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
         starts = orbits_mod._equal_arc_init(
             perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
-        swept = orbits_mod._sweeps(chain, starts, 3)
-        batch = orbits_mod._newton(chain, swept, orbits_mod.NEWTON_CAP, stat_tol)
+        qs = np.full(8, q)
+        swept = orbits_mod._sweeps(chain, starts, qs, 3)
+        batch = orbits_mod._newton(chain, swept, qs, orbits_mod.NEWTON_CAP, stat_tol)
         assert np.all(batch[3]) and len(set(batch[2].tolist())) > 1
         for j in range(8):
-            assert np.array_equal(orbits_mod._sweeps(chain, starts[j:j + 1], 3), swept[j:j + 1])
-            single = orbits_mod._newton(chain, swept[j:j + 1], orbits_mod.NEWTON_CAP, stat_tol)
+            one = qs[j:j + 1]
+            assert np.array_equal(orbits_mod._sweeps(chain, starts[j:j + 1], one, 3),
+                                  swept[j:j + 1])
+            single = orbits_mod._newton(chain, swept[j:j + 1], one, orbits_mod.NEWTON_CAP,
+                                        stat_tol)
             for got, want in zip(single, batch):  # t, residual, steps, ok
                 assert np.array_equal(got, want[j:j + 1])
 
-    @pytest.mark.parametrize("q", [7, 2])  # at q = 2 both chords share one entry
+    def test_mixed_q_rows_are_independent(self, perturbed):
+        # Rows of q 10..20, 8 starts each, padded to q = 20 in one batch: each
+        # row takes exactly the path of its one-q run, and the padded columns
+        # of t never move.
+        p = 1
+        chain = orbits_mod._Chain(perturbed, p)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        q_each = np.arange(10, 21)
+        qs = np.repeat(q_each, 8)
+        offsets = np.tile(np.arange(8), q_each.size) * perturbed.perimeter * p / (8.0 * qs)
+        starts = orbits_mod._equal_arc_init(perturbed, p, qs, offsets)
+        assert starts.shape == (qs.size, 20)
+        pad = np.arange(20) >= qs[:, None]
+        swept = orbits_mod._sweeps(chain, starts, qs, 3)
+        assert np.array_equal(swept[pad], starts[pad])
+        batch = orbits_mod._newton(chain, swept, qs, orbits_mod.NEWTON_CAP, stat_tol)
+        assert np.array_equal(batch[0][pad], starts[pad])
+        for q in q_each:
+            rows = np.flatnonzero(qs == q)
+            one = qs[rows]
+            alone_start = orbits_mod._equal_arc_init(perturbed, p, q, offsets[rows])
+            assert np.array_equal(alone_start, starts[rows, :q])
+            alone_swept = orbits_mod._sweeps(chain, alone_start, one, 3)
+            assert np.array_equal(alone_swept, swept[rows, :q])
+            alone = orbits_mod._newton(chain, alone_swept, one, orbits_mod.NEWTON_CAP, stat_tol)
+            assert np.array_equal(alone[0], batch[0][rows, :q])
+            for got, want in zip(alone[1:], batch[1:]):  # residual, steps, ok
+                assert np.array_equal(got, want[rows])
+
+    def test_mixed_q_retries_keep_their_own_budget(self, perturbed, monkeypatch):
+        # With a 2-step polish most rows fail and are retried.  A q none of
+        # whose rows has converged grants SWEEP_CAP, one with a converged row
+        # grants 60 sweeps; the batch of q 10..20 must take each q's own
+        # decisions, so it returns exactly what every q returns alone.
+        monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 2)
+        monkeypatch.setattr(orbits_mod, "SWEEP_CAP", 153)
+        p = 1
+        chain = orbits_mod._Chain(perturbed, p)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        q_each = np.arange(10, 21)
+        qs = np.repeat(q_each, 8)
+        offsets = np.tile(np.arange(8), q_each.size) * perturbed.perimeter * p / (8.0 * qs)
+        starts = orbits_mod._equal_arc_init(perturbed, p, qs, offsets)
+        batch = orbits_mod._solve_from(chain, starts, qs, True, stat_tol)
+        sweeps = batch[2]
+        assert sweeps.max() > 60 and np.any((sweeps > 3) & (sweeps <= 60))
+        for q in q_each:
+            rows = np.flatnonzero(qs == q)
+            alone = orbits_mod._solve_from(chain, starts[rows, :q], qs[rows], True, stat_tol)
+            assert np.array_equal(alone[0], batch[0][rows, :q])
+            for got, want in zip(alone[1:], batch[1:]):  # residual, sweeps, steps, ok
+                assert np.array_equal(got, want[rows])
+
+    @pytest.mark.parametrize("q", [7, 2, pytest.param((2, 7), id="2+7")])
     def test_hessian_matches_finite_differences(self, q):
+        # q = 2: both chords share one entry; (2, 7): a q = 2 and a q = 7 row
+        # in one batch, the first padded to 7 columns
         table = PerturbedCircleTable(1, [(3, 0.05, 0)])
         p, h = 1, 1e-6
-        chain = orbits_mod._Chain(table, p, q)
+        qs = np.atleast_1d(q)
+        chain = orbits_mod._Chain(table, p)
         rng = np.random.default_rng(5)
-        t = orbits_mod._equal_arc_init(table, p, q, np.array([0.3]))
+        t = orbits_mod._equal_arc_init(table, p, qs, np.full(qs.size, 0.3))
         t = t + rng.uniform(-0.1, 0.1, t.shape)  # off the critical set
-        F, diag, off, _ = chain.hessian(t)
-        bumps = h * np.eye(q)
-        plus, minus = t + bumps, t - bumps  # row j moves vertex j
-        grad_fd = (chain.value(plus) - chain.value(minus)) / (2 * h)
-        np.testing.assert_allclose(F[0], grad_fd, rtol=1e-6, atol=1e-9)
-        J_fd = ((chain.hessian(plus)[0] - chain.hessian(minus)[0]) / (2 * h)).T
-        i = np.arange(q)
-        np.testing.assert_allclose(diag[0], J_fd[i, i], rtol=1e-6)
-        np.testing.assert_allclose(off[0], J_fd[i, (i + 1) % q], rtol=1e-6)
-        np.testing.assert_allclose(off[0], J_fd[(i + 1) % q, i], rtol=1e-6)
-        band = np.zeros((q, q), dtype=bool)
-        band[i, i] = band[i, (i + 1) % q] = band[(i + 1) % q, i] = True
-        assert np.all(np.abs(J_fd[~band]) < 1e-8)
+        F, diag, off, _ = chain.hessian(t, qs)
+        width = t.shape[1]
+        for r, qr in enumerate(qs):
+            bumps = h * np.eye(qr, width)
+            plus, minus = t[r] + bumps, t[r] - bumps  # row j moves vertex j
+            one = np.full(qr, qr)
+            grad_fd = (chain.value(plus, one) - chain.value(minus, one)) / (2 * h)
+            np.testing.assert_allclose(F[r, :qr], grad_fd, rtol=1e-6, atol=1e-9)
+            J_fd = ((chain.hessian(plus, one)[0] - chain.hessian(minus, one)[0])[:, :qr]
+                    / (2 * h)).T
+            i = np.arange(qr)
+            np.testing.assert_allclose(diag[r, :qr], J_fd[i, i], rtol=1e-6)
+            np.testing.assert_allclose(off[r, :qr], J_fd[i, (i + 1) % qr], rtol=1e-6)
+            np.testing.assert_allclose(off[r, :qr], J_fd[(i + 1) % qr, i], rtol=1e-6)
+            band = np.zeros((qr, qr), dtype=bool)
+            band[i, i] = band[i, (i + 1) % qr] = band[(i + 1) % qr, i] = True
+            assert np.all(np.abs(J_fd[~band]) < 1e-8)
+            # padded columns are inert
+            assert np.all(F[r, qr:] == 0.0) and np.all(off[r, qr:] == 0.0)
+            assert np.all(diag[r, qr:] == 1.0)
 
     @pytest.mark.parametrize("name", ["circle", "ellipse21", "perturbed"])
     def test_hessian_residual_is_arc_gradient(self, name, request):
         # the fourth output is max |dL/ds_i| = max |F_i / |gamma'(t_i)||
         table = request.getfixturevalue(name)
-        chain = orbits_mod._Chain(table, 1, 9)
+        chain = orbits_mod._Chain(table, 1)
         rng = np.random.default_rng(6)
         t = orbits_mod._equal_arc_init(table, 1, 9, rng.uniform(0.0, table.perimeter, 4))
         t = t + rng.uniform(-0.05, 0.05, t.shape)
-        F, _, _, res = chain.hessian(t)
+        F, _, _, res = chain.hessian(t, np.full(4, 9))
         want = np.max(np.abs(F / table.speed(t)), axis=-1)
         np.testing.assert_allclose(res, want, rtol=1e-15, atol=0.0)
 
@@ -303,7 +401,7 @@ class TestLMStep:
         q, mu = 12, 1e-12
         orb = find_orbit(ellipse21, 1, q, "max")
         t = orb.t[None] + 1e-3 * np.random.default_rng(0).uniform(-1.0, 1.0, (1, q))
-        F, diag, off, _ = orbits_mod._Chain(ellipse21, 1, q).hessian(t)
+        F, diag, off, _ = orbits_mod._Chain(ellipse21, 1).hessian(t, np.array([q]))
         got = orbits_mod._lm_step(diag, off, F, np.array([mu]))[0]
         with mp.workdps(50):
             H = mp.matrix(_dense_hessian(diag[0], off[0]).tolist())
@@ -325,6 +423,28 @@ class TestValidation:
             find_orbit(circle, 0, 3)
         with pytest.raises(DomainError):
             find_orbit(circle, 5, 3)
+
+    def test_batch_rejects_any_bad_q(self, circle):
+        with pytest.raises(DomainError):
+            find_orbits(circle, 2, [5, 6, 7])
+
+    def test_batch_error_names_smallest_failing_q(self, ellipse21, monkeypatch):
+        monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 0)
+        monkeypatch.setattr(orbits_mod, "SWEEP_CAP", 0)
+        with pytest.raises(SolverError) as err:
+            find_orbits(ellipse21, 1, [11, 9, 7])
+        assert "find_orbit(1,7,max)" in str(err.value)
+        assert err.value.best.q == 7 and err.value.best.s.shape == (7,)
+
+    @pytest.mark.parametrize("orbit_class", ["max", "min"])  # "min" adds scattered starts
+    def test_batch_returns_each_q_once_in_order(self, perturbed, orbit_class):
+        orbits = find_orbits(perturbed, 1, [12, 10, 12], orbit_class)
+        assert [orb.q for orb in orbits] == [10, 12]
+        for orb in orbits:
+            alone = find_orbit(perturbed, 1, orb.q, orbit_class)
+            assert orb.length == alone.length and np.array_equal(orb.t, alone.t)
+            assert (orb.total_sweeps, orb.total_newton_steps) == (
+                alone.total_sweeps, alone.total_newton_steps)
 
     def test_solver_error_carries_best_iterate(self, ellipse21, monkeypatch):
         monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 0)
