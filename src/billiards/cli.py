@@ -6,7 +6,7 @@ machine-readable summary.json into the output directory, and exits 0 on
 success, 1 on configuration errors, 2 on fit-conditioning failures, 3 on
 solver failures and 4 when the conjugacy residual is above --threshold
 (or is NaN).  Set BILLIARDS_LOG to a logging level name for
-progress output; --threads parallelizes the q sweeps.
+progress output; --threads parallelizes the beta q sweeps.
 """
 
 from __future__ import annotations
@@ -199,18 +199,16 @@ def _cmd_mm(args, outdir: Path) -> int:
     stages.lap("sample")
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
-    gap_qs = list(range(args.qmin, args.qmax + 1, args.gap_step))
-    rows = []
-    for q in gap_qs:
-        big, small = lq_bounds(table, q)
-        rows.append((q, big, small, -big / q))
+    rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step))
     stages.lap("gaps")
     csv_path = outdir / "mm_table.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["q", "L_q", "l_q", "beta"])
-        for q, big, small, beta in rows:
-            w.writerow([q, big, small, beta])
+        w.writerow(["q", "L_q", "l_q", "beta", "max_residual", "max_total_newton_steps",
+                    "min_residual", "min_total_newton_steps"])
+        for big, small, upper, lower in rows:
+            w.writerow([upper.q, big, small, -big / upper.q, upper.residual,
+                        upper.total_newton_steps, lower.residual, lower.total_newton_steps])
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
     stages.lap("write")
@@ -218,7 +216,7 @@ def _cmd_mm(args, outdir: Path) -> int:
         outdir, "mm", {"table": table.as_config(), "qmin": args.qmin,
                        "qmax": args.qmax, "K": args.K, "gap_step": args.gap_step},
         {"ell0": float(report.mm_ell[0]), "perimeter": table.perimeter,
-         "max_gap": max(r[1] - r[2] for r in rows)},
+         "max_gap": max(big - small for big, small, _, _ in rows)},
         [str(csv_path), str(rep_path)], stages,
     )
     return 0

@@ -19,17 +19,21 @@ A row of smaller q is padded past its own columns.  Padded columns are
 inert (no gradient, unit Hessian diagonal, no coupling, no sweep step),
 and cyclic neighbours, row sums and the ordering test read only each
 row's own columns.  Each sweep or Newton pass evaluates all rows in one
-call.  The Hessian is cyclic tridiagonal and is assembled as its diagonal
-and off-diagonal vectors; the sweeps read only the diagonal, and the
-Newton polish runs a per-row accept/reject state machine, so every start
-takes the path it would take alone.  Its Levenberg-Marquardt step is one
-complex solve with the shifted Hessian H - i*sigma*I, which equals the
-normal-equations step without squaring the condition number of H; it runs
-once per q, on that q's own columns.
+call, which runs in row blocks of at most HESSIAN_BLOCK vertex entries,
+each cut to its widest row, so the working set of a solve stays bounded
+however many rows and q it holds.  The Hessian is cyclic tridiagonal and
+is assembled as its diagonal and off-diagonal vectors; the sweeps read
+only the diagonal, and the Newton polish runs a per-row accept/reject
+state machine, so every start takes the path it would take alone.  Its
+Levenberg-Marquardt step is one complex solve with the shifted Hessian
+H - i*sigma*I, which equals the normal-equations step without squaring
+the condition number of H; it runs once per q, on that q's own columns.
+lq_bounds solves all of its q in one such batch per orbit class.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +44,8 @@ from .tables import Table
 
 __all__ = ["OrbitConfig", "find_orbit", "find_orbits", "lq_bounds"]
 
+log = logging.getLogger(__name__)
+
 TWO_PI = 2.0 * math.pi
 
 SWEEP_CAP = 10_000
@@ -47,6 +53,12 @@ NEWTON_CAP = 50
 STAT_TOL_FACTOR = 1e-10  # stationarity tolerance is this times the perimeter
 # Critical values closer than this (relatively) are the same orbit family.
 VALUE_DEDUPE_RTOL = 1e-9
+# Vertex entries per _Chain.hessian evaluation.  Rows are evaluated in
+# blocks of at most this many entries, which bounds the temporaries of
+# every solve.  On the mm-ellipse benchmark (2-vCPU host) 4096 ran at least
+# as fast as 2048, 8192 and 16384, at a peak RSS of 63.8 MB, against
+# 64.8 MB at 8192, 66.6 MB at 16384 and 70.1 MB unblocked.
+HESSIAN_BLOCK = 4096
 
 
 @dataclass
@@ -97,6 +109,20 @@ def _runs(q):
     return list(zip([0] + cut, cut + [len(q)])) if len(q) else []
 
 
+def _blocks(q):
+    """(start, stop) of consecutive row blocks that cover every row once and
+    hold at most HESSIAN_BLOCK vertex entries each when cut to their widest
+    row (a single row wider than that is a block of its own)."""
+    out, lo = [], 0
+    while lo < len(q):
+        width = np.maximum.accumulate(q[lo:lo + HESSIAN_BLOCK // 2])  # every q >= 2
+        size = np.arange(1, width.size + 1) * width
+        hi = lo + max(1, int(np.searchsorted(size, HESSIAN_BLOCK, side="right")))
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
 def _row_sums(a, q):
     """Sum of every row over its own q columns.  A run of rows of one q is
     summed by one np.sum on its own columns: zeros past the end of a row
@@ -126,7 +152,21 @@ class _Chain:
         """F = dL/dt, its cyclic tridiagonal Jacobian as (diag, off), where
         off[:, i] is the (i, i+1) entry (and the (i+1, i) one), and the
         residual max |dL/ds_i| of every row.  Padded columns hold F = 0,
-        diag = 1 and off = 0."""
+        diag = 1 and off = 0.  Rows are evaluated in blocks of `_blocks`,
+        each cut to its widest row; every row's numbers are those of its
+        own evaluation, so the blocking changes none of them."""
+        if t.size <= HESSIAN_BLOCK:
+            return self._block(t, q)
+        F, diag = np.zeros(t.shape), np.ones(t.shape)
+        off, res = np.zeros(t.shape), np.empty(len(t))
+        for lo, hi in _blocks(q):
+            w = q[lo:hi].max()
+            F[lo:hi, :w], diag[lo:hi, :w], off[lo:hi, :w], res[lo:hi] = self._block(
+                t[lo:hi, :w], q[lo:hi])
+        return F, diag, off, res
+
+    def _block(self, t, q):
+        """hessian of one block of rows, on all of its columns."""
         last = q - 1
         pos, tan, kappa, w = self.table.frame(t)
         dw = self.table.dspeed(t)
@@ -490,19 +530,28 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     return find_orbits(table, p, [q], orbit_class)[0]
 
 
-def lq_bounds(table: Table, q: int) -> tuple[float, float]:
-    """(L_q, l_q): extreme perimeters over simple (p=1) q-periodic orbits.
+def lq_bounds(table: Table, qs) -> list[tuple[float, float, OrbitConfig, OrbitConfig]]:
+    """(L_q, l_q, upper, lower) at every distinct q of qs, in increasing q:
+    the extreme perimeters over simple (p = 1) q-periodic orbits, with the
+    max-class and min-class orbits they come from.
 
+    All q are solved in two batches, one find_orbits call per orbit class.
     Critical values that coincide within the dedupe tolerance are reported
     as equal, so integrable tables (whose q-gons form equal-length
-    families) return a gap of exactly zero.
+    families) return a gap of exactly zero.  Raises DomainError before any
+    solve if some q < 2.  If a solve fails, the SolverError names the
+    smallest failing q of the max class; only when the max class solves at
+    every q, that of the min class.
     """
-    if q < 2:
-        raise DomainError(f"lq_bounds needs q >= 2, got {q}")
-    upper = find_orbit(table, 1, q, "max")
-    lower = find_orbit(table, 1, q, "min")
-    big = upper.length
-    small = min(lower.length, big)
-    if big - small <= VALUE_DEDUPE_RTOL * max(1.0, abs(big)):
-        small = big
-    return big, small
+    qs, out = list(qs), []  # read once per orbit class
+    for upper, lower in zip(find_orbits(table, 1, qs, "max"), find_orbits(table, 1, qs, "min")):
+        big = upper.length
+        small = min(lower.length, big)
+        if big - small <= VALUE_DEDUPE_RTOL * max(1.0, abs(big)):
+            small = big
+        log.info("L_%d = %.15g, l_%d = %.15g: max residual %.2e, %d Newton steps; "
+                 "min residual %.2e, %d Newton steps (all starts)", upper.q, big, upper.q,
+                 small, upper.residual, upper.total_newton_steps, lower.residual,
+                 lower.total_newton_steps)
+        out.append((big, small, upper, lower))
+    return out

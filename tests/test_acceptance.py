@@ -105,11 +105,8 @@ def test_criterion_03_marvizi_melrose(beta_fits, tables):
         ell0_errs[name] = abs(float(fit.mm_ell[0]) - samples.ell)
     ell1_rel = abs(float(beta_fits["circle"][1].mm_ell[1]) / (-math.pi**3 / 3.0) - 1.0)
     qs = list(range(20, 121, 5))
-    gaps = []
-    for q in qs:
-        big, small = lq_bounds(tables["ellipse21"], q)
-        gaps.append(q**6 * (big - small))
-    gaps = np.array(gaps)
+    gaps = np.array([q**6 * (big - small)
+                     for q, (big, small, _, _) in zip(qs, lq_bounds(tables["ellipse21"], qs))])
     decay_ok = bool(np.all(gaps >= 0.0) and np.all(np.diff(gaps) <= 1e-9))
     ok = all(e <= 1e-6 for e in ell0_errs.values()) and ell1_rel <= 1e-5 and decay_ok
     report(3, ok, "ell0 = perimeter (1e-6); circle ell1 (1e-5 rel); ellipse q^6 gap decay",

@@ -14,7 +14,7 @@ from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
 from billiards.errors import SolverError
 from billiards.invariants import COND_LIMIT
-from billiards.orbits import STAT_TOL_FACTOR, find_orbit
+from billiards.orbits import STAT_TOL_FACTOR, find_orbit, lq_bounds
 from billiards.tables import CHORD_TOL, load_table
 
 
@@ -165,6 +165,34 @@ class TestMmCommand:
             report = json.load(fh)
         assert report["q"] == list(range(10, 41))
         assert all(report["converged"]) and min(report["candidates"]) >= 1
+
+    def test_gap_diagnostics(self, perturbed_cfg, tmp_path, caplog):
+        # after beta, the residual and the Newton steps of all starts of the
+        # max-class and of the min-class solve behind L_q and l_q
+        caplog.set_level(logging.INFO, logger="billiards")
+        out = tmp_path / "out"
+        rc = main(["mm", "--table", perturbed_cfg, "--qmin", "10", "--qmax", "20",
+                   "--gap-step", "5", "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        with open(out / "mm_table.csv") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        per_q = [rec for rec in caplog.records
+                 if rec.name == "billiards.orbits" and rec.levelno == logging.INFO]
+        assert len(per_q) == len(rows) == 3
+        assert reader.fieldnames == ["q", "L_q", "l_q", "beta", "max_residual",
+                                     "max_total_newton_steps", "min_residual",
+                                     "min_total_newton_steps"]
+        bounds = lq_bounds(load_table(perturbed_cfg), [10, 15, 20])
+        assert [int(r["q"]) for r in rows] == [10, 15, 20]
+        perimeter = read_summary(out)["perimeter"]
+        for r, (big, small, upper, lower) in zip(rows, bounds):
+            assert (float(r["L_q"]), float(r["l_q"])) == (big, small)
+            assert float(r["max_residual"]) == upper.residual
+            assert float(r["min_residual"]) == lower.residual
+            assert max(upper.residual, lower.residual) <= STAT_TOL_FACTOR * perimeter
+            assert int(r["max_total_newton_steps"]) == upper.total_newton_steps >= 1
+            assert int(r["min_total_newton_steps"]) == lower.total_newton_steps >= 1
 
 
 class TestCompareCommand:

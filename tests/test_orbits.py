@@ -41,7 +41,7 @@ class TestCircleOrbits:
         assert find_orbit(circle, 1, 4).beta == pytest.approx(-math.sqrt(2), abs=1e-12)
 
     def test_lq_gap_vanishes(self, circle):
-        big, small = lq_bounds(circle, 6)
+        (big, small, _, _), = lq_bounds(circle, [6])
         assert big == pytest.approx(6.0, abs=1e-11)
         assert big == small
 
@@ -51,7 +51,7 @@ class TestEllipseOrbits:
         # the 2-periodic orbits run along the axes; lengths count both
         # traversals of the chord (the standard action convention, which the
         # circle formula -2 q R sin(pi p / q) extends to q = 2)
-        big, small = lq_bounds(ellipse21, 2)
+        (big, small, _, _), = lq_bounds(ellipse21, [2])
         assert big == pytest.approx(8.0, rel=1e-10)
         assert small == pytest.approx(4.0, rel=1e-10)
         assert find_orbit(ellipse21, 1, 2).beta == pytest.approx(-4.0, rel=1e-10)
@@ -60,7 +60,7 @@ class TestEllipseOrbits:
         # On the integrable ellipse the simple 3-periodic orbits form one
         # equal-perimeter family, so the bounds coincide; the brute-force
         # oracle confirms there is no second non-degenerate critical value.
-        big, small = lq_bounds(ellipse21, 3)
+        (big, small, _, _), = lq_bounds(ellipse21, [3])
         assert big == small > 0.0
 
         # independent multistart oracle: Nelder-Mead on the squared gradient
@@ -182,7 +182,7 @@ class TestProperties:
         assert -q * samples.beta[q - 13] == pytest.approx(length, rel=1e-14)
 
     def test_perturbed_gap_positive_small_q(self, perturbed):
-        big, small = lq_bounds(perturbed, 10)
+        (big, small, _, _), = lq_bounds(perturbed, [10])
         assert big - small > 1e-5
 
     def test_collapsed_chord_trial_is_silent(self, perturbed):
@@ -363,6 +363,42 @@ class TestBatchedSolver:
         (_, _, sweeps, _, ok), = solved
         assert ok.sum() > 1 and sweeps.max() <= 60
 
+    @pytest.mark.parametrize("order", ["by_q", "shuffled"])
+    def test_hessian_blocks_are_bit_identical_and_bounded(self, order, monkeypatch):
+        # One call on 400 rows of q 2, 7, 30 and 120 spans several blocks,
+        # some cut narrower than the batch: every row gets, bit for bit, its
+        # own one-row evaluation on its own columns, padded columns stay
+        # inert, and no evaluation of the table sees more than HESSIAN_BLOCK
+        # entries.
+        table = PerturbedCircleTable(1, [(3, 0.05, 0)])
+        chain = orbits_mod._Chain(table, 1)
+        qs = np.repeat([2, 7, 30, 120], 100)
+        if order == "shuffled":
+            qs = np.random.default_rng(8).permutation(qs)
+        rng = np.random.default_rng(9)
+        t = orbits_mod._equal_arc_init(table, 1, qs, rng.uniform(0.0, 1.0, qs.size))
+        own = np.arange(120) < qs[:, None]
+        t[own] += rng.uniform(-0.01, 0.01, own.sum())
+        assert t.size > orbits_mod.HESSIAN_BLOCK
+        sizes = []
+        frame = table.frame
+
+        def record(t):
+            sizes.append(t.shape)
+            return frame(t)
+
+        monkeypatch.setattr(table, "frame", record)
+        F, diag, off, res = chain.hessian(t, qs)
+        assert len(sizes) > 1 and sum(n for n, _ in sizes) == qs.size
+        assert max(n * w for n, w in sizes) <= orbits_mod.HESSIAN_BLOCK
+        for r, q in enumerate(qs):
+            one = chain.hessian(t[r:r + 1, :q], qs[r:r + 1])
+            for got, want in zip((F, diag, off), one[:3]):
+                assert np.array_equal(got[r, :q], want[0])
+            assert res[r] == one[3][0]
+            assert np.all(F[r, q:] == 0.0) and np.all(diag[r, q:] == 1.0)
+            assert np.all(off[r, q:] == 0.0)
+
 
 def _dense_hessian(diag, off):
     """The symmetric cyclic tridiagonal H with H[i, i+1] = H[i+1, i] = off[i]."""
@@ -454,3 +490,54 @@ class TestValidation:
         best = err.value.best
         assert best is not None and not best.converged
         assert best.s.shape == (9,)
+
+
+class TestGapBounds:
+    @pytest.mark.parametrize("name,qs", [("ellipse21", range(2, 13)),
+                                         ("perturbed", range(10, 21))],
+                             ids=["ellipse21", "perturbed"])
+    def test_batch_matches_one_q_calls(self, name, qs, request):
+        # q = 2 holds the ellipse's two axis orbits, the only gap there
+        table = request.getfixturevalue(name)
+        batch = lq_bounds(table, qs)
+        assert [upper.q for _, _, upper, _ in batch] == list(qs)
+        assert [lower.q for _, _, _, lower in batch] == list(qs)
+        for q, (big, small, upper, lower) in zip(qs, batch):
+            (big1, small1, upper1, lower1), = lq_bounds(table, [q])
+            assert (big, small) == (big1, small1)
+            assert (upper.orbit_class, lower.orbit_class) == ("max", "min")
+            assert (upper.total_newton_steps, lower.total_newton_steps) == (
+                upper1.total_newton_steps, lower1.total_newton_steps)
+
+    def test_rejects_q_below_2_before_any_solve(self, circle, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before validating q")
+
+        monkeypatch.setattr(orbits_mod, "_solve_from", no_solve)
+        for qs in ([5, 1, 6], [0], [3, -2]):
+            with pytest.raises(DomainError):
+                lq_bounds(circle, qs)
+
+    def test_returns_each_q_once_in_order(self, circle):
+        bounds = lq_bounds(circle, [8, 6, 8])
+        assert [(upper.q, lower.q) for _, _, upper, lower in bounds] == [(6, 6), (8, 8)]
+        assert [big for big, _, _, _ in bounds] == pytest.approx(
+            [polygon_length(1.0, 1, 6), polygon_length(1.0, 1, 8)], abs=1e-11)
+
+    @pytest.mark.parametrize("fail,named", [
+        ({"max": [11], "min": [7]}, "find_orbit(1,11,max)"),
+        ({"max": [], "min": [11, 9]}, "find_orbit(1,9,min)"),
+    ], ids=["max-first", "min"])
+    def test_error_names_smallest_failing_q(self, ellipse21, monkeypatch, fail, named):
+        # max-class failures come first, then the smallest failing min-class q
+        solve_from = orbits_mod._solve_from
+
+        def failing(chain, t, q, ascent, stat_tol):
+            out = solve_from(chain, t, q, ascent, stat_tol)
+            out[4][np.isin(q, fail["max" if ascent else "min"])] = False
+            return out
+
+        monkeypatch.setattr(orbits_mod, "_solve_from", failing)
+        with pytest.raises(SolverError) as err:
+            lq_bounds(ellipse21, [11, 9, 7])
+        assert named in str(err.value)
