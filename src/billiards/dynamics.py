@@ -45,9 +45,9 @@ class PhasePoint:
     theta: float
 
     def __post_init__(self):
-        theta = np.asarray(self.theta)
-        _require((theta >= -1e-12) & (theta <= math.pi + 1e-12),
-                 "incidence angle must lie in [0, pi]", theta)
+        _require(np.isfinite(self.s), "arc length must be finite", self.s)
+        _require((self.theta >= -1e-12) & (self.theta <= math.pi + 1e-12),
+                 "incidence angle must lie in [0, pi]", self.theta)
 
     @property
     def y(self):

@@ -9,7 +9,7 @@ and sums the Lazutkin perimeter lambda = integral of kappa^(2/3) ds.  The
 circle has both in closed form.  Tables are immutable after construction
 and safe to share across workers.  The bounce, Table.chord_exit,
 solves for the half-step h to t0 + 2h: in closed form, or on the perturbed
-circle by a Newton solve free of O(1) cancellation.
+circle by one Newton solve per point in Python floats, free of O(1) cancellation.
 """
 
 from __future__ import annotations
@@ -303,9 +303,9 @@ class PerturbedCircleTable(Table):
         self.harmonics = tuple(
             (int(m), float(eps), float(phase)) for (m, eps, phase) in harmonics
         )
-        m, eps, phase = np.array(self.harmonics, dtype=float).reshape(-1, 3).T
         # r = R + sum er cos(m t + phase), r' = sum emr sin(m t + phase)
-        self._modes = m, phase, self.radius * eps, -self.radius * eps * m
+        self._modes = tuple((float(m), phase, self.radius * eps, -self.radius * eps * m)
+                            for m, eps, phase in self.harmonics)
         # First, on a grid that resolves harmonics too fast for the Gauss nodes.
         self._check_convexity()
         super().__init__()
@@ -357,54 +357,54 @@ class PerturbedCircleTable(Table):
         # and D = r(t0 + 2h) - r0 = -2R sum eps_m sin(m (t0 + h) + phase_m) sin(m h)
         # cancels nothing.  F(h) = h - eps(h) - theta + delta(t0) rises from -theta
         # to pi - theta on (0, pi); theta1 = h - delta(t1) + eps(h).  Past pi/2 the
-        # mirror image t -> 2 t0 - t is solved, which integer m make exact.
-        t0, theta = np.asarray(t0, dtype=float), np.asarray(theta, dtype=float)
-        shape, t0, theta = t0.shape, t0.ravel(), theta.ravel()
-        m, phase, er, emr = self._modes
+        # mirror image t -> 2 t0 - t is solved, which integer m make exact.  Each point
+        # is one float Newton solve, _exit_one, so an array call's element i is the scalar call.
+        if np.ndim(t0) == 0:
+            return self._exit_one(float(t0), float(theta))
+        t0, theta = np.broadcast_arrays(t0, theta)
+        out = [self._exit_one(a, b) for a, b in zip(t0.ravel().tolist(), theta.ravel().tolist())]
+        out = np.array(out, dtype=float).reshape(t0.shape + (2,))
+        return out[..., 0], out[..., 1]
+
+    def _exit_one(self, t0, theta):
+        """chord_exit of one point, in Python floats."""
         back = theta > 0.5 * math.pi
-        sg = np.where(back, -1.0, 1.0)  # walking direction
-        a0 = np.multiply.outer(t0, m) + phase
-        r0 = self.radius + np.cos(a0) @ er
-        h = np.where(back, math.pi - theta, theta)
-        rhs = h - np.arctan2(sg * (np.sin(a0) @ emr), r0)
+        sg, h = (-1.0, math.pi - theta) if back else (1.0, theta)  # sg: walking direction
+        r0 = self.radius + sum(math.cos(t0 * m + p) * er for m, p, er, _ in self._modes)
+        dr0 = sum(math.sin(t0 * m + p) * emr for m, p, _, emr in self._modes)
+        rhs = h - math.atan2(sg * dr0, r0)
 
         def chord(h):
             """eps(h), den = x^2 + y^2, den F'(h), r(t1) and r'(t1) along the walk."""
-            u = sg * h
-            D = (np.sin(np.multiply.outer(t0 + u, m) + phase)
-                 * np.sin(np.multiply.outer(u, m))) @ (-2.0 * er)
-            r1p = sg * (np.sin(np.multiply.outer(t0 + 2.0 * u, m) + phase) @ emr)
-            rr, sh, ch = 2.0 * r0 + D, np.sin(h), np.cos(h)
+            u, D, r1p = sg * h, 0.0, 0.0
+            for m, phase, er, emr in self._modes:
+                D += math.sin((t0 + u) * m + phase) * math.sin(u * m) * er
+                r1p += math.sin((t0 + 2.0 * u) * m + phase) * emr
+            D, r1p = -2.0 * D, sg * r1p
+            rr, sh, ch = 2.0 * r0 + D, math.sin(h), math.cos(h)
             x, y = rr * sh, D * ch
             den = x * x + y * y
             # den eps'(h) = x y' - y x' = 4 r0 r1' sin h cos h - (r0 + r1) D
-            return np.arctan2(y, x), den, den - 4.0 * r0 * r1p * sh * ch + rr * D, r0 + D, r1p
+            return math.atan2(y, x), den, den - 4.0 * r0 * r1p * sh * ch + rr * D, r0 + D, r1p
 
-        lo, hi, prev = np.zeros(h.size), np.full(h.size, math.pi), np.full(h.size, np.nan)
-        live = np.ones(h.size, dtype=bool)
+        lo, hi, prev = 0.0, math.pi, math.nan
         for _ in range(100):  # Newton from h = theta, exact on the circle
             eps, den, dfden, _, _ = chord(h)
             f = h - eps - rhs
-            np.copyto(lo, h, where=f < 0.0)
-            np.copyto(hi, h, where=f >= 0.0)
+            lo, hi = (h, hi) if f < 0.0 else (lo, h)
             hn = h - f * den / dfden
-            newton = (lo <= hn) & (hn <= hi)
-            if np.count_nonzero(newton) < newton.size:
-                hn = np.where(newton, hn, 0.5 * (lo + hi))
-            step = np.abs(hn - h)
-            np.copyto(h, hn, where=live)
+            newton = lo <= hn <= hi
+            hn = hn if newton else 0.5 * (lo + hi)
+            step, h = abs(hn - h), hn
             # Newton steps that stop halving have met the rounding of F (h < ~1e-3).
-            live &= (step > CHORD_TOL * hn) & ~(newton & (step > 0.5 * prev))
-            if not np.count_nonzero(live):
+            if not step > CHORD_TOL * hn or (newton and step > 0.5 * prev):
                 break
-            prev = np.where(newton, step, np.nan)
+            prev = step if newton else math.nan
         else:
             raise SolverError(f"{self.kind}: chord solve did not converge")
         eps, _, _, r1, r1p = chord(h)
-        theta1 = h - np.arctan2(r1p, r1) + eps
-        t1 = (t0 + np.where(back, TWO_PI - 2.0 * h, 2.0 * h)).reshape(shape)
-        theta1 = np.where(back, math.pi - theta1, theta1).reshape(shape)
-        return (t1, theta1) if shape else (float(t1), float(theta1))
+        theta1 = h - math.atan2(r1p, r1) + eps
+        return (t0 + (TWO_PI - 2.0 * h), math.pi - theta1) if back else (t0 + 2.0 * h, theta1)
 
     def _check_convexity(self):
         n = max([_CONVEXITY_GRID] + [32 * m for m, _, _ in self.harmonics])

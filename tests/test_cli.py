@@ -383,6 +383,15 @@ class TestOrbitCommand:
             assert abs(d_s + math.cos(theta[i])) <= 1e-9, i
             assert abs(d_s2 - math.cos(theta[i + 1])) <= 1e-9, i
 
+    @pytest.mark.parametrize("s0", ["nan", "inf"])
+    def test_non_finite_s0(self, perturbed_cfg, tmp_path, capsys, s0):
+        # a typed error and one message line, not a traceback from the arc lookup
+        rc = main(["orbit", "--table", perturbed_cfg, "--s0", s0,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: arc length must be finite") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_conditioning_failure_is_2(self, circle_cfg, tmp_path, monkeypatch):

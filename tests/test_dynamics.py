@@ -113,6 +113,11 @@ class TestStep:
         with pytest.raises(DomainError):
             PhasePoint(0.0, -0.5)
 
+    def test_rejects_non_finite_s(self):
+        for s in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError, match="arc length must be finite"):
+                PhasePoint(s, 0.7)
+
     def test_circle_bounce_is_exact(self, circle):
         rng = np.random.default_rng(15)
         t0 = rng.uniform(-TWO_PI, TWO_PI, 500)
