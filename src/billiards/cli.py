@@ -199,7 +199,7 @@ def _cmd_mm(args, outdir: Path) -> int:
     stages.lap("sample")
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
-    rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step))
+    rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step), samples.orbits)
     stages.lap("gaps")
     csv_path = outdir / "mm_table.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -275,8 +275,7 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "theta", "residual_s", "residual_theta"])
-        for row in zip(s, th, rs, rt):
-            w.writerow([float(v) for v in row])
+        w.writerows(np.column_stack((s, th, rs, rt)).tolist())
     max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
     stages.lap("write")
     _write_summary(

@@ -201,15 +201,17 @@ class ConjugacyMap:
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
         if pos.any():
+            # om[jl] < omega <= om[jh]; the grid's omega values at the bracket
+            # ends are what a re-evaluation there would give, bit for bit.
             j = np.searchsorted(om, omega[pos])
-            lo = self._lam_grid[np.maximum(j - 1, 0)]
-            hi = self._lam_grid[np.minimum(j, len(om) - 1)]
+            jl, jh = np.maximum(j - 1, 0), np.minimum(j, len(om) - 1)
             lam[pos] = invert_monotone(
                 lambda v: rotation_number_of_caustic(self.table1, v),
                 omega[pos],
-                (lo, hi),
+                (self._lam_grid[jl], self._lam_grid[jh]),
                 atol=1e-10,
                 xtol=1e-15,
+                fbracket=(om[jl], om[jh]),
             )
             resid = np.abs(rotation_number_of_caustic(self.table1, lam[pos]) - omega[pos])
             self._omega_residual = max(self._omega_residual, float(np.max(resid)))
@@ -229,17 +231,20 @@ class ConjugacyMap:
         """Conjugacy defect |f1(h(x)) - h(f2(x))| on a phase grid of table 2.
 
         Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
-        distances in s are circular modulo table 1's perimeter.
+        distances in s are circular modulo table 1's perimeter.  h runs once,
+        on the stacked points [x; f2(x)]: every map here acts on each element
+        alone, so the two halves are h(x) and h(f2(x)) bit for bit.
         """
         ell1 = self.table1.perimeter
         svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
         tvals = np.linspace(theta_min, self.theta_star - theta_margin, n_theta)
         s, th = (v.ravel() for v in np.meshgrid(svals, tvals))
-        x = PhasePoint(s, th)
-        lhs = step(self.table1, self(x))
-        rhs = self(step(self.table2, x))
-        ds = np.abs(lhs.s - rhs.s) % ell1
-        return s, th, np.minimum(ds, ell1 - ds), np.abs(lhs.theta - rhs.theta)
+        fx = step(self.table2, PhasePoint(s, th))
+        hx = self(PhasePoint(np.concatenate((s, fx.s)), np.concatenate((th, fx.theta))))
+        n = s.size
+        lhs = step(self.table1, PhasePoint(hx.s[:n], hx.theta[:n]))
+        ds = np.abs(lhs.s - hx.s[n:]) % ell1
+        return s, th, np.minimum(ds, ell1 - ds), np.abs(lhs.theta - hx.theta[n:])
 
     def max_residual(self, **kw) -> float:
         _, _, rs, rt = self.residual_grid(**kw)

@@ -174,12 +174,16 @@ def invert_monotone(
     bracket,
     atol: float = 1e-10,
     xtol: float = 1e-13,
+    fbracket=None,
 ):
     """Solve f(x) = target for a continuous strictly monotone f on a bracket.
 
     f must act elementwise on arrays; target and the two bracket ends
-    broadcast, one root per element.  Raises BracketError when a target is
-    not enclosed by its endpoint values.  Each result satisfies
+    broadcast, one root per element.  fbracket, when given, holds the values
+    f(a) and f(b) at the bracket ends (from a grid the bracket was read
+    off, say); they broadcast with target and f is not evaluated there.
+    Raises BracketError when a target is not enclosed by its endpoint
+    values.  Each result satisfies
     |f(x) - target| <= atol, and its final bracket is narrower than
     xtol + 4 eps |x| unless that needed bisecting below xtol to reach atol.
     Raises SolverError when atol is out of reach at ulp resolution.
@@ -189,13 +193,15 @@ def invert_monotone(
     stops at its own tolerance test.
     """
     a, b = bracket
-    target, a, b = _arrays(target, a, b)
+    fab = () if fbracket is None else fbracket
+    target, a, b, *fab = _arrays(target, a, b, *fab)
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise DomainError(f"invert_monotone: bad bracket {bracket!r}")
     shape = target.shape
     target, a, b = target.ravel(), a.ravel(), b.ravel()
-    ga = np.asarray(f(a), dtype=float) - target
-    gb = np.asarray(f(b), dtype=float) - target
+    fa, fb = (v.ravel() for v in fab) if fab else (f(a), f(b))
+    ga = np.asarray(fa, dtype=float) - target
+    gb = np.asarray(fb, dtype=float) - target
     unbracketed = np.flatnonzero(ga * gb > 0.0)
     if unbracketed.size:
         i = unbracketed[0]

@@ -52,8 +52,8 @@ class BetaSamples:
     solved: the stationarity residual max |dL/ds_i|, the sweeps and Newton
     steps spent on the chosen start, whether it converged, how many
     distinct critical values the multistart found, and the sweeps and
-    Newton steps of all starts of that q.  Samples built by hand leave them
-    None.
+    Newton steps of all starts of that q, and the solved OrbitConfigs
+    themselves in `orbits`.  Samples built by hand leave them None.
     """
 
     p: np.ndarray
@@ -69,6 +69,7 @@ class BetaSamples:
     candidates: np.ndarray | None = None
     total_sweeps: np.ndarray | None = None
     total_newton_steps: np.ndarray | None = None
+    orbits: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -126,6 +127,7 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
         candidates=cand,
         total_sweeps=total_sweeps,
         total_newton_steps=total_steps,
+        orbits=orbits,
     )
 
 

@@ -530,21 +530,29 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     return find_orbits(table, p, [q], orbit_class)[0]
 
 
-def lq_bounds(table: Table, qs) -> list[tuple[float, float, OrbitConfig, OrbitConfig]]:
+def lq_bounds(table: Table, qs, maxima=()) -> list[tuple[float, float, OrbitConfig, OrbitConfig]]:
     """(L_q, l_q, upper, lower) at every distinct q of qs, in increasing q:
     the extreme perimeters over simple (p = 1) q-periodic orbits, with the
     max-class and min-class orbits they come from.
 
-    All q are solved in two batches, one find_orbits call per orbit class.
-    Critical values that coincide within the dedupe tolerance are reported
-    as equal, so integrable tables (whose q-gons form equal-length
-    families) return a gap of exactly zero.  Raises DomainError before any
-    solve if some q < 2.  If a solve fails, the SolverError names the
-    smallest failing q of the max class; only when the max class solves at
-    every q, that of the min class.
+    maxima may hold p = 1 max-class orbits already solved on this table
+    (the ones behind sample_beta, say); a q found among them is not solved
+    again.  Batch rows are independent, so they are the orbits a solve here
+    would return.  The other q are solved in two batches, one find_orbits
+    call per orbit class.  Critical values that coincide within the dedupe
+    tolerance are reported as equal, so integrable tables (whose q-gons
+    form equal-length families) return a gap of exactly zero.  Raises
+    DomainError before any solve if some q < 2.  If a solve fails, the
+    SolverError names the smallest failing q of the max class; only when
+    the max class solves at every q, that of the min class.
     """
-    qs, out = list(qs), []  # read once per orbit class
-    for upper, lower in zip(find_orbits(table, 1, qs, "max"), find_orbits(table, 1, qs, "min")):
+    known = {orb.q: orb for orb in maxima}
+    if any(orb.p != 1 or orb.orbit_class != "max" for orb in known.values()):
+        raise DomainError("lq_bounds: maxima must be p = 1 max-class orbits")
+    qs, out = sorted({int(q) for q in qs}), []
+    solved = iter(find_orbits(table, 1, [q for q in qs if q not in known], "max"))
+    uppers = [known[q] if q in known else next(solved) for q in qs]
+    for upper, lower in zip(uppers, find_orbits(table, 1, qs, "min")):
         big = upper.length
         small = min(lower.length, big)
         if big - small <= VALUE_DEDUPE_RTOL * max(1.0, abs(big)):

@@ -9,6 +9,8 @@ import pytest
 
 import billiards.cli as cli
 import billiards.ellipse_maps as ellipse_maps
+import billiards.invariants as invariants_mod
+import billiards.orbits as orbits_mod
 from billiards.cli import main
 from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
@@ -193,6 +195,23 @@ class TestMmCommand:
             assert max(upper.residual, lower.residual) <= STAT_TOL_FACTOR * perimeter
             assert int(r["max_total_newton_steps"]) == upper.total_newton_steps >= 1
             assert int(r["min_total_newton_steps"]) == lower.total_newton_steps >= 1
+
+    def test_solves_each_max_orbit_once(self, ellipse_cfg, tmp_path, monkeypatch):
+        # the gap q take their maximal orbits from the beta sweep
+        solved = []
+        find = orbits_mod.find_orbits
+
+        def counted(table, p, qs, orbit_class="max"):
+            solved.append((orbit_class, sorted(qs)))
+            return find(table, p, qs, orbit_class)
+
+        monkeypatch.setattr(orbits_mod, "find_orbits", counted)
+        monkeypatch.setattr(invariants_mod, "find_orbits", counted)
+        rc = main(["mm", "--table", ellipse_cfg, "--qmin", "10", "--qmax", "20",
+                   "--gap-step", "5", "--out", str(tmp_path / "out"), "--threads", "1"])
+        assert rc == 0
+        assert sum((qs for cls, qs in solved if cls == "max"), []) == list(range(10, 21))
+        assert [qs for cls, qs in solved if cls == "min"] == [[10, 15, 20]]
 
 
 class TestCompareCommand:

@@ -19,6 +19,8 @@ from billiards import (
     step,
 )
 
+import billiards.ellipse_maps as ellipse_maps
+from billiards.ellipse_maps import ConjugacyMap
 from caustic_oracle import caustic_param_oracle
 
 TWO_PI = 2.0 * math.pi
@@ -335,3 +337,50 @@ class TestBatchIndependence:
         th[0] = 0.0
         out = caustic_param_oracle(E, phi, th)
         assert np.array_equal(out, [caustic_param_oracle(E, *v) for v in zip(phi, th)])
+
+
+class TestResidualGridOnePass:
+    """residual_grid runs h once on [x; f2(x)] and gives the two-pass
+    defect |f1(h(x)) - h(f2(x))| bit for bit."""
+
+    @pytest.mark.parametrize("pair,kw", [
+        ((EllipseTable(2.0, 1.0), EllipseTable(3.0, 2.0)), {"n_s": 40, "n_theta": 10}),
+        ((EllipseTable(2.0, 1.0), EllipseTable(2.0, 1.0)), {"n_s": 40, "n_theta": 10}),
+        ((EllipseTable(1.5, 1.5), EllipseTable(0.7, 0.7)), {"n_s": 40, "n_theta": 10}),
+        ((EllipseTable(2.0, 1.0), EllipseTable(3.0, 2.0)),
+         {"n_s": 40, "n_theta": 10, "theta_min": 1e-6}),
+        ((EllipseTable(1.0, 0.4), EllipseTable(1.0, 0.7)), {"n_s": 200, "n_theta": 50}),
+    ], ids=["2:1-3:2", "identity", "circles", "theta_min", "200x50"])
+    def test_matches_two_passes(self, pair, kw):
+        h, ref = build_conjugacy(*pair), build_conjugacy(*pair)
+        s, th, rs, rt = h.residual_grid(**kw)
+        x = PhasePoint(s, th)
+        lhs = step(ref.table1, ref(x))
+        rhs = ref(step(ref.table2, x))
+        ell1 = ref.table1.perimeter
+        ds = np.abs(lhs.s - rhs.s) % ell1
+        assert np.array_equal(rs, np.minimum(ds, ell1 - ds))
+        assert np.array_equal(rt, np.abs(lhs.theta - rhs.theta))
+        assert h._omega_residual == ref._omega_residual
+
+    def test_one_map_call_and_no_grid_reevaluation(self, ellipse21, monkeypatch):
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        sizes, omega1_at = [], []
+        call = ConjugacyMap.__call__
+        rotation = ellipse_maps.rotation_number_of_caustic
+
+        def counted(self, p):
+            sizes.append(np.size(p.s))
+            return call(self, p)
+
+        def spy(E, lam):
+            if E is h.table1:
+                omega1_at.append(np.ravel(lam))
+            return rotation(E, lam)
+
+        monkeypatch.setattr(ConjugacyMap, "__call__", counted)
+        monkeypatch.setattr(ellipse_maps, "rotation_number_of_caustic", spy)
+        h.residual_grid(n_s=40, n_theta=10)
+        assert sizes == [800]
+        assert omega1_at and not np.isin(np.concatenate(omega1_at), h._lam_grid).any()
+

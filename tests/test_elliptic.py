@@ -173,6 +173,34 @@ class TestInvertMonotone:
         with pytest.raises(BracketError):
             invert_monotone(lambda x: x, 5.0, (0.0, 1.0))
 
+    def test_supplied_bracket_values_give_the_same_roots(self):
+        rng = np.random.default_rng(55)
+        target = rng.uniform(-25.0, 25.0, 50)
+        lo, hi = rng.uniform(-6.0, -4.0, 50), rng.uniform(5.0, 7.0, 50)
+        target[:2] = np.sinh(lo[0]), np.sinh(hi[1])  # roots at the bracket ends
+        kw = {"atol": 1e-12, "xtol": 1e-15}
+        out = invert_monotone(np.sinh, target, (lo, hi), fbracket=(np.sinh(lo), np.sinh(hi)), **kw)
+        assert np.array_equal(out, invert_monotone(np.sinh, target, (lo, hi), **kw))
+        one = invert_monotone(np.sinh, 3.0, (-5.0, 6.0), fbracket=(np.sinh(-5.0), np.sinh(6.0)),
+                              **kw)
+        assert isinstance(one, float)
+        assert one == invert_monotone(np.sinh, 3.0, (-5.0, 6.0), **kw)
+
+    def test_supplied_bracket_values_are_checked(self):
+        def unused(x):
+            raise AssertionError("f evaluated at a bracket end")
+
+        with pytest.raises(BracketError):
+            invert_monotone(unused, [0.5, 5.0], (0.0, 1.0), fbracket=(0.0, 1.0))
+
+    def test_supplied_bracket_values_broadcast(self):
+        target = np.array([[0.2, 0.5, 0.7], [0.1, 0.3, 0.9]])
+        out = invert_monotone(lambda x: x**3, target, (0.0, 1.0), fbracket=(0.0, np.ones(3)),
+                              atol=1e-14)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out, invert_monotone(lambda x: x**3, target, (0.0, 1.0),
+                                                   atol=1e-14))
+
     def test_rotation_number_inversion(self, ellipse21):
         # forward-evaluate the caustic rotation number on a fine grid to
         # bracket the expected answer, then invert

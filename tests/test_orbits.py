@@ -509,6 +509,31 @@ class TestGapBounds:
             assert (upper.total_newton_steps, lower.total_newton_steps) == (
                 upper1.total_newton_steps, lower1.total_newton_steps)
 
+    def test_known_maxima_are_not_solved_again(self, ellipse21, monkeypatch):
+        # maxima solved in another batch give the same bounds, bit for bit
+        qs = range(5, 12)
+        ref = lq_bounds(ellipse21, qs)
+        maxima = find_orbits(ellipse21, 1, range(8, 15))
+        solved = []
+        find = orbits_mod.find_orbits
+
+        def counted(table, p, qs, orbit_class="max"):
+            solved.append((orbit_class, sorted(qs)))
+            return find(table, p, qs, orbit_class)
+
+        monkeypatch.setattr(orbits_mod, "find_orbits", counted)
+        out = lq_bounds(ellipse21, qs, maxima)
+        assert solved == [("max", [5, 6, 7]), ("min", list(qs))]
+        for (big, small, upper, lower), (big1, small1, upper1, lower1) in zip(out, ref):
+            assert (big, small) == (big1, small1)
+            assert (upper.residual, upper.total_newton_steps) == (
+                upper1.residual, upper1.total_newton_steps)
+            assert lower.total_newton_steps == lower1.total_newton_steps
+
+    def test_maxima_must_be_simple_max_class(self, ellipse21):
+        with pytest.raises(DomainError):
+            lq_bounds(ellipse21, [6], find_orbits(ellipse21, 1, [6], "min"))
+
     def test_rejects_q_below_2_before_any_solve(self, circle, monkeypatch):
         def no_solve(*args):
             raise AssertionError("solved before validating q")
