@@ -29,6 +29,7 @@ from .ellipse_maps import _witness_decisions, build_conjugacy
 from .errors import (
     BilliardsError,
     ConditioningError,
+    DomainError,
     SolverError,
     TableConfigError,
 )
@@ -50,6 +51,16 @@ TOLERANCES = {
     "fit_condition_limit": COND_LIMIT,
     "chord_parameter": CHORD_TOL,
 }
+
+# How each beta sample's maximal orbit was solved: beta_samples.csv columns
+# after p, q, omega, beta, and per-q lists beside q in invariant_report.json.
+SOLVER_COLUMNS = ("residual", "sweeps", "newton_steps", "converged", "candidates",
+                  "total_sweeps", "total_newton_steps")
+
+
+def _solver_row(orb) -> list:
+    return [orb.residual, orb.sweeps, orb.newton_steps, orb.converged, len(orb.candidates),
+            orb.total_sweeps, orb.total_newton_steps]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -142,13 +153,21 @@ def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
         json.dump(_strict(summary), fh, indent=2, allow_nan=False)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """A header line, then one line per row; a bool is written 1 or 0."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+
+
 def _write_report(path: Path, report, samples) -> None:
     """invariant_report.json: the fit, plus the per-q solver diagnostics
     under the beta_samples.csv column names."""
     out = report.to_dict()
-    for name in ("q", "residual", "sweeps", "newton_steps", "converged", "candidates",
-                 "total_sweeps", "total_newton_steps"):
-        out[name] = np.asarray(getattr(samples, name)).tolist()
+    out["q"] = [orb.q for orb in samples.orbits]
+    rows = [_solver_row(orb) for orb in samples.orbits]
+    out.update({name: list(col) for name, col in zip(SOLVER_COLUMNS, zip(*rows))})
     with open(path, "w") as fh:
         json.dump(_strict(out), fh, indent=2, allow_nan=False)
 
@@ -168,16 +187,9 @@ def _cmd_beta(args, outdir: Path) -> int:
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
     csv_path = outdir / "beta_samples.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "q", "omega", "beta", "residual", "sweeps", "newton_steps",
-                    "converged", "candidates", "total_sweeps", "total_newton_steps"])
-        for row in zip(samples.p, samples.q, samples.omega, samples.beta, samples.residual,
-                       samples.sweeps, samples.newton_steps, samples.converged,
-                       samples.candidates, samples.total_sweeps, samples.total_newton_steps):
-            p, q, om, b, res, sweeps, steps, conv, cand, total_sweeps, total_steps = row
-            w.writerow([int(p), int(q), float(om), float(b), float(res), int(sweeps),
-                        int(steps), int(conv), int(cand), int(total_sweeps), int(total_steps)])
+    _write_csv(csv_path, ("p", "q", "omega", "beta") + SOLVER_COLUMNS,
+               ([orb.p, orb.q, orb.p / orb.q, orb.beta, *_solver_row(orb)]
+                for orb in samples.orbits))
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
     stages.lap("write")
@@ -192,6 +204,8 @@ def _cmd_beta(args, outdir: Path) -> int:
 
 
 def _cmd_mm(args, outdir: Path) -> int:
+    if args.gap_step < 1:
+        raise DomainError(f"--gap-step must be >= 1, got {args.gap_step}")
     stages = _Stages()
     table = _load(args.table)
     stages.lap("load")
@@ -202,13 +216,10 @@ def _cmd_mm(args, outdir: Path) -> int:
     rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step), samples.orbits)
     stages.lap("gaps")
     csv_path = outdir / "mm_table.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "L_q", "l_q", "beta", "max_residual", "max_total_newton_steps",
-                    "min_residual", "min_total_newton_steps"])
-        for big, small, upper, lower in rows:
-            w.writerow([upper.q, big, small, -big / upper.q, upper.residual,
-                        upper.total_newton_steps, lower.residual, lower.total_newton_steps])
+    _write_csv(csv_path, ("q", "L_q", "l_q", "beta", "max_residual", "max_total_newton_steps",
+                          "min_residual", "min_total_newton_steps"),
+               ([upper.q, big, small, -big / upper.q, upper.residual, upper.total_newton_steps,
+                 lower.residual, lower.total_newton_steps] for big, small, upper, lower in rows))
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
     stages.lap("write")
@@ -241,11 +252,8 @@ def _cmd_compare(args, outdir: Path) -> int:
         for k, (a, b) in enumerate(zip(r1.beta_coeffs, r2.beta_coeffs))
     ]
     csv_path = outdir / "ratio_table.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "measured", "predicted", "deviation"])
-        for row in ratios:
-            w.writerow([row.n, row.measured, row.predicted, row.deviation])
+    _write_csv(csv_path, ("n", "measured", "predicted", "deviation"),
+               ([row.n, row.measured, row.predicted, row.deviation] for row in ratios))
     stages.lap("write")
     _write_summary(
         outdir, "compare",
@@ -272,17 +280,15 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
     s, th, rs, rt = h.residual_grid(n_s=n_s, n_theta=n_theta)
     stages.lap("grid")
     csv_path = outdir / "conjugacy_residuals.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "theta", "residual_s", "residual_theta"])
-        w.writerows(np.column_stack((s, th, rs, rt)).tolist())
+    _write_csv(csv_path, ("s", "theta", "residual_s", "residual_theta"),
+               np.column_stack((s, th, rs, rt)).tolist())
     max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
     stages.lap("write")
     _write_summary(
         outdir, "conjugacy",
         {"table": t1.as_config(), "table2": t2.as_config(), "grid": [n_s, n_theta]},
         {"max_residual": max_res, "max_omega_residual": h._omega_residual,
-         "theta_star": h.theta_star, "theta2_star": h.theta2_star,
+         "theta_star": h.theta_star, "theta2_star": t2.theta_star,
          "theta3_star": h.theta3_star},
         [str(csv_path)], stages,
     )
@@ -335,11 +341,9 @@ def _cmd_orbit(args, outdir: Path) -> int:
         stages.lap("solve")
         pts = orb.vertices(table)
         csv_path = outdir / f"orbit_{p}_{q}_{args.orbit_class}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "s_i", "x_i", "y_i"])
-            for i, (si, pt) in enumerate(zip(orb.s, pts)):
-                w.writerow([i, float(si % table.perimeter), float(pt[0]), float(pt[1])])
+        _write_csv(csv_path, ("i", "s_i", "x_i", "y_i"),
+                   ([i, float(si % table.perimeter), float(pt[0]), float(pt[1])]
+                    for i, (si, pt) in enumerate(zip(orb.s, pts))))
         outputs.append(str(csv_path))
         payload.update({"length": orb.length, "beta": orb.beta,
                         "residual": orb.residual})

@@ -49,11 +49,6 @@ class PhasePoint:
         _require((self.theta >= -1e-12) & (self.theta <= math.pi + 1e-12),
                  "incidence angle must lie in [0, pi]", self.theta)
 
-    @property
-    def y(self):
-        """Twist-coordinate companion of s: y = cos(theta)."""
-        return np.cos(self.theta)
-
 
 def step_angle(table: Table, t0, theta):
     """One bounce in the boundary-angle chart, as Table.chord_exit; loops

@@ -161,12 +161,10 @@ class ConjugacyMap:
     def __init__(self, table1: EllipseTable, table2: EllipseTable):
         self.table1 = table1
         self.table2 = table2
-        self.theta1_star = table1.theta_star
-        self.theta2_star = table2.theta_star
         # Rotation-number range of table 1's near-boundary strip: caustics
         # entirely inside theta < theta1* have lambda < b1^2/a1 (= b1 for
         # the circle, where the clamp keeps the modulus below 1).
-        lam1_max = min(table1.b * math.sin(self.theta1_star), table1.b * (1.0 - 1e-12))
+        lam1_max = min(table1.b * math.sin(table1.theta_star), table1.b * (1.0 - 1e-12))
         omega1_max = rotation_number_of_caustic(table1, lam1_max)
         # theta3*: pull the strip boundary back through the rotation matching.
         # The rotation number is arbitrarily steep in lambda near the strip
@@ -183,8 +181,8 @@ class ConjugacyMap:
             self.theta3_star = math.asin(min(1.0, lam2_max / table2.b))
         except BracketError:
             # omega1_max exceeds the whole sampled range of table 2
-            self.theta3_star = self.theta2_star
-        self.theta_star = min(self.theta2_star, self.theta3_star)
+            self.theta3_star = table2.theta_star
+        self.theta_star = min(table2.theta_star, self.theta3_star)
         # Monotone grid for bracketing the omega_1 inversion tightly.
         self._lam_grid = np.linspace(0.0, table1.b * (1.0 - 1e-9), 800)
         self._om_grid = rotation_number_of_caustic(table1, self._lam_grid)
@@ -226,18 +224,20 @@ class ConjugacyMap:
         t1 = coord2.t_hat * period1
         return action_angle_inverse(self.table1, lam1, t1)
 
-    def residual_grid(self, n_s: int = 200, n_theta: int = 50,
-                      theta_min: float = 0.01, theta_margin: float = 0.01):
-        """Conjugacy defect |f1(h(x)) - h(f2(x))| on a phase grid of table 2.
+    def residual_grid(self, n_s: int = 200, n_theta: int = 50, theta_min: float = 0.01):
+        """Conjugacy defect |f1(h(x)) - h(f2(x))| on a grid of table 2: n_s
+        arc lengths by n_theta angles from theta_min to theta_star - 0.01.
 
         Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
         distances in s are circular modulo table 1's perimeter.  h runs once,
         on the stacked points [x; f2(x)]: every map here acts on each element
         alone, so the two halves are h(x) and h(f2(x)) bit for bit.
         """
+        if n_s < 1 or n_theta < 1:
+            raise DomainError(f"residual grid needs n_s, n_theta >= 1, got {n_s}, {n_theta}")
         ell1 = self.table1.perimeter
         svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
-        tvals = np.linspace(theta_min, self.theta_star - theta_margin, n_theta)
+        tvals = np.linspace(theta_min, self.theta_star - 0.01, n_theta)
         s, th = (v.ravel() for v in np.meshgrid(svals, tvals))
         fx = step(self.table2, PhasePoint(s, th))
         hx = self(PhasePoint(np.concatenate((s, fx.s)), np.concatenate((th, fx.theta))))
@@ -269,17 +269,6 @@ class HyperbolicDecision:
     g_at_root: float | None = None
     u_min: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "exists": self.exists,
-            "m": self.m,
-            "n": self.n,
-            "threshold": self.threshold,
-            "xi_root": self.xi_root,
-            "g_at_root": self.g_at_root,
-            "u_min": self.u_min,
-        }
-
 
 def _hyperbolic_fk(E: EllipseTable, xi):
     """(F(amp, k), K(k)) of the hyperbolic caustic xi in (-c^2, 0)."""
@@ -298,12 +287,11 @@ def _u_hyperbolic(E: EllipseTable, xi):
     return f - (2.0 / math.pi) * E.theta_star * bigk
 
 
-def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int, *,
-                            u_grid: int = 200) -> HyperbolicDecision:
+def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int) -> HyperbolicDecision:
     """Whether the ellipse has an (m, n)-periodic orbit with a hyperbolic
     caustic: root of the phase condition on xi in (-c^2, 0) when m/n
     reaches the threshold (1/pi) arcsin(b/a), otherwise a grid check that
-    the condition stays positive (u_min over u_grid points; not a proof)."""
+    the condition stays positive (u_min over 200 points; not a proof)."""
     E = _ellipse(E)
     if n <= 0 or m <= 0 or 2 * m >= n:
         raise DomainError(f"need coprime 0 < m < n/2, got ({m}, {n})")
@@ -330,20 +318,19 @@ def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int, *,
         raise SolverError(
             f"hyperbolic_orbit_exists({m},{n}): could not bracket the phase root"
         )
-    grid = np.linspace(-c2 * (1.0 - 1e-6), -1e-6 * c2, u_grid)
+    grid = np.linspace(-c2 * (1.0 - 1e-6), -1e-6 * c2, 200)
     u_min = float(np.min(_u_hyperbolic(E, grid)))
     return HyperbolicDecision(False, m, n, threshold, u_min=u_min)
 
 
-def _stern_brocot(lo: float, hi: float, max_den: int = 10**6) -> tuple[int, int]:
-    """Smallest-denominator fraction in the half-open interval [lo, hi)."""
+def _stern_brocot(lo: float, hi: float) -> tuple[int, int]:
+    """Smallest-denominator fraction in the half-open interval [lo, hi),
+    with a denominator of at most 10^6."""
     pl, ql, pr, qr = 0, 1, 1, 1
     while True:
         pm, qm = pl + pr, ql + qr
-        if qm > max_den:
-            raise SolverError(
-                f"no fraction with denominator <= {max_den} in [{lo}, {hi})"
-            )
+        if qm > 10**6:
+            raise SolverError(f"no fraction with denominator <= 10^6 in [{lo}, {hi})")
         v = pm / qm
         if v < lo:
             pl, ql = pm, qm

@@ -63,6 +63,9 @@ def carlson_rf(x, y, z):
     out = np.empty(v.shape[1])
     live = np.arange(v.shape[1])
     for _ in range(300):
+        if not live.size:
+            out = out.reshape(shape)
+            return out if out.ndim else float(out)
         r = np.sqrt(v)
         lam = r[0] * r[1] + r[1] * r[2] + r[2] * r[0]
         v = 0.25 * (v + lam)
@@ -76,9 +79,6 @@ def carlson_rf(x, y, z):
             series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
             out[live[done]] = series / np.sqrt(mu[done])
             live, v = live[~done], v[:, ~done]
-            if not live.size:
-                out = out.reshape(shape)
-                return out if out.ndim else float(out)
     raise SolverError("carlson_rf: duplication did not converge")  # pragma: no cover
 
 

@@ -48,12 +48,10 @@ class BetaSamples:
     """Sampled values of Mather's beta with the table constants needed to
     normalize them.
 
-    sample_beta also records, per sample, how its maximal orbit was
-    solved: the stationarity residual max |dL/ds_i|, the sweeps and Newton
-    steps spent on the chosen start, whether it converged, how many
-    distinct critical values the multistart found, and the sweeps and
-    Newton steps of all starts of that q, and the solved OrbitConfigs
-    themselves in `orbits`.  Samples built by hand leave them None.
+    sample_beta also keeps the solved maximal OrbitConfig of every sample
+    in `orbits`; each carries how it was solved (residual, sweeps, Newton
+    steps, convergence, candidates, the work of all starts of its q).
+    Samples built by hand leave it None.
     """
 
     p: np.ndarray
@@ -62,13 +60,6 @@ class BetaSamples:
     beta: np.ndarray
     ell: float
     lazutkin: float
-    residual: np.ndarray | None = None
-    sweeps: np.ndarray | None = None
-    newton_steps: np.ndarray | None = None
-    converged: np.ndarray | None = None
-    candidates: np.ndarray | None = None
-    total_sweeps: np.ndarray | None = None
-    total_newton_steps: np.ndarray | None = None
     orbits: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,28 +96,19 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
             orbits = [orb for part in parts for orb in part]
     else:
         orbits = find_orbits(table, p, qs)
-    rows = [(orb.q, orb.beta, orb.residual, orb.sweeps, orb.newton_steps, orb.converged,
-             len(orb.candidates), orb.total_sweeps, orb.total_newton_steps) for orb in orbits]
-    for row in rows:
+    for orb in orbits:
         log.info("beta(%d/%d) = %.15g: residual %.2e, %d sweeps, %d Newton steps, "
                  "converged %s, %d candidates; all starts: %d sweeps, %d Newton steps",
-                 p, *row)
-    q_arr, b_arr, res, sweeps, steps, conv, cand, total_sweeps, total_steps = (
-        np.array([r[k] for r in rows]) for k in range(9))
+                 p, orb.q, orb.beta, orb.residual, orb.sweeps, orb.newton_steps,
+                 orb.converged, len(orb.candidates), orb.total_sweeps, orb.total_newton_steps)
+    q_arr = np.array([orb.q for orb in orbits])
     return BetaSamples(
         p=np.full_like(q_arr, p),
         q=q_arr,
         omega=p / q_arr.astype(float),
-        beta=b_arr,
+        beta=np.array([orb.beta for orb in orbits]),
         ell=table.perimeter,
         lazutkin=table.lazutkin_perimeter,
-        residual=res,
-        sweeps=sweeps,
-        newton_steps=steps,
-        converged=conv,
-        candidates=cand,
-        total_sweeps=total_sweeps,
-        total_newton_steps=total_steps,
         orbits=orbits,
     )
 
@@ -321,22 +303,13 @@ def mm_ratio_check(report1: InvariantReport, report2: InvariantReport) -> list[R
     return rows
 
 
-def _beta_model(report: InvariantReport, omega: float) -> float:
-    lam3 = report.lazutkin**3
-    acc = 0.0
-    for k, c in enumerate(report.beta_coeffs, start=1):
-        acc += float(c) * omega ** (2 * k + 1)
-    acc += report.beta_guard * omega ** (2 * report.K + 3)
-    return -report.ell * omega + lam3 * acc
-
-
-def _beta_model_deriv(report: InvariantReport, omega: float) -> float:
-    lam3 = report.lazutkin**3
-    acc = 0.0
-    for k, c in enumerate(report.beta_coeffs, start=1):
-        acc += (2 * k + 1) * float(c) * omega ** (2 * k)
-    acc += (2 * report.K + 3) * report.beta_guard * omega ** (2 * report.K + 2)
-    return -report.ell + lam3 * acc
+def _beta_polynomial(report: InvariantReport) -> np.polynomial.Polynomial:
+    """The fitted beta(omega) = -ell omega + lambda^3 (c_3 omega^3 + ...
+    + c_{2K+1} omega^(2K+1) + guard omega^(2K+3))."""
+    coef = np.zeros(2 * report.K + 4)
+    coef[1] = -report.ell
+    coef[3::2] = report.lazutkin**3 * np.append(report.beta_coeffs, report.beta_guard)
+    return np.polynomial.Polynomial(coef)
 
 
 def lazutkin_parameter(samples: BetaSamples, omega: float, *,
@@ -350,7 +323,8 @@ def lazutkin_parameter(samples: BetaSamples, omega: float, *,
         )
     if report is None:
         report = fit_normalized_beta(samples)
-    return omega * _beta_model_deriv(report, omega) - _beta_model(report, omega)
+    beta = _beta_polynomial(report)
+    return float(omega * beta.deriv()(omega) - beta(omega))
 
 
 def _alpha_discrete(samples: BetaSamples, c: float) -> tuple[float, float]:

@@ -192,7 +192,7 @@ def test_criterion_08_hyperbolic_witness():
     dec14 = hyperbolic_orbit_exists(E8, 1, 4)
     root_ok = (dec14.exists and -E8.c2 < dec14.xi_root < 0.0
                and abs(dec14.g_at_root) <= 1e-10)
-    dec15 = hyperbolic_orbit_exists(E8, 1, 5, u_grid=200)
+    dec15 = hyperbolic_orbit_exists(E8, 1, 5)
     positive_ok = (not dec15.exists) and dec15.u_min > 0.0
     E5 = EllipseTable(1.0, math.sqrt(0.75))  # eccentricity 0.5
     wit = eccentricity_witness(E8, E5)
@@ -229,11 +229,11 @@ def test_criterion_09_special_functions():
 def test_criterion_10_legendre_duality(tables):
     samples = sample_beta(tables["circle"], 3, 60)
     rep = fit_normalized_beta(samples, K=3)
-    from billiards.invariants import _beta_model_deriv
+    from billiards.invariants import _beta_polynomial
 
     worst = 0.0
     for om in (0.05, 0.1):
-        c = _beta_model_deriv(rep, om)
+        c = _beta_polynomial(rep).deriv()(om)
         h = 1e-7
         slope = (mather_alpha(samples, c + h) - mather_alpha(samples, c - h)) / (2 * h)
         worst = max(worst, abs(slope - om))

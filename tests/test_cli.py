@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,9 +125,10 @@ class TestBetaCommand:
             def to_dict(self):
                 return {"condition": math.inf, "c": [1.0, math.nan]}
 
-        samples = SimpleNamespace(q=[10], residual=[math.nan], sweeps=[3], newton_steps=[4],
-                                  converged=[False], candidates=[1], total_sweeps=[24],
-                                  total_newton_steps=[30])
+        orbit = SimpleNamespace(q=10, residual=math.nan, sweeps=3, newton_steps=4,
+                                converged=False, candidates=[-6.2], total_sweeps=24,
+                                total_newton_steps=30)
+        samples = SimpleNamespace(orbits=[orbit])
         path = tmp_path / "invariant_report.json"
         cli._write_report(path, Report(), samples)
         report = json.loads(path.read_text(), parse_constant=_reject)
@@ -227,7 +229,10 @@ class TestCompareCommand:
         for entry in summary["coefficients"]:
             assert entry["rel_diff"] < 1e-4
         with open(out / "ratio_table.csv") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["n", "measured", "predicted", "deviation"]
+        assert [int(r["n"]) for r in rows] == [1, 2, 3]
         assert float(rows[0]["deviation"]) < 1e-3
 
 
@@ -412,6 +417,25 @@ class TestOrbitCommand:
         assert err.startswith("billiards: arc length must be finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["beta", "--qmin", "10", "--qmax", "20"],
+    ["mm", "--qmin", "10", "--qmax", "20", "--gap-step", "5"],
+    ["compare", "--table2", "{table2}", "--qmin", "10", "--qmax", "20"],
+    ["conjugacy", "--table2", "{table2}", "--grid", "8", "4"],
+    ["witness", "--table2", "{table2}"],
+    ["orbit", "--pq", "1", "5"],
+    ["orbit", "--steps", "10"],
+], ids=["beta", "mm", "compare", "conjugacy", "witness", "orbit-pq", "orbit-trajectory"])
+def test_summary_names_every_output(ellipse_cfg, ellipse32_cfg, tmp_path, args):
+    out = tmp_path / "out"
+    argv = [a.format(table2=ellipse32_cfg) for a in args]
+    assert main([*argv, "--table", ellipse_cfg, "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir() if p.name != "summary.json")
+    outputs = read_summary(out)["outputs"]
+    assert all(Path(o).parent == out for o in outputs)
+    assert sorted(Path(o).name for o in outputs) == written and written
+
+
 class TestExitCodes:
     def test_conditioning_failure_is_2(self, circle_cfg, tmp_path, monkeypatch):
         import math
@@ -448,6 +472,21 @@ class TestExitCodes:
         rc = main(["orbit", "--table", ellipse_cfg, "--pq", "1", "5",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("args, message", [
+        (["conjugacy", "--table2", "{table}", "--grid", "0", "10"], "n_s"),
+        (["mm", "--qmin", "10", "--qmax", "20", "--gap-step", "0"], "--gap-step"),
+        (["mm", "--qmin", "10", "--qmax", "20", "--gap-step", "-5"], "--gap-step"),
+    ], ids=["empty-grid", "gap-step-0", "gap-step-negative"])
+    def test_bad_grid_or_gap_is_1(self, ellipse_cfg, tmp_path, capsys, args, message):
+        # a configuration error: neither a solver failure (3) nor an argparse
+        # error (2, the code of conditioning failures)
+        argv = [a.format(table=ellipse_cfg) for a in args]
+        rc = main([*argv, "--table", ellipse_cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: ") and message in err
+        assert "Traceback" not in err and "solver failure" not in err
 
     def test_version_flag(self, capsys):
         rc = main(["--version"])

@@ -234,7 +234,7 @@ class TestConjugacy:
     def test_theta_star_composition(self, ellipse21):
         t2 = EllipseTable(3.0, 2.0)
         h = build_conjugacy(ellipse21, t2)
-        assert 0.0 < h.theta_star <= min(h.theta2_star, h.theta3_star)
+        assert 0.0 < h.theta_star <= min(t2.theta_star, h.theta3_star)
         # above the strip the chart must refuse (retrograde or hyperbolic)
         with pytest.raises(DomainError):
             h(PhasePoint(t2.arc_of_angle(math.pi / 2), t2.theta_star + 0.05))

@@ -266,6 +266,17 @@ class TestBatchIndependence:
         assert np.array_equal(out, ref)
         assert np.max(np.abs(np.sinh(out) - target)) <= 1e-12
 
+    @pytest.mark.parametrize("call", [
+        lambda e: carlson_rf(e, e, e),
+        lambda e: ellip_k(e),
+        lambda e: ellip_f(e, e),
+        lambda e: jacobi_am(e, e),
+    ], ids=["carlson_rf", "ellip_k", "ellip_f", "jacobi_am"])
+    def test_empty_in_empty_out(self, call):
+        for shape in ((0,), (3, 0)):
+            out = call(np.empty(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+
     def test_one_unbracketed_element_raises(self):
         with pytest.raises(BracketError):
             invert_monotone(lambda x: x, [0.5, 5.0], (0.0, 1.0))

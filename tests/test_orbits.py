@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from billiards import (
     DomainError,
+    EllipseTable,
     PerturbedCircleTable,
     PhasePoint,
     SolverError,
@@ -19,6 +20,7 @@ from billiards import (
     sample_beta,
 )
 import billiards.orbits as orbits_mod
+from ellipse_beta_oracle import ellipse_max_length
 
 
 def polygon_length(radius, p, q):
@@ -113,6 +115,32 @@ class TestEllipseOrbits:
                             tan[0] * chord[0] + tan[1] * chord[1])
         est = rotation_estimate(ellipse21, PhasePoint(orb.s[0], theta0), 5)
         assert est == pytest.approx(1.0 / 5.0, abs=1e-9)
+
+
+class TestExactEllipseLengths:
+    """Maximal (1, q)-orbit lengths against the exact formula through the
+    caustic of rotation number 1/q (tests/ellipse_beta_oracle.py)."""
+
+    def test_oracle_closed_form_at_q4(self):
+        # the maximal 4-gon of an ellipse has length 4 sqrt(a^2 + b^2)
+        for a, b in ((2.0, 1.0), (1.0, 0.3)):
+            assert float(ellipse_max_length(a, b, 4)) == pytest.approx(
+                4.0 * math.hypot(a, b), rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 2.0), (1.0, 0.3)])
+    def test_max_lengths(self, a, b):
+        qs = [3, 5, 10, 20, 57, 120]
+        for q, orb in zip(qs, find_orbits(EllipseTable(a, b), 1, qs)):
+            exact = ellipse_max_length(a, b, q)
+            assert abs(float((orb.length - exact) / exact)) <= 4e-16, q
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="no start converges on this eccentric ellipse")
+    def test_eccentric_max_length(self):
+        a, b = 1.0, 0.1015625
+        orb = find_orbit(EllipseTable(a, b), 1, 13)
+        exact = ellipse_max_length(a, b, 13)
+        assert abs(float((orb.length - exact) / exact)) <= 4e-16
 
 
 class TestProperties:
