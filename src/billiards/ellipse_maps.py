@@ -3,13 +3,13 @@
 Every chord of an elliptic table is tangent to a confocal conic; for
 incidence angles below theta_star the conic is a confocal ellipse with
 parameter lambda in [0, b).  In the action-angle pair (lambda, t), where
-t = F(phi - pi/2, k(lambda)) is the elliptic time measured from the
-minor-axis vertex, the billiard map is the rigid shift
-t -> t + delta(lambda) with delta = 2 F(arcsin(lambda/b), k).  Matching
-rotation numbers of caustics between two ellipses yields an explicit
-near-boundary conjugacy; its failure mode for distinct eccentricities is
-witnessed by periodic orbits with hyperbolic caustics, which exist on one
-table and not the other.
+t = F(phi - pi/2, k(lambda)) is the elliptic time of the boundary angle
+phi, the billiard map is the rigid shift t -> t + 2 F(arcsin(lambda/b), k).
+Matching caustic rotation numbers of two ellipses gives an explicit
+near-boundary conjugacy; for distinct eccentricities, periodic orbits with
+hyperbolic caustics exist on one table and not the other.  The charts work
+on (phi, theta); action_angle, its inverse and ConjugacyMap.__call__ convert
+arc length s at their edges, and residual_grid converts only at its own.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, step
+from .dynamics import PhasePoint
 from .elliptic import ellip_f, ellip_k, invert_monotone, jacobi_am
 from .errors import BracketError, DomainError, SolverError, _require
 from .tables import EllipseTable
@@ -60,11 +60,8 @@ def caustic_param(E: EllipseTable, phi, theta):
     theta = np.asarray(theta, dtype=float)
     _require((theta >= 0.0) & (theta < math.pi), "incidence angle must lie in [0, pi)", theta)
     lam = np.sin(theta) * E.speed(phi)
-    if np.any(lam >= E.b):
-        raise DomainError(
-            f"chord crosses the focal segment (lambda={np.max(lam):.6g} >= b={E.b}); "
-            "caustic is not a confocal ellipse"
-        )
+    _require(lam < E.b, "chord crosses the focal segment, so its caustic is not a confocal "
+             f"ellipse: lambda must stay below b = {E.b}", lam)
     return lam if lam.ndim else float(lam)
 
 
@@ -115,20 +112,12 @@ class CausticCoord:
         return (self.t / self.period) % 1.0
 
 
-def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
-    """Chart (s, theta) -> (lambda, t) conjugating the map to a shift.
-
-    Defined on the elliptic-caustic regime (lambda < b, forward branch
-    theta <= pi/2); theta < theta_star guarantees membership for every
-    footpoint.  The elliptic time is t = F(phi - pi/2, k(lambda)) modulo
-    the period 4K.  p may hold arrays.
-    """
-    _ellipse(table)
-    theta = np.asarray(p.theta, dtype=float)
+def _action_angle_phi(table: EllipseTable, phi, theta) -> CausticCoord:
+    # action_angle in the boundary-angle chart: phi is the footpoint's angle.
+    theta = np.asarray(theta, dtype=float)
     _require(theta > 1e-12, "tangential degeneracy: theta = 0 is singular for the chart", theta)
     _require(theta <= 0.5 * math.pi + 1e-12,
              "retrograde branch theta > pi/2 not covered by the chart", theta)
-    phi = table.angle_of_arc(np.asarray(p.s) % table.perimeter)
     lam = caustic_param(table, phi, theta)
     k = _modulus(table, lam)
     period = 4.0 * ellip_k(k)
@@ -136,15 +125,30 @@ def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
     return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b)
 
 
+def _action_angle_inverse_phi(table: EllipseTable, lam, t):
+    # action_angle_inverse in the boundary-angle chart: returns (phi, theta).
+    lam = np.asarray(lam, dtype=float)
+    _require((lam > 0.0) & (lam < table.b), "caustic parameter must lie in (0, b)", lam)
+    phi = jacobi_am(t, _modulus(table, lam)) + 0.5 * math.pi
+    return phi, np.arcsin(np.minimum(1.0, lam / table.speed(phi)))
+
+
+def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
+    """Chart (s, theta) -> (lambda, t) conjugating the map to a shift.
+
+    Defined on the elliptic-caustic regime (lambda < b, forward branch
+    theta <= pi/2); theta < theta_star guarantees membership for every
+    footpoint.  The elliptic time is t = F(phi - pi/2, k(lambda)) modulo
+    the period 4K, where phi = angle_of_arc(s).  p may hold arrays.
+    """
+    _ellipse(table)
+    return _action_angle_phi(table, table.angle_of_arc(np.asarray(p.s) % table.perimeter), p.theta)
+
+
 def action_angle_inverse(table: EllipseTable, lam, t) -> PhasePoint:
     """Inverse chart: (lambda, t) -> (s, theta) on the forward branch.
     Takes arrays."""
-    _ellipse(table)
-    lam = np.asarray(lam, dtype=float)
-    _require((lam > 0.0) & (lam < table.b), "caustic parameter must lie in (0, b)", lam)
-    k = _modulus(table, lam)
-    phi = jacobi_am(t, k) + 0.5 * math.pi
-    theta = np.arcsin(np.minimum(1.0, lam / table.speed(phi)))
+    phi, theta = _action_angle_inverse_phi(_ellipse(table), lam, t)
     s = table.arc_of_angle(phi % TWO_PI)
     return PhasePoint(s % table.perimeter, theta if theta.ndim else float(theta))
 
@@ -189,13 +193,12 @@ class ConjugacyMap:
         # Largest |omega_1(lambda_1) - omega| left by the inversions so far.
         self._omega_residual = 0.0
 
-    def _lambda1_of_omega(self, omega):
+    def _match(self, coord2: CausticCoord):
+        """The core of h in either chart: (lambda1, t1), the table-1 caustic
+        of equal rotation number and its time at equal normalized time."""
         om = self._om_grid
-        omega = np.asarray(omega, dtype=float)
-        if np.any(omega >= om[-1]):
-            raise DomainError(
-                f"rotation number {np.max(omega)} outside table 1's near-boundary range"
-            )
+        omega = np.asarray(rotation_number_of_caustic(self.table2, coord2.lam))
+        _require(omega < om[-1], "rotation number outside table 1's near-boundary range", omega)
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
         if pos.any():
@@ -213,38 +216,36 @@ class ConjugacyMap:
             )
             resid = np.abs(rotation_number_of_caustic(self.table1, lam[pos]) - omega[pos])
             self._omega_residual = max(self._omega_residual, float(np.max(resid)))
-        return lam if lam.ndim else float(lam)
+        return lam, coord2.t_hat * 4.0 * ellip_k(_modulus(self.table1, lam))
 
     def __call__(self, p: PhasePoint) -> PhasePoint:
-        coord2 = action_angle(self.table2, p)
-        omega = rotation_number_of_caustic(self.table2, coord2.lam)
-        lam1 = self._lambda1_of_omega(omega)
-        k1 = _modulus(self.table1, lam1)
-        period1 = 4.0 * ellip_k(k1)
-        t1 = coord2.t_hat * period1
-        return action_angle_inverse(self.table1, lam1, t1)
+        return action_angle_inverse(self.table1, *self._match(action_angle(self.table2, p)))
 
     def residual_grid(self, n_s: int = 200, n_theta: int = 50, theta_min: float = 0.01):
         """Conjugacy defect |f1(h(x)) - h(f2(x))| on a grid of table 2: n_s
         arc lengths by n_theta angles from theta_min to theta_star - 0.01.
 
         Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
-        distances in s are circular modulo table 1's perimeter.  h runs once,
-        on the stacked points [x; f2(x)]: every map here acts on each element
-        alone, so the two halves are h(x) and h(f2(x)) bit for bit.
+        distances in s are circular modulo table 1's perimeter.  It runs in
+        phi: one angle_of_arc call, chord_exit bounces, h once on the stacked
+        points [x; f2(x)] and one arc_of_angle call for the distances in s.
         """
         if n_s < 1 or n_theta < 1:
             raise DomainError(f"residual grid needs n_s, n_theta >= 1, got {n_s}, {n_theta}")
-        ell1 = self.table1.perimeter
         svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
         tvals = np.linspace(theta_min, self.theta_star - 0.01, n_theta)
         s, th = (v.ravel() for v in np.meshgrid(svals, tvals))
-        fx = step(self.table2, PhasePoint(s, th))
-        hx = self(PhasePoint(np.concatenate((s, fx.s)), np.concatenate((th, fx.theta))))
+        phi = self.table2.angle_of_arc(s)
+        phi_f, th_f = self.table2.chord_exit(phi, th)
+        coord2 = _action_angle_phi(self.table2, np.concatenate((phi, phi_f)),
+                                   np.concatenate((th, th_f)))
+        hphi, hth = _action_angle_inverse_phi(self.table1, *self._match(coord2))
         n = s.size
-        lhs = step(self.table1, PhasePoint(hx.s[:n], hx.theta[:n]))
-        ds = np.abs(lhs.s - hx.s[n:]) % ell1
-        return s, th, np.minimum(ds, ell1 - ds), np.abs(lhs.theta - hx.theta[n:])
+        lhs_phi, lhs_th = self.table1.chord_exit(hphi[:n], hth[:n])
+        ell1 = self.table1.perimeter
+        lhs_s, rhs_s = np.split(self.table1.arc_of_angle(np.concatenate((lhs_phi, hphi[n:]))), 2)
+        ds = np.abs(lhs_s - rhs_s) % ell1
+        return s, th, np.minimum(ds, ell1 - ds), np.abs(lhs_th - hth[n:])
 
     def max_residual(self, **kw) -> float:
         _, _, rs, rt = self.residual_grid(**kw)

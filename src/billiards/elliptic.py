@@ -53,33 +53,32 @@ def carlson_rf(x, y, z):
     accurate to a few ulp.
     """
     x, y, z = _arrays(x, y, z)
-    shape = x.shape
     v = np.stack([x.ravel(), y.ravel(), z.ravel()])
     _require(np.isfinite(v), "carlson_rf: arguments must be finite", v)
     _require(v >= 0.0, "carlson_rf: arguments must be nonnegative", v)
     if np.any((v == 0.0).sum(axis=0) > 1):
         raise DomainError("carlson_rf: diverges when two or more arguments vanish")
 
-    out = np.empty(v.shape[1])
-    live = np.arange(v.shape[1])
+    # No compaction: a column stops duplicating at its own spread test and
+    # keeps its state, from which the series is taken once at the end.
+    pending = np.ones(v.shape[1], dtype=bool)
     for _ in range(300):
-        if not live.size:
-            out = out.reshape(shape)
-            return out if out.ndim else float(out)
+        if not pending.any():
+            break
         r = np.sqrt(v)
         lam = r[0] * r[1] + r[1] * r[2] + r[2] * r[0]
-        v = 0.25 * (v + lam)
+        np.copyto(v, 0.25 * (v + lam), where=pending)
         mu = (v[0] + v[1] + v[2]) / 3.0
-        d = (mu - v) / mu
-        done = np.abs(d).max(axis=0) < _RF_SPREAD
-        if done.any():
-            dx, dy, dz = d[:, done]
-            e2 = dx * dy - dz * dz
-            e3 = dx * dy * dz
-            series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-            out[live[done]] = series / np.sqrt(mu[done])
-            live, v = live[~done], v[:, ~done]
-    raise SolverError("carlson_rf: duplication did not converge")  # pragma: no cover
+        pending &= np.abs((mu - v) / mu).max(axis=0) >= _RF_SPREAD
+    else:  # pragma: no cover
+        raise SolverError("carlson_rf: duplication did not converge")
+    mu = (v[0] + v[1] + v[2]) / 3.0
+    dx, dy, dz = (mu - v) / mu
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+    out = (series / np.sqrt(mu)).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def _check_modulus(k) -> None:

@@ -30,8 +30,10 @@ def ellipse_max_length(a, b, q, dps=40):
             m = c2 / (a * a - lam * lam)
             return mp.ellipf(mp.asin(lam / b), m) / (2 * mp.ellipk(m)) - mp.mpf(1) / q
 
-        lam = mp.findroot(rotation_gap, (b * mp.mpf("1e-30"), b * (1 - mp.mpf("1e-30"))),
-                          solver="anderson")
+        # Bracket ends 10 digits inside (0, b), so b (1 - tiny) stays below b
+        # at any dps; the 1e-30 of dps = 40 rounded to b at dps = 30.
+        tiny = mp.mpf(10) ** (10 - dps)
+        lam = mp.findroot(rotation_gap, (b * tiny, b * (1 - tiny)), solver="anderson")
         A, B = mp.sqrt(a * a - lam * lam), mp.sqrt(b * b - lam * lam)
         u = mp.asin(B / b)
         m_c = 1 - (B / A) ** 2

@@ -68,6 +68,24 @@ class TestCarlsonRF:
         for args in [(1.0, 2.0, 3.0), (0.5, 0.5, 4.0), (0.0, 2.5, 0.3)]:
             assert carlson_rf(*args) == pytest.approx(oracle(*args), rel=1e-11)
 
+    def test_pinned_values(self):
+        # Bit patterns that a rewrite of the duplication loop must keep, in a
+        # batch and one point at a time: a zero argument, spreads of 1e16 and
+        # 1e600, near-equal arguments and a generic point.
+        pins = [
+            ((0.0, 1.0, 1.0), "0x1.921fb54442d19p+0"),
+            ((0.0, 1.0, 2.0), "0x1.4f9f94f9f50b1p+0"),
+            ((2.0, 3.0, 0.0), "0x1.00469b71d306fp+0"),
+            ((1e-8, 1.0, 1e8), "0x1.15c8241a04e00p-10"),
+            ((1e-300, 7.0, 1e300), "0x1.1afc4b18b9dc9p-490"),
+            ((1.0, 1.0 + 1e-10, 1.0 - 1e-10), "0x1.0000000000000p+0"),
+            ((0.3, 2.5, 17.0), "0x1.05b607d53b3c9p-1"),
+        ]
+        args = [a for a, _ in pins]
+        want = [float.fromhex(h) for _, h in pins]
+        assert carlson_rf(*np.array(args).T).tolist() == want
+        assert [carlson_rf(*a) for a in args] == want
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             carlson_rf(-1.0, 1.0, 1.0)

@@ -127,6 +127,13 @@ class TestExactEllipseLengths:
             assert float(ellipse_max_length(a, b, 4)) == pytest.approx(
                 4.0 * math.hypot(a, b), rel=1e-15)
 
+    @pytest.mark.parametrize("q", [3, 10, 40])
+    def test_oracle_precision_independent(self, q):
+        # the root bracket scales with dps: at dps = 30 a fixed 1e-30 offset
+        # rounded the upper end to b, where the modulus reaches 1
+        assert abs(ellipse_max_length(1.0, 0.1, q, dps=30)
+                   - ellipse_max_length(1.0, 0.1, q, dps=40)) <= 1e-25
+
     @pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 2.0), (1.0, 0.3)])
     def test_max_lengths(self, a, b):
         qs = [3, 5, 10, 20, 57, 120]
