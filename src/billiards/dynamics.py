@@ -88,7 +88,7 @@ def generating(table: Table, s: float, s2: float) -> tuple[float, float, float]:
     and d_s2 = cos(theta') for the same chord arriving at s2.
     """
     t = table.angle_of_arc(np.array([s, s2]) % table.perimeter)
-    (p1, p2), (tan1, tan2), _, _ = table.frame(t)
+    (p1, p2), (tan1, tan2), _, _, _ = table.frame(t)
     dx = p2[0] - p1[0]
     dy = p2[1] - p1[1]
     d = math.hypot(dx, dy)

@@ -77,7 +77,12 @@ def rotation_number_of_caustic(E: EllipseTable, lam):
     lam = np.asarray(lam, dtype=float)
     _require((lam >= 0.0) & (lam < E.b), "caustic parameter must lie in [0, b)", lam)
     k = _modulus(E, lam)
-    return ellip_f(np.arcsin(lam / E.b), k) / (2.0 * ellip_k(k))
+    return _rotation(E, lam, k, ellip_k(k))
+
+
+def _rotation(E: EllipseTable, lam, k, bigk):
+    # rotation_number_of_caustic from k = k(lambda) and bigk = K(k).
+    return ellip_f(np.arcsin(lam / E.b), k) / (2.0 * bigk)
 
 
 def orbit_shift(E: EllipseTable, lam):
@@ -197,7 +202,8 @@ class ConjugacyMap:
         """The core of h in either chart: (lambda1, t1), the table-1 caustic
         of equal rotation number and its time at equal normalized time."""
         om = self._om_grid
-        omega = np.asarray(rotation_number_of_caustic(self.table2, coord2.lam))
+        # period / 4 = K(k2) exactly: table 2's complete integral is not re-evaluated.
+        omega = np.asarray(_rotation(self.table2, coord2.lam, coord2.k, coord2.period / 4.0))
         _require(omega < om[-1], "rotation number outside table 1's near-boundary range", omega)
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
@@ -214,16 +220,21 @@ class ConjugacyMap:
                 xtol=1e-15,
                 fbracket=(om[jl], om[jh]),
             )
-            resid = np.abs(rotation_number_of_caustic(self.table1, lam[pos]) - omega[pos])
-            self._omega_residual = max(self._omega_residual, float(np.max(resid)))
-        return lam, coord2.t_hat * 4.0 * ellip_k(_modulus(self.table1, lam))
+        # One K(k1) serves the omega_1 re-check and the time rescale; at
+        # lambda = 0 (omega = 0) the re-check reads exactly 0.
+        k1 = _modulus(self.table1, lam)
+        bigk1 = ellip_k(k1)
+        resid = np.abs(_rotation(self.table1, lam, k1, bigk1) - omega)
+        self._omega_residual = max(self._omega_residual, float(np.max(resid, initial=0.0)))
+        return lam, coord2.t_hat * 4.0 * bigk1
 
     def __call__(self, p: PhasePoint) -> PhasePoint:
         return action_angle_inverse(self.table1, *self._match(action_angle(self.table2, p)))
 
     def residual_grid(self, n_s: int = 200, n_theta: int = 50, theta_min: float = 0.01):
         """Conjugacy defect |f1(h(x)) - h(f2(x))| on a grid of table 2: n_s
-        arc lengths by n_theta angles from theta_min to theta_star - 0.01.
+        arc lengths by n_theta angles from theta_min to theta_star - 0.01,
+        which must lie above theta_min.
 
         Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
         distances in s are circular modulo table 1's perimeter.  It runs in
@@ -232,6 +243,9 @@ class ConjugacyMap:
         """
         if n_s < 1 or n_theta < 1:
             raise DomainError(f"residual grid needs n_s, n_theta >= 1, got {n_s}, {n_theta}")
+        if not theta_min < self.theta_star - 0.01:
+            raise DomainError(f"residual grid strip is empty: theta_min = {theta_min!r} is not "
+                              f"below theta_star - 0.01, theta_star = {self.theta_star!r}")
         svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
         tvals = np.linspace(theta_min, self.theta_star - 0.01, n_theta)
         s, th = (v.ravel() for v in np.meshgrid(svals, tvals))

@@ -168,8 +168,7 @@ class _Chain:
     def _block(self, t, q):
         """hessian of one block of rows, on all of its columns."""
         last = q - 1
-        pos, tan, kappa, w = self.table.frame(t)
-        dw = self.table.dspeed(t)
+        pos, tan, kappa, w, dw = self.table.frame(t)
         pos_n, tan_n = _next(pos, last), _next(tan, last)
         x, y = pos[..., 0], pos[..., 1]
         tx, ty = tan[..., 0], tan[..., 1]

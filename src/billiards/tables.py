@@ -1,7 +1,10 @@
 """Strictly convex billiard tables.
 
 Every table is a closed convex curve parametrized internally by a boundary
-angle t in [0, 2*pi) and exposed through arc length s.  Construction makes
+angle t in [0, 2*pi) and exposed through arc length s.  A table states its
+geometry in two methods: speed |dgamma/dt|, and frame, which returns the
+position, unit tangent, curvature, speed and d speed/dt from one evaluation
+of the boundary; position and dspeed are views of frame.  Construction makes
 one pass over the nodes of composite Gauss panels in t: speed gives the
 monotone arc-length lookup (refined by a local Newton polish on inversion)
 and the perimeter, and one frame call on the same nodes checks kappa > 0
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvexityError, SolverError, TableConfigError
+from .errors import ConvexityError, SolverError, TableConfigError, _require
 
 __all__ = [
     "Table",
@@ -54,21 +57,25 @@ class Table:
         self._build_arc_tables()
 
     # -- subclass surface --------------------------------------------------
+    # A table defines speed, frame, chord_exit, scaled and as_config;
+    # position and dspeed are views of frame.
 
-    def position(self, t):
-        """Boundary point at angle parameter t; vectorized."""
+    def speed(self, t):
+        """|dgamma/dt| at angle parameter t; vectorized."""
         raise NotImplementedError
 
     def frame(self, t):
-        """Return (position, unit tangent, curvature, speed |dgamma/dt|)."""
+        """Return (position, unit tangent, curvature, speed |dgamma/dt|,
+        d speed/dt) at angle parameter t; vectorized."""
         raise NotImplementedError
 
-    def speed(self, t):
-        raise NotImplementedError
+    def position(self, t):
+        """Boundary point at angle parameter t."""
+        return self.frame(t)[0]
 
     def dspeed(self, t):
-        """d|dgamma/dt| / dt, needed by the orbit Hessian."""
-        raise NotImplementedError
+        """d|dgamma/dt| / dt."""
+        return self.frame(t)[4]
 
     def scaled(self, c: float) -> "Table":
         """Similar table enlarged by the factor c > 0."""
@@ -92,7 +99,7 @@ class Table:
         self._panel_h = h
         self._s_knots = np.concatenate([[0.0], np.cumsum(panel)])
         self._perimeter = float(self._s_knots[-1])
-        _, _, kappa, w = self.frame(tt)
+        _, _, kappa, w, _ = self.frame(tt)
         if np.min(kappa) <= 0.0:
             raise ConvexityError(
                 f"{self.kind}: curvature reaches {np.min(kappa):.3e}; "
@@ -162,30 +169,22 @@ class CircleTable(Table):
     integrable = True
 
     def __init__(self, radius: float):
+        _require(math.isfinite(radius), "circle radius must be finite", radius)
         if radius <= 0.0:
             raise ConvexityError(f"circle radius must be positive, got {radius}")
         self.radius = float(radius)
         super().__init__()
 
-    def position(self, t):
+    def speed(self, t):
         t = np.asarray(t, dtype=float)
-        return np.stack([self.radius * np.cos(t), self.radius * np.sin(t)], axis=-1)
+        return np.full_like(t, self.radius)
 
     def frame(self, t):
         t = np.asarray(t, dtype=float)
         pos = np.stack([self.radius * np.cos(t), self.radius * np.sin(t)], axis=-1)
         tan = np.stack([-np.sin(t), np.cos(t)], axis=-1)
         kappa = np.full_like(t, 1.0 / self.radius)
-        w = np.full_like(t, self.radius)
-        return pos, tan, kappa, w
-
-    def speed(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.radius)
-
-    def dspeed(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t)
+        return pos, tan, kappa, np.full_like(t, self.radius), np.zeros_like(t)
 
     # Exact arc length: s = R * t.
     def arc_of_angle(self, t):
@@ -230,6 +229,7 @@ class EllipseTable(Table):
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
+        _require(np.isfinite([a, b]), "ellipse semi-axes must be finite", [a, b])
         if not (0.0 < b <= a):
             raise ConvexityError(f"ellipse needs 0 < b <= a, got a={a}, b={b}")
         self.a, self.b = a, b
@@ -238,29 +238,22 @@ class EllipseTable(Table):
         self.theta_star = math.asin(b / a)
         super().__init__()
 
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
+    def _w2(self, st, ct):
+        """Squared speed a^2 sin^2 t + b^2 cos^2 t from sin t and cos t."""
+        return (self.a * st) ** 2 + (self.b * ct) ** 2
 
     def speed(self, t):
         t = np.asarray(t, dtype=float)
-        st, ct = np.sin(t), np.cos(t)
-        return np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
-
-    def dspeed(self, t):
-        t = np.asarray(t, dtype=float)
-        st, ct = np.sin(t), np.cos(t)
-        w = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
-        return self.c2 * st * ct / w
+        return np.sqrt(self._w2(np.sin(t), np.cos(t)))
 
     def frame(self, t):
         t = np.asarray(t, dtype=float)
         st, ct = np.sin(t), np.cos(t)
         pos = np.stack([self.a * ct, self.b * st], axis=-1)
-        w = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
+        w = np.sqrt(self._w2(st, ct))
         tan = np.stack([-self.a * st / w, self.b * ct / w], axis=-1)
         kappa = self.a * self.b / w**3
-        return pos, tan, kappa, w
+        return pos, tan, kappa, w, self.c2 * st * ct / w
 
     def chord_exit(self, t0, theta):
         # The chord from t0 to t0 + 2h is parallel to the tangent at m = t0 + h,
@@ -268,14 +261,13 @@ class EllipseTable(Table):
         # atan2(ab sin h, w(t)^2 cos h + c^2 sin t cos t sin h).  Setting that
         # turn to theta from t0 gives h; the turn from m gives theta1.  Nothing
         # O(1) cancels, so theta -> 0 keeps full relative accuracy.
-        a, b, c2 = self.a, self.b, self.c2
-        ab = a * b
+        ab, c2 = self.a * self.b, self.c2
         t0 = np.asarray(t0, dtype=float)
         st, ct, s0, c0 = np.sin(theta), np.cos(theta), np.sin(t0), np.cos(t0)
-        h = np.arctan2(((a * s0) ** 2 + (b * c0) ** 2) * st, ab * ct - c2 * s0 * c0 * st)
+        h = np.arctan2(self._w2(s0, c0) * st, ab * ct - c2 * s0 * c0 * st)
         m = t0 + h
         sh, ch, sm, cm = np.sin(h), np.cos(h), np.sin(m), np.cos(m)
-        theta1 = np.arctan2(ab * sh, ((a * sm) ** 2 + (b * cm) ** 2) * ch + c2 * sm * cm * sh)
+        theta1 = np.arctan2(ab * sh, self._w2(sm, cm) * ch + c2 * sm * cm * sh)
         t1 = t0 + 2.0 * h
         return (t1, theta1) if t1.ndim else (float(t1), float(theta1))
 
@@ -297,12 +289,15 @@ class PerturbedCircleTable(Table):
     kind = "perturbed_circle"
 
     def __init__(self, radius: float, harmonics):
+        _require(math.isfinite(radius), "base radius must be finite", radius)
         if radius <= 0.0:
             raise ConvexityError(f"base radius must be positive, got {radius}")
         self.radius = float(radius)
-        self.harmonics = tuple(
-            (int(m), float(eps), float(phase)) for (m, eps, phase) in harmonics
-        )
+        harmonics = np.array(harmonics, dtype=float).reshape(-1, 3)
+        _require(np.isfinite(harmonics), "harmonic m, eps and phase must be finite", harmonics)
+        _require(harmonics[:, 0] % 1.0 == 0.0, "harmonic order m must be an integer",
+                 harmonics[:, 0])
+        self.harmonics = tuple((int(m), eps, phase) for m, eps, phase in harmonics.tolist())
         # r = R + sum er cos(m t + phase), r' = sum emr sin(m t + phase)
         self._modes = tuple((float(m), phase, self.radius * eps, -self.radius * eps * m)
                             for m, eps, phase in self.harmonics)
@@ -311,33 +306,22 @@ class PerturbedCircleTable(Table):
         super().__init__()
 
     def _radial(self, psi, order=2):
-        """r, r', ... up to the order-th psi-derivative (order <= 2).  Each
-        harmonic costs one cosine, plus one sine when order >= 1."""
+        """r, r' and, for order 2, r''.  Each harmonic costs one cosine and
+        one sine."""
         r = [np.ones_like(psi)] + [np.zeros_like(psi) for _ in range(order)]
         for m, eps, phase in self.harmonics:
             arg = m * psi + phase
             c = np.cos(arg)
             r[0] += eps * c
-            if order >= 1:
-                r[1] += -eps * m * np.sin(arg)
+            r[1] += -eps * m * np.sin(arg)
             if order == 2:
                 r[2] += -eps * m * m * c
         return [self.radius * v for v in r]
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        (r,) = self._radial(t, 0)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
     def speed(self, t):
         t = np.asarray(t, dtype=float)
         r, r1 = self._radial(t, 1)
         return np.sqrt(r * r + r1 * r1)
-
-    def dspeed(self, t):
-        t = np.asarray(t, dtype=float)
-        r, r1, r2 = self._radial(t)
-        return (r * r1 + r1 * r2) / np.sqrt(r * r + r1 * r1)
 
     def frame(self, t):
         t = np.asarray(t, dtype=float)
@@ -349,7 +333,7 @@ class PerturbedCircleTable(Table):
         w = np.sqrt(dx * dx + dy * dy)
         tan = np.stack([dx / w, dy / w], axis=-1)
         kappa = (r * r + 2.0 * r1 * r1 - r * r2) / w**3
-        return pos, tan, kappa, w
+        return pos, tan, kappa, w, (r * r1 + r1 * r2) / np.sqrt(r * r + r1 * r1)
 
     def chord_exit(self, t0, theta):
         # T(t) points at t + pi/2 - delta(t), delta = atan2(r', r), the chord to

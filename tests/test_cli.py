@@ -488,6 +488,25 @@ class TestExitCodes:
         assert err.startswith("billiards: ") and message in err
         assert "Traceback" not in err and "solver failure" not in err
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "circle", "R": NaN}',
+        '{"kind": "circle", "R": Infinity}',
+        '{"kind": "ellipse", "a": Infinity, "b": 1.0}',
+        '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": NaN}]}',
+        '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": 0.05, "phase": NaN}]}',
+        '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 2.5, "eps": 0.05}]}',
+    ], ids=["circle-nan", "circle-inf", "ellipse-inf", "eps-nan", "phase-nan", "m-fraction"])
+    def test_bad_table_value_is_1(self, tmp_path, capsys, text):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["orbit", "--table", str(path), "--theta0", "0.5", "--steps", "5",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: ") and err.count("\n") == 1
+        assert not (out / "trajectory.csv").exists()
+
     def test_version_flag(self, capsys):
         rc = main(["--version"])
         assert rc == 0

@@ -54,14 +54,14 @@ class TestStep:
         # chord aimed at the focus (+c, 0) reflects into one through (-c, 0)
         c = math.sqrt(ellipse21.c2)
         t0 = 1.0
-        pos, tan, _, _ = ellipse21.frame(t0)
+        pos, tan, _, _, _ = ellipse21.frame(t0)
         aim = np.array([c, 0.0]) - pos
         aim /= math.hypot(*aim)
         theta = math.atan2(tan[0] * aim[1] - tan[1] * aim[0],
                            tan[0] * aim[0] + tan[1] * aim[1])
         p1 = step(ellipse21, PhasePoint(ellipse21.arc_of_angle(t0), theta))
         t1 = ellipse21.angle_of_arc(p1.s)
-        pos1, tan1, _, _ = ellipse21.frame(t1)
+        pos1, tan1, _, _, _ = ellipse21.frame(t1)
         out = np.array([math.cos(p1.theta) * tan1[0] - math.sin(p1.theta) * tan1[1],
                         math.sin(p1.theta) * tan1[0] + math.cos(p1.theta) * tan1[1]])
         # distance from the line pos1 + t*out to (-c, 0)

@@ -20,6 +20,7 @@ from billiards import (
     step,
 )
 
+import billiards.elliptic as elliptic
 import billiards.ellipse_maps as ellipse_maps
 from billiards.ellipse_maps import ConjugacyMap
 from caustic_oracle import caustic_param_oracle
@@ -239,6 +240,18 @@ class TestConjugacy:
         h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
         assert h.max_residual(theta_min=1e-8) <= 1e-13
 
+    @pytest.mark.parametrize("table2,theta_min", [
+        (EllipseTable(1.0, 0.01), 0.01),
+        (EllipseTable(1.0, 0.009), 0.01),
+        (EllipseTable(3.0, 2.0), 0.75),
+    ], ids=["strip-top-above-min", "strip-top-negative", "min-above-strip"])
+    def test_empty_strip_raises(self, table2, theta_min):
+        # the theta axis would otherwise run backwards from theta_min
+        h = build_conjugacy(EllipseTable(1.0, 0.5), table2)
+        with pytest.raises(DomainError, match="strip is empty") as err:
+            h.residual_grid(n_s=8, n_theta=4, theta_min=theta_min)
+        assert repr(theta_min) in str(err.value) and repr(h.theta_star) in str(err.value)
+
     def test_theta_star_composition(self, ellipse21):
         t2 = EllipseTable(3.0, 2.0)
         h = build_conjugacy(ellipse21, t2)
@@ -345,6 +358,40 @@ class TestBatchIndependence:
         th[0] = 0.0
         out = caustic_param_oracle(E, phi, th)
         assert np.array_equal(out, [caustic_param_oracle(E, *v) for v in zip(phi, th)])
+
+
+class TestMatchCompleteIntegrals:
+    def test_one_complete_integral_per_match(self, ellipse21, monkeypatch):
+        # omega_2 takes K(k2) from coord2.period (period / 4 = K exactly), and
+        # one K(k1) serves the omega_1 re-check and the time rescale; the
+        # inversion's own evaluations are not counted.
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        phi = np.linspace(0.0, TWO_PI, 50, endpoint=False)
+        coord2 = ellipse_maps._action_angle_phi(h.table2, phi, np.full(50, 0.4))
+        assert np.array_equal(
+            ellipse_maps._rotation(h.table2, coord2.lam, coord2.k, coord2.period / 4.0),
+            rotation_number_of_caustic(h.table2, coord2.lam))
+        counted, inside = [], [False]
+        ellip_k_, invert = ellipse_maps.ellip_k, ellipse_maps.invert_monotone
+
+        def spy_k(k):
+            if not inside[0]:
+                counted.append(np.size(k))
+            return ellip_k_(k)
+
+        def spy_invert(*args, **kw):
+            inside[0] = True
+            try:
+                return invert(*args, **kw)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ellipse_maps, "ellip_k", spy_k)
+        monkeypatch.setattr(ellipse_maps, "invert_monotone", spy_invert)
+        lam1, t1 = h._match(coord2)
+        assert counted == [50]
+        k1 = ellipse_maps._modulus(h.table1, lam1)
+        assert np.array_equal(t1, coord2.t_hat * 4.0 * ellip_k_(k1))
 
 
 class TestResidualGridOnePass:

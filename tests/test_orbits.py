@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from billiards import (
+    CircleTable,
     DomainError,
     EllipseTable,
     PerturbedCircleTable,
@@ -110,7 +111,7 @@ class TestEllipseOrbits:
         pts = orb.vertices(ellipse21)
         chord = pts[1] - pts[0]
         chord /= math.hypot(*chord)
-        _, tan, _, _ = ellipse21.frame(orb.t[0])
+        _, tan, _, _, _ = ellipse21.frame(orb.t[0])
         theta0 = math.atan2(tan[0] * chord[1] - tan[1] * chord[0],
                             tan[0] * chord[0] + tan[1] * chord[1])
         est = rotation_estimate(ellipse21, PhasePoint(orb.s[0], theta0), 5)
@@ -433,6 +434,69 @@ class TestBatchedSolver:
             assert res[r] == one[3][0]
             assert np.all(F[r, q:] == 0.0) and np.all(diag[r, q:] == 1.0)
             assert np.all(off[r, q:] == 0.0)
+
+
+class TestHessianPins:
+    """_Chain.hessian on one fixed 4-gon per table kind, pinned bit for bit
+    (float.hex of F, diag, off and res) so any change in how the tables'
+    geometry reaches the Hessian shows."""
+
+    TABLES = {
+        "circle": lambda: CircleTable(1.0),
+        "ellipse21": lambda: EllipseTable(2.0, 1.0),
+        "perturbed3": lambda: PerturbedCircleTable(
+            1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)]),
+    }
+    PINS = {
+        "circle": (
+            ["0x1.89a21faa02480p-8", "-0x1.1e92e7e388b90p-5", "0x1.1e92e7e388b90p-5",
+             "-0x1.89a21faa02580p-8"],
+            ["-0x1.6dc7c4343645ap-1", "-0x1.662486cbfc6edp-1", "-0x1.662486cbfc6edp-1",
+             "-0x1.6dc7c4343645ap-1"],
+            ["0x1.6f494c2bffeccp-2", "0x1.5cffc16bf8f0bp-2", "0x1.6f494c2bffeccp-2",
+             "0x1.6c463c3c6c9e8p-2"],
+            ["0x1.1e92e7e388b90p-5"],
+        ),
+        "ellipse21": (
+            ["-0x1.2d3bb42001081p-1", "0x1.343a4574638efp-3", "-0x1.dea8eb4b9c622p-2",
+             "0x1.6490475a4f902p-3"],
+            ["-0x1.3e3758396b2b3p+1", "-0x1.5c5750cd1e6a1p-3", "-0x1.40b785e740413p+1",
+             "-0x1.26401a28340f7p-3"],
+            ["0x1.d844e5e334d4cp-3", "0x1.43e23255f58b7p-1", "0x1.eee01edae4385p-3",
+             "0x1.520f42f284effp-1"],
+            ["0x1.0c25c3576c926p-1"],
+        ),
+        "perturbed3": (
+            ["-0x1.524c23305398bp-2", "-0x1.69c4d5d6f5289p-4", "0x1.2f117372d189bp-2",
+             "0x1.fa5fbd0850205p-4"],
+            ["-0x1.a8d1ac9856b60p-2", "-0x1.b59f270843fe6p-1", "-0x1.d155e5851deaep-1",
+             "-0x1.8d13ddb11897cp-2"],
+            ["0x1.278279928c9cap-2", "0x1.203396b5cb710p-2", "0x1.76eb0424c1527p-2",
+             "0x1.d1a51ad81aebcp-2"],
+            ["0x1.4da8f75dc7f7cp-2"],
+        ),
+    }
+    T = np.array([[0.3, 1.9, 3.4, 5.0]])  # no stationary 4-gon: F != 0
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_bit_identical(self, name):
+        got = orbits_mod._Chain(self.TABLES[name](), 1).hessian(self.T, np.array([4]))
+        for value, pin in zip(got, self.PINS[name]):
+            assert [float(x).hex() for x in np.ravel(value)] == pin
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_one_geometry_call_per_block(self, name, monkeypatch):
+        # frame carries position, tangent, curvature, speed and its derivative:
+        # a block evaluates the boundary once
+        table = self.TABLES[name]()
+        calls = []
+        for method in ("frame", "speed", "dspeed", "position"):
+            def spy(t, _method=method, _bound=getattr(table, method)):
+                calls.append(_method)
+                return _bound(t)
+            monkeypatch.setattr(table, method, spy)
+        orbits_mod._Chain(table, 1).hessian(self.T, np.array([4]))
+        assert calls == ["frame"]
 
 
 def _dense_hessian(diag, off):

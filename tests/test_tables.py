@@ -43,7 +43,7 @@ def gauss_arc_oracle(speed_fn, t_hi, panels=64, order=50):
 class TestCircle:
     def test_curvature_constant(self, circle):
         for s in np.linspace(0.0, circle.perimeter, 7):
-            _, _, kappa, _ = circle.frame(circle.angle_of_arc(s))
+            _, _, kappa, _, _ = circle.frame(circle.angle_of_arc(s))
             assert float(kappa) == pytest.approx(1.0, abs=1e-14)
 
     def test_arc_is_linear(self, circle):
@@ -57,12 +57,12 @@ class TestCircle:
 
 class TestEllipse:
     def test_vertex_curvature(self, ellipse21):
-        _, _, kappa, _ = ellipse21.frame(ellipse21.angle_of_arc(0.0))
+        _, _, kappa, _, _ = ellipse21.frame(ellipse21.angle_of_arc(0.0))
         assert float(kappa) == pytest.approx(2.0, rel=1e-12)
         # closed form a b / (a^2 sin^2 + b^2 cos^2)^(3/2) at random angles
         rng = np.random.default_rng(2)
         for t in rng.uniform(0, TWO_PI, 20):
-            _, _, kappa, _ = ellipse21.frame(t)
+            _, _, kappa, _, _ = ellipse21.frame(t)
             w2 = 4 * math.sin(t) ** 2 + math.cos(t) ** 2
             assert float(kappa) == pytest.approx(2.0 / w2**1.5, rel=1e-12)
 
@@ -92,11 +92,11 @@ class TestEllipse:
         # (the measurement itself carries ~1e-10 of FD noise at h = 1e-5)
         h = 1e-5
         for s0 in (0.7, 2.3, 5.1, 8.8):
-            pa, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 - h))
-            pb, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 + h))
+            pa, _, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 - h))
+            pb, _, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(s0 + h))
             speed = math.hypot(*(np.asarray(pb) - np.asarray(pa))) / (2 * h)
             assert speed == pytest.approx(1.0, abs=1e-9)
-        _, tan, _, _ = ellipse21.frame(ellipse21.angle_of_arc(2.3))
+        _, tan, _, _, _ = ellipse21.frame(ellipse21.angle_of_arc(2.3))
         assert math.hypot(*np.asarray(tan)) == pytest.approx(1.0, abs=1e-14)
 
     def test_lazutkin_scaling(self, ellipse21):
@@ -177,8 +177,8 @@ class TestPerturbedCircle:
         flat = PerturbedCircleTable(1.0, [(3, 0.0, 0.0)])
         rng = np.random.default_rng(6)
         for t in rng.uniform(0, TWO_PI, 10):
-            pc, tc, kc, wc = circle.frame(t)
-            pf, tf, kf, wf = flat.frame(t)
+            pc, tc, _, _, _ = circle.frame(t)
+            pf, tf, kf, _, _ = flat.frame(t)
             assert np.allclose(pc, pf, atol=1e-14)
             assert np.allclose(tc, tf, atol=1e-14)
             assert float(kf) == pytest.approx(1.0, abs=1e-14)
@@ -196,7 +196,7 @@ class TestPerturbedCircle:
 
     def test_curvature_positive_on_grid(self, perturbed):
         t = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
-        _, _, kappa, _ = perturbed.frame(t)
+        _, _, kappa, _, _ = perturbed.frame(t)
         assert np.min(kappa) > 0.0
 
     def test_perimeter_matches_lookup_increments(self, perturbed):
@@ -212,12 +212,35 @@ class TestPerturbedCircle:
         assert np.max(np.abs(perturbed.angle_of_arc(s) - t)) < 1e-10
 
     def test_profile_orders_agree_with_frame(self):
-        # position and speed build only r (and r'); frame builds r, r', r''
+        # speed builds only r and r'; frame builds r, r', r''
         table = PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)])
         t = np.random.default_rng(9).uniform(0.0, TWO_PI, 500)
-        pos, _, _, w = table.frame(t)
+        pos, _, _, w, _ = table.frame(t)
         assert np.array_equal(table.position(t), pos)
         assert np.allclose(table.speed(t), w, rtol=1e-14, atol=0.0)
+
+
+class TestSpeedDerivative:
+    """frame's fifth value, d|dgamma/dt|/dt, against a central difference of
+    speed; dspeed is the same number."""
+
+    @pytest.mark.parametrize("table,tol", [
+        (CircleTable(1.0), 0.0),
+        (EllipseTable(2.0, 1.0), 1e-9),
+        (PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)]), 1e-9),
+    ], ids=["circle", "ellipse21", "perturbed3"])
+    def test_central_difference(self, table, tol):
+        t = np.random.default_rng(10).uniform(0.0, TWO_PI, 200)
+        h = 1e-5
+        fd = (table.speed(t + h) - table.speed(t - h)) / (2.0 * h)
+        dw = table.frame(t)[4]
+        assert np.max(np.abs(dw - fd)) <= tol
+        assert np.array_equal(table.dspeed(t), dw)
+
+    @pytest.mark.parametrize("cls", [CircleTable, EllipseTable, PerturbedCircleTable])
+    def test_subclass_defines_no_position_or_dspeed(self, cls):
+        # both are views of frame, so a table states its geometry once
+        assert "position" not in vars(cls) and "dspeed" not in vars(cls)
 
 
 class TestArcInverse:
@@ -273,6 +296,28 @@ class TestConfig:
         with pytest.raises(TableConfigError):
             table_from_config({"kind": "ellipse", "a": 2.0})
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "circle", "R": math.nan},
+        {"kind": "circle", "R": math.inf},
+        {"kind": "ellipse", "a": math.inf, "b": 1.0},
+        {"kind": "perturbed_circle", "R": math.inf, "harmonics": []},
+        {"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": math.nan}]},
+        {"kind": "perturbed_circle", "R": 1.0,
+         "harmonics": [{"m": 3, "eps": 0.05, "phase": math.nan}]},
+        {"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 2.5, "eps": 0.05}]},
+        {"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": math.inf, "eps": 0.05}]},
+    ], ids=["circle-nan", "circle-inf", "ellipse-inf", "perturbed-inf", "eps-nan",
+            "phase-nan", "m-fraction", "m-inf"])
+    def test_non_finite_or_fractional_value_rejected(self, cfg):
+        # Python's json reads NaN and Infinity, so a table file reaches all of these
+        with pytest.raises(TableConfigError, match="finite|integer"):
+            table_from_config(json.loads(json.dumps(cfg)))
+
+    def test_integral_float_order_accepted(self):
+        table = table_from_config({"kind": "perturbed_circle", "R": 1.0,
+                                   "harmonics": [{"m": 3.0, "eps": 0.05}]})
+        assert table.as_config()["harmonics"] == [{"m": 3, "eps": 0.05, "phase": 0.0}]
+
     def test_nonconvex_rejected_at_load(self, tmp_path):
         path = tmp_path / "bad_table.json"
         path.write_text(json.dumps({
@@ -313,7 +358,7 @@ class TestChordExitProperties:
     def test_reflection_law(self, bounce):
         table, t0, theta = bounce
         t1, theta1 = table.chord_exit(t0, theta)
-        (p0, p1), (tan0, tan1), _, _ = table.frame(np.array([t0, t1]))
+        (p0, p1), (tan0, tan1), _, _, _ = table.frame(np.array([t0, t1]))
         chord = p1 - p0
         # the measured angles carry the rounding of the positions over |chord|
         tol = 1e-12 + 1e-15 * table.perimeter / math.hypot(*chord)
