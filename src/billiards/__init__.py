@@ -16,7 +16,7 @@ from .dynamics import (
     trajectory,
     write_trajectory_csv,
 )
-from .elliptic import carlson_rf, ellip_f, ellip_k, invert_monotone, jacobi_am
+from .elliptic import carlson_rf, ellip_f, ellip_fk, ellip_k, invert_monotone, jacobi_am
 from .ellipse_maps import (
     CausticCoord,
     ConjugacyMap,
@@ -67,7 +67,7 @@ __all__ = [
     "__version__",
     "PhasePoint", "generating", "rotation_estimate", "step", "step_lifted",
     "trajectory", "write_trajectory_csv",
-    "carlson_rf", "ellip_f", "ellip_k", "invert_monotone", "jacobi_am",
+    "carlson_rf", "ellip_f", "ellip_fk", "ellip_k", "invert_monotone", "jacobi_am",
     "CausticCoord", "ConjugacyMap", "HyperbolicDecision", "action_angle",
     "action_angle_inverse", "build_conjugacy", "caustic_param",
     "eccentricity_witness", "hyperbolic_orbit_exists", "orbit_shift",

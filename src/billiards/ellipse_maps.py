@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhasePoint
-from .elliptic import ellip_f, ellip_k, invert_monotone, jacobi_am
+from .elliptic import _jacobi_am, ellip_f, ellip_fk, ellip_k, invert_monotone
 from .errors import BracketError, DomainError, SolverError, _require
 from .tables import EllipseTable
 
@@ -76,13 +76,14 @@ def rotation_number_of_caustic(E: EllipseTable, lam):
     E = _ellipse(E)
     lam = np.asarray(lam, dtype=float)
     _require((lam >= 0.0) & (lam < E.b), "caustic parameter must lie in [0, b)", lam)
-    k = _modulus(E, lam)
-    return _rotation(E, lam, k, ellip_k(k))
+    return _rotation(E, lam, _modulus(E, lam))[0]
 
 
-def _rotation(E: EllipseTable, lam, k, bigk):
-    # rotation_number_of_caustic from k = k(lambda) and bigk = K(k).
-    return ellip_f(np.arcsin(lam / E.b), k) / (2.0 * bigk)
+def _rotation(E: EllipseTable, lam, k):
+    # (rotation number, K(k)) of the caustic lambda of modulus k = k(lambda),
+    # from one carlson_rf pass.
+    f, bigk = ellip_fk(np.arcsin(lam / E.b), k)
+    return f / (2.0 * bigk), bigk
 
 
 def orbit_shift(E: EllipseTable, lam):
@@ -125,17 +126,26 @@ def _action_angle_phi(table: EllipseTable, phi, theta) -> CausticCoord:
              "retrograde branch theta > pi/2 not covered by the chart", theta)
     lam = caustic_param(table, phi, theta)
     k = _modulus(table, lam)
-    period = 4.0 * ellip_k(k)
-    t = ellip_f(phi - 0.5 * math.pi, k) % period
+    f, bigk = ellip_fk(phi - 0.5 * math.pi, k)
+    period = 4.0 * bigk
+    t = f % period
     return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b)
 
 
-def _action_angle_inverse_phi(table: EllipseTable, lam, t):
+def _action_angle_inverse_phi(table: EllipseTable, lam, t, bigk=None):
     # action_angle_inverse in the boundary-angle chart: returns (phi, theta).
+    # A caller holding K(k(lambda)) passes it as bigk.
     lam = np.asarray(lam, dtype=float)
     _require((lam > 0.0) & (lam < table.b), "caustic parameter must lie in (0, b)", lam)
-    phi = jacobi_am(t, _modulus(table, lam)) + 0.5 * math.pi
+    k = _modulus(table, lam)
+    phi = _jacobi_am(t, k, ellip_k(k) if bigk is None else bigk) + 0.5 * math.pi
     return phi, np.arcsin(np.minimum(1.0, lam / table.speed(phi)))
+
+
+def _phase_point(table: EllipseTable, phi, theta) -> PhasePoint:
+    # (phi, theta) of the boundary-angle chart -> PhasePoint(s, theta).
+    s = table.arc_of_angle(phi % TWO_PI)
+    return PhasePoint(s % table.perimeter, theta if theta.ndim else float(theta))
 
 
 def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
@@ -153,9 +163,7 @@ def action_angle(table: EllipseTable, p: PhasePoint) -> CausticCoord:
 def action_angle_inverse(table: EllipseTable, lam, t) -> PhasePoint:
     """Inverse chart: (lambda, t) -> (s, theta) on the forward branch.
     Takes arrays."""
-    phi, theta = _action_angle_inverse_phi(_ellipse(table), lam, t)
-    s = table.arc_of_angle(phi % TWO_PI)
-    return PhasePoint(s % table.perimeter, theta if theta.ndim else float(theta))
+    return _phase_point(table, *_action_angle_inverse_phi(_ellipse(table), lam, t))
 
 
 class ConjugacyMap:
@@ -174,7 +182,11 @@ class ConjugacyMap:
         # entirely inside theta < theta1* have lambda < b1^2/a1 (= b1 for
         # the circle, where the clamp keeps the modulus below 1).
         lam1_max = min(table1.b * math.sin(table1.theta_star), table1.b * (1.0 - 1e-12))
-        omega1_max = rotation_number_of_caustic(table1, lam1_max)
+        # Monotone grid for bracketing the omega_1 inversion tightly;
+        # omega1_max is evaluated in the same pass, as one more element.
+        self._lam_grid = np.linspace(0.0, table1.b * (1.0 - 1e-9), 800)
+        om = rotation_number_of_caustic(table1, np.append(self._lam_grid, lam1_max))
+        self._om_grid, omega1_max = om[:-1], float(om[-1])
         # theta3*: pull the strip boundary back through the rotation matching.
         # The rotation number is arbitrarily steep in lambda near the strip
         # top, so only a modest residual in omega is representable; the
@@ -192,18 +204,17 @@ class ConjugacyMap:
             # omega1_max exceeds the whole sampled range of table 2
             self.theta3_star = table2.theta_star
         self.theta_star = min(table2.theta_star, self.theta3_star)
-        # Monotone grid for bracketing the omega_1 inversion tightly.
-        self._lam_grid = np.linspace(0.0, table1.b * (1.0 - 1e-9), 800)
-        self._om_grid = rotation_number_of_caustic(table1, self._lam_grid)
         # Largest |omega_1(lambda_1) - omega| left by the inversions so far.
         self._omega_residual = 0.0
 
     def _match(self, coord2: CausticCoord):
-        """The core of h in either chart: (lambda1, t1), the table-1 caustic
-        of equal rotation number and its time at equal normalized time."""
+        """The core of h in either chart: (lambda1, t1, K(k1)), the table-1
+        caustic of equal rotation number, its time at equal normalized time
+        and its complete integral, for the inverse chart."""
         om = self._om_grid
         # period / 4 = K(k2) exactly: table 2's complete integral is not re-evaluated.
-        omega = np.asarray(_rotation(self.table2, coord2.lam, coord2.k, coord2.period / 4.0))
+        omega = np.asarray(ellip_f(np.arcsin(coord2.lam / self.table2.b), coord2.k)
+                           / (2.0 * (coord2.period / 4.0)))
         _require(omega < om[-1], "rotation number outside table 1's near-boundary range", omega)
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
@@ -220,16 +231,17 @@ class ConjugacyMap:
                 xtol=1e-15,
                 fbracket=(om[jl], om[jh]),
             )
-        # One K(k1) serves the omega_1 re-check and the time rescale; at
-        # lambda = 0 (omega = 0) the re-check reads exactly 0.
-        k1 = _modulus(self.table1, lam)
-        bigk1 = ellip_k(k1)
-        resid = np.abs(_rotation(self.table1, lam, k1, bigk1) - omega)
+        # One pass gives omega_1 for the re-check and the K(k1) that serves
+        # the time rescale and the inverse chart; at lambda = 0 (omega = 0)
+        # the re-check reads exactly 0.
+        omega1, bigk1 = _rotation(self.table1, lam, _modulus(self.table1, lam))
+        resid = np.abs(omega1 - omega)
         self._omega_residual = max(self._omega_residual, float(np.max(resid, initial=0.0)))
-        return lam, coord2.t_hat * 4.0 * bigk1
+        return lam, coord2.t_hat * 4.0 * bigk1, bigk1
 
     def __call__(self, p: PhasePoint) -> PhasePoint:
-        return action_angle_inverse(self.table1, *self._match(action_angle(self.table2, p)))
+        match = self._match(action_angle(self.table2, p))
+        return _phase_point(self.table1, *_action_angle_inverse_phi(self.table1, *match))
 
     def residual_grid(self, n_s: int = 200, n_theta: int = 50, theta_min: float = 0.01):
         """Conjugacy defect |f1(h(x)) - h(f2(x))| on a grid of table 2: n_s
@@ -289,7 +301,7 @@ def _hyperbolic_fk(E: EllipseTable, xi):
     """(F(amp, k), K(k)) of the hyperbolic caustic xi in (-c^2, 0)."""
     k = np.sqrt(np.maximum(1.0 + xi / E.c2, 0.0))
     amp = np.arcsin(np.sqrt(E.b**2 / (E.b**2 - xi)))
-    return ellip_f(amp, k), ellip_k(k)
+    return ellip_fk(amp, k)
 
 
 def _g_hyperbolic(E: EllipseTable, m: int, n: int, xi):

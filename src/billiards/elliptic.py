@@ -4,6 +4,10 @@ F and K are built on the Carlson symmetric integral R_F evaluated by the
 duplication algorithm; the AGM route is kept in the test suite as an
 independent oracle.  F extends quasi-periodically to all real amplitudes,
 F(phi + n*pi, k) = F(phi, k) + 2*n*K(k), and jacobi_am inverts it.
+ellip_fk returns F and K from one carlson_rf call on the stacked
+arguments; ellip_f shares that pass, where wound amplitudes take their K.
+Duplication acts element by element, so the fused values equal separate
+ellip_f and ellip_k calls bit for bit.
 
 Every function takes arrays and broadcasts its arguments; a scalar input
 returns a float.  The iterative ones (duplication, Newton, root finding)
@@ -24,6 +28,7 @@ __all__ = [
     "carlson_rf",
     "ellip_k",
     "ellip_f",
+    "ellip_fk",
     "jacobi_am",
     "invert_monotone",
 ]
@@ -53,23 +58,32 @@ def carlson_rf(x, y, z):
     accurate to a few ulp.
     """
     x, y, z = _arrays(x, y, z)
-    v = np.stack([x.ravel(), y.ravel(), z.ravel()])
-    _require(np.isfinite(v), "carlson_rf: arguments must be finite", v)
-    _require(v >= 0.0, "carlson_rf: arguments must be nonnegative", v)
+    v = np.array((x, y, z)).reshape(3, x.size)
+    # One pass for both checks (NaN fails both comparisons); the messages
+    # come from the two _require calls, run only when it fails.
+    if not ((v >= 0.0) & (v < math.inf)).all():
+        _require(np.isfinite(v), "carlson_rf: arguments must be finite", v)
+        _require(v >= 0.0, "carlson_rf: arguments must be nonnegative", v)
     if np.any((v == 0.0).sum(axis=0) > 1):
         raise DomainError("carlson_rf: diverges when two or more arguments vanish")
 
     # No compaction: a column stops duplicating at its own spread test and
     # keeps its state, from which the series is taken once at the end.
+    # While every column is pending the step needs no masked copy.
     pending = np.ones(v.shape[1], dtype=bool)
+    npending = v.shape[1]
     for _ in range(300):
-        if not pending.any():
+        if not npending:
             break
         r = np.sqrt(v)
         lam = r[0] * r[1] + r[1] * r[2] + r[2] * r[0]
-        np.copyto(v, 0.25 * (v + lam), where=pending)
+        if npending == v.shape[1]:
+            v = 0.25 * (v + lam)
+        else:
+            np.copyto(v, 0.25 * (v + lam), where=pending)
         mu = (v[0] + v[1] + v[2]) / 3.0
         pending &= np.abs((mu - v) / mu).max(axis=0) >= _RF_SPREAD
+        npending = np.count_nonzero(pending)
     else:  # pragma: no cover
         raise SolverError("carlson_rf: duplication did not converge")
     mu = (v[0] + v[1] + v[2]) / 3.0
@@ -89,23 +103,22 @@ def ellip_k(k):
     """Complete elliptic integral of the first kind K(k), 0 <= k < 1."""
     k = np.asarray(k, dtype=float)
     _check_modulus(k)
-    return carlson_rf(0.0, (1.0 - k) * (1.0 + k), 1.0)
+    return _rf_principal(0.0, k)
 
 
-def _f_principal(phi, k):
-    # F on the principal branch phi in [-pi/2, pi/2].  1 - (k sin)^2 is
-    # written k'^2 + (k cos)^2, which does not cancel near k = 1, phi = pi/2.
-    s = np.sin(phi)
-    c = np.cos(phi)
-    return s * carlson_rf(c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0)
+def _rf_principal(c, k):
+    # R_F factor of F = sin(phi) R_F on the principal branch phi in
+    # [-pi/2, pi/2], c = cos(phi); c = 0 gives K(k) exactly.  1 - (k sin)^2
+    # is written k'^2 + (k cos)^2, which does not cancel near k = 1,
+    # phi = pi/2.
+    return carlson_rf(c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0)
 
 
-def ellip_f(phi, k):
-    """Incomplete elliptic integral of the first kind F(phi, k).
-
-    Valid for any real amplitude phi via the quasi-periodic extension
-    F(phi + n*pi, k) = F(phi, k) + 2*n*K(k).  Strictly increasing in phi.
-    """
+def _f_and_k(phi, k, every_k: bool):
+    """F(phi, k) and K(k) from one carlson_rf call on the principal-branch
+    arguments stacked over the complete ones.  K is evaluated on every
+    element when every_k, else only where the amplitude is wound (and
+    then not returned)."""
     phi, k = _arrays(phi, k)
     _check_modulus(k)
     _require(np.isfinite(phi), "ellip_f: amplitude must be finite", phi)
@@ -116,11 +129,32 @@ def ellip_f(phi, k):
     # Compensated subtraction of n*pi keeps the reduced amplitude accurate
     # for moderately large |phi|; it is exact for n = 0.
     phi0 = (phi - n * _PI_HI) - n * _PI_LO
-    f = np.asarray(_f_principal(phi0, k))
     wound = n != 0.0
+    kc = k.ravel() if every_k else k[wound]
+    rf = _rf_principal(np.concatenate((np.cos(phi0).ravel(), np.zeros(kc.size))),
+                       np.concatenate((k.ravel(), kc)))
+    f = np.asarray(np.sin(phi0) * rf[:phi.size].reshape(phi.shape))
+    bigk = rf[phi.size:]
     if wound.any():
-        f[wound] += 2.0 * n[wound] * ellip_k(k[wound])
+        f[wound] += 2.0 * n[wound] * (bigk[wound.ravel()] if every_k else bigk)
+    return f, bigk.reshape(phi.shape) if every_k else None
+
+
+def ellip_f(phi, k):
+    """Incomplete elliptic integral of the first kind F(phi, k).
+
+    Valid for any real amplitude phi via the quasi-periodic extension
+    F(phi + n*pi, k) = F(phi, k) + 2*n*K(k).  Strictly increasing in phi.
+    """
+    f, _ = _f_and_k(phi, k, False)
     return f if f.ndim else float(f)
+
+
+def ellip_fk(phi, k):
+    """(F(phi, k), K(k)) from one carlson_rf call, both of the broadcast
+    shape of phi and k; bit for bit (ellip_f(phi, k), ellip_k(k))."""
+    f, bigk = _f_and_k(phi, k, True)
+    return (f, bigk) if f.ndim else (float(f), float(bigk))
 
 
 def jacobi_am(t, k):
@@ -128,12 +162,15 @@ def jacobi_am(t, k):
 
     am(F(phi, k), k) = phi for all real phi; cn = cos(am), sn = sin(am).
     """
-    t, k = _arrays(t, k)
-    _check_modulus(k)
+    return _jacobi_am(t, k, ellip_k(k))
+
+
+def _jacobi_am(t, k, bigk):
+    # jacobi_am with bigk = K(k) from the caller; k is not checked again.
+    t, k, bigk = _arrays(t, k, bigk)
     _require(np.isfinite(t), "jacobi_am: argument must be finite", t)
     shape = t.shape
-    t, k = t.ravel(), k.ravel()
-    bigk = np.asarray(ellip_k(k))
+    t, k, bigk = t.ravel(), k.ravel(), bigk.ravel()
     n = np.floor(t / (2.0 * bigk) + 0.5)
     r = t - 2.0 * n * bigk  # in [-K, K]
     # Solve F(phi, k) = r on [-pi/2, pi/2]: Newton with a bisection safeguard,
@@ -144,12 +181,12 @@ def jacobi_am(t, k):
     live = np.arange(t.size)
     for _ in range(60):
         ph, kl, rl = phi[live], k[live], r[live]
-        err = _f_principal(ph, kl) - rl
+        s = np.sin(ph)
+        err = s * _rf_principal(np.cos(ph), kl) - rl
         done = np.abs(err) < 1e-15 * np.maximum(1.0, np.abs(rl))
         above = err > 0.0
         hl = np.where(above, ph, hi[live])
         ll = np.where(above, lo[live], ph)
-        s = np.sin(ph)
         step = err * np.sqrt(1.0 - (kl * s) * (kl * s))  # err / F'(phi)
         # Near k = 1 F' is large and the residual test above can sit below
         # the rounding noise of F; a step or bracket at ulp level has converged.
@@ -198,7 +235,9 @@ def invert_monotone(
         raise DomainError(f"invert_monotone: bad bracket {bracket!r}")
     shape = target.shape
     target, a, b = target.ravel(), a.ravel(), b.ravel()
-    fa, fb = (v.ravel() for v in fab) if fab else (f(a), f(b))
+    # Both bracket ends in one evaluation of f.
+    fa, fb = (v.ravel() for v in fab) if fab else np.split(
+        np.asarray(f(np.concatenate((a, b))), dtype=float), 2)
     ga = np.asarray(fa, dtype=float) - target
     gb = np.asarray(fb, dtype=float) - target
     unbracketed = np.flatnonzero(ga * gb > 0.0)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -364,6 +365,40 @@ class TestWitnessCommand:
         for name in ("witness.json", "summary.json"):
             payload = json.loads((out / name).read_text(), parse_constant=_reject)
             assert payload["m"] is not None and payload["u_min"] is None
+
+
+class TestGoldenOutputs:
+    """Outputs pinned bit for bit: a faster elliptic layer must reproduce
+    them exactly (float.hex of the summary numbers, sha256 of the CSV)."""
+
+    def test_conjugacy_21_vs_32(self, ellipse_cfg, ellipse32_cfg, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--grid", "40", "10", "--out", str(out)])
+        assert rc == 0
+        digest = hashlib.sha256((out / "conjugacy_residuals.csv").read_bytes()).hexdigest()
+        assert digest == "870cdba892c1eee706bbe1e48056f1af053cde78db6c2b41a6fefc25efc993a9"
+        summary = read_summary(out)
+        assert summary["theta3_star"].hex() == "0x1.d8e6de6f4219bp-2"
+        assert summary["theta_star"] == summary["theta3_star"]
+        assert summary["max_residual"].hex() == "0x1.8000000000000p-48"
+        assert summary["max_omega_residual"].hex() == "0x1.0000000000000p-53"
+
+    def test_witness_21_vs_5_15(self, ellipse_cfg, tmp_path):
+        t2 = tmp_path / "e515.json"
+        t2.write_text(json.dumps({"kind": "ellipse", "a": 5.0, "b": 1.5}))
+        out = tmp_path / "out"
+        rc = main(["witness", "--table", ellipse_cfg, "--table2", str(t2), "--out", str(out)])
+        assert rc == 0
+        summary = read_summary(out)
+        assert (summary["m"], summary["n"]) == (1, 6)
+        hexes = {k: summary[k].hex() for k in ("e1", "e2", "xi_root", "u_min")}
+        assert hexes == {"e1": "0x1.bb67ae8584caap-1", "e2": "0x1.e86ab810ea912p-1",
+                         "xi_root": "-0x1.2bc14e5e0a735p+1", "u_min": "0x1.d0f1b9b000000p-24"}
+        assert [v.hex() for v in summary["interval"]] == ["0x1.8d41e8c042c2dp-4",
+                                                          "0x1.5555555555556p-3"]
+        assert json.loads((out / "witness.json").read_text()) == {
+            k: summary[k] for k in ("e1", "e2", "interval", "m", "n", "xi_root", "u_min")}
 
 
 class TestOrbitCommand:

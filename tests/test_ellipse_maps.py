@@ -360,38 +360,103 @@ class TestBatchIndependence:
         assert np.array_equal(out, [caustic_param_oracle(E, *v) for v in zip(phi, th)])
 
 
+def _rf_spy(monkeypatch, inside=None):
+    """Replace elliptic.carlson_rf by a spy; the list it returns gets, per
+    call made while inside[0] is false, the number of complete-integral
+    arguments (R_F(0, k'^2, 1): x = 0) in that call."""
+    calls, rf = [], elliptic.carlson_rf
+    inside = [False] if inside is None else inside
+
+    def spy(x, y, z):
+        if not inside[0]:
+            calls.append(int(np.count_nonzero(np.asarray(x) == 0.0)))
+        return rf(x, y, z)
+
+    monkeypatch.setattr(elliptic, "carlson_rf", spy)
+    return calls
+
+
+def _outside_inversion(monkeypatch):
+    """Spy on ellipse_maps.invert_monotone; the flag it returns reads true
+    while an inversion runs."""
+    inside, invert = [False], ellipse_maps.invert_monotone
+
+    def spy(*args, **kw):
+        inside[0] = True
+        try:
+            return invert(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ellipse_maps, "invert_monotone", spy)
+    return inside
+
+
 class TestMatchCompleteIntegrals:
     def test_one_complete_integral_per_match(self, ellipse21, monkeypatch):
         # omega_2 takes K(k2) from coord2.period (period / 4 = K exactly), and
-        # one K(k1) serves the omega_1 re-check and the time rescale; the
-        # inversion's own evaluations are not counted.
+        # one pass gives omega_1 for the re-check and the K(k1) of the time
+        # rescale; the inversion's own evaluations are not counted.
         h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
         phi = np.linspace(0.0, TWO_PI, 50, endpoint=False)
         coord2 = ellipse_maps._action_angle_phi(h.table2, phi, np.full(50, 0.4))
-        assert np.array_equal(
-            ellipse_maps._rotation(h.table2, coord2.lam, coord2.k, coord2.period / 4.0),
-            rotation_number_of_caustic(h.table2, coord2.lam))
-        counted, inside = [], [False]
-        ellip_k_, invert = ellipse_maps.ellip_k, ellipse_maps.invert_monotone
-
-        def spy_k(k):
-            if not inside[0]:
-                counted.append(np.size(k))
-            return ellip_k_(k)
-
-        def spy_invert(*args, **kw):
-            inside[0] = True
-            try:
-                return invert(*args, **kw)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(ellipse_maps, "ellip_k", spy_k)
-        monkeypatch.setattr(ellipse_maps, "invert_monotone", spy_invert)
-        lam1, t1 = h._match(coord2)
-        assert counted == [50]
+        assert np.array_equal(coord2.period / 4.0, ellip_k(coord2.k))
+        calls = _rf_spy(monkeypatch, _outside_inversion(monkeypatch))
+        lam1, t1, bigk1 = h._match(coord2)
+        # the omega_2 pass (no complete integral), then the fused omega_1 pass
+        assert calls == [0, 50]
         k1 = ellipse_maps._modulus(h.table1, lam1)
-        assert np.array_equal(t1, coord2.t_hat * 4.0 * ellip_k_(k1))
+        assert np.array_equal(bigk1, ellip_k(k1))
+        assert np.array_equal(t1, coord2.t_hat * 4.0 * ellip_k(k1))
+
+
+class TestCarlsonCalls:
+    """The caustic chart makes one carlson_rf pass per (F, K) pair."""
+
+    def test_one_pass_per_rotation_number(self, ellipse21, monkeypatch):
+        lam = np.linspace(0.0, 0.99, 30)
+        want = rotation_number_of_caustic(ellipse21, lam)
+        calls = _rf_spy(monkeypatch)
+        assert np.array_equal(rotation_number_of_caustic(ellipse21, lam), want)
+        assert calls == [30]
+
+    def test_one_pass_per_action_angle(self, ellipse21, monkeypatch):
+        # amplitudes phi - pi/2 on both sides of pi/2: wound ones take K
+        # from the same pass
+        phi = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+        want = ellipse_maps._action_angle_phi(ellipse21, phi, 0.3)
+        calls = _rf_spy(monkeypatch)
+        got = ellipse_maps._action_angle_phi(ellipse21, phi, 0.3)
+        assert calls == [40]
+        assert np.array_equal(got.t, want.t) and np.array_equal(got.period, want.period)
+
+    def test_pinned_call_counts(self, ellipse21, monkeypatch):
+        # build: the omega_1 grid with omega1_max (1), the theta3* bracket
+        # ends (1) and 7 iterations; grid: action_angle (1), omega_2 (1),
+        # the omega_1 inversion, the omega_1 re-check (1) and jacobi_am's
+        # Newton passes.  The parent made 22 and 21.
+        calls = _rf_spy(monkeypatch)
+        build_conjugacy(EllipseTable(1.3, 0.65), EllipseTable(1.1, 0.792))
+        assert len(calls) == 9
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        calls.clear()
+        h.residual_grid(n_s=40, n_theta=10)
+        assert len(calls) == 13
+
+    def test_one_complete_integral_per_modulus_in_grid(self, ellipse21, monkeypatch):
+        # Outside the omega_1 inversion the grid evaluates K(k2) once (in
+        # action_angle) and K(k1) once (in _match, passed on to the Newton
+        # solve of jacobi_am) per stacked point; no ellip_k call at all.
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+
+        def forbidden(k):
+            raise AssertionError("residual_grid re-evaluated a complete integral")
+
+        calls = _rf_spy(monkeypatch, _outside_inversion(monkeypatch))
+        monkeypatch.setattr(elliptic, "ellip_k", forbidden)
+        monkeypatch.setattr(ellipse_maps, "ellip_k", forbidden)
+        h.residual_grid(n_s=40, n_theta=10)
+        assert sum(calls) == 2 * 800
 
 
 class TestResidualGridOnePass:

@@ -9,6 +9,7 @@ from billiards import (
     DomainError,
     carlson_rf,
     ellip_f,
+    ellip_fk,
     ellip_k,
     invert_monotone,
     jacobi_am,
@@ -150,6 +151,62 @@ class TestEllipF:
             assert ellip_f(phi, k) == pytest.approx(ellipkinc(phi, k * k), rel=1e-12)
 
 
+class TestEllipFK:
+    """ellip_fk is (ellip_f, ellip_k) from one carlson_rf pass, bit for bit."""
+
+    @staticmethod
+    def _same(phi, k):
+        f, bigk = ellip_fk(phi, k)
+        want_f, want_k = ellip_f(phi, k), ellip_k(np.broadcast_to(k, np.shape(f)))
+        assert np.array_equal(f, want_f) and np.array_equal(bigk, want_k)
+        assert np.shape(f) == np.shape(bigk) == np.broadcast_shapes(np.shape(phi), np.shape(k))
+        return f, bigk
+
+    def test_wound_amplitudes(self):
+        rng = np.random.default_rng(56)
+        phi = rng.uniform(-20.0, 20.0, 300)
+        k = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 300)
+        self._same(phi, k)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 0.999999])
+    def test_branch_edges_and_extreme_moduli(self, k):
+        phi = np.array([-math.pi / 2, math.pi / 2, -math.pi, math.pi, 3 * math.pi / 2, 0.0])
+        f, bigk = self._same(phi, k)
+        assert f[0] == -f[1] and np.all(bigk == ellip_k(k))
+
+    def test_scalar(self):
+        f, bigk = ellip_fk(2.5, 0.7)
+        assert isinstance(f, float) and isinstance(bigk, float)
+        assert (f, bigk) == (ellip_f(2.5, 0.7), ellip_k(0.7))
+
+    def test_empty(self):
+        for shape in ((0,), (3, 0)):
+            for f, bigk in (ellip_fk(np.empty(shape), 0.5), ellip_fk(np.empty(shape),
+                                                                     np.empty(shape))):
+                assert isinstance(f, np.ndarray) and f.shape == bigk.shape == shape
+
+    def test_broadcast(self):
+        phi = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+        self._same(phi, np.array([0.1, 0.4, 0.8, 0.99]))
+        self._same(phi[:, :1], np.array([0.1, 0.4, 0.8, 0.99]))
+        self._same(1.2, np.array([[0.0], [0.3], [0.9]]))
+
+    def test_one_pass(self, monkeypatch):
+        import billiards.elliptic as elliptic
+
+        calls, rf = [], elliptic.carlson_rf
+        monkeypatch.setattr(elliptic, "carlson_rf", lambda *a: calls.append(1) or rf(*a))
+        ellip_fk(np.linspace(-9.0, 9.0, 25), 0.6)
+        ellip_f(np.linspace(-9.0, 9.0, 25), 0.6)
+        assert len(calls) == 2
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            ellip_fk(0.5, 1.0)
+        with pytest.raises(DomainError):
+            ellip_fk(math.nan, 0.5)
+
+
 class TestJacobiAm:
     def test_zero_modulus(self):
         assert jacobi_am(0.7, 0.0) == pytest.approx(0.7, abs=1e-14)
@@ -218,6 +275,20 @@ class TestInvertMonotone:
         assert out.shape == (2, 3)
         assert np.array_equal(out, invert_monotone(lambda x: x**3, target, (0.0, 1.0),
                                                    atol=1e-14))
+
+    def test_bracket_ends_in_one_call(self):
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.sinh(x)
+
+        lo, hi = np.array([-5.0, -4.0, -6.0]), np.array([6.0, 5.0, 7.0])
+        out = invert_monotone(f, [1.0, -2.0, 30.0], (lo, hi), atol=1e-12, xtol=1e-15)
+        assert np.array_equal(seen[0], np.concatenate((lo, hi)))
+        assert all(x.size <= 3 for x in seen[1:])
+        assert np.array_equal(out, invert_monotone(np.sinh, [1.0, -2.0, 30.0], (lo, hi),
+                                                   atol=1e-12, xtol=1e-15))
 
     def test_rotation_number_inversion(self, ellipse21):
         # forward-evaluate the caustic rotation number on a fine grid to
