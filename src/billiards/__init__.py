@@ -14,7 +14,6 @@ from .dynamics import (
     step,
     step_lifted,
     trajectory,
-    write_trajectory_csv,
 )
 from .elliptic import carlson_rf, ellip_f, ellip_fk, ellip_k, invert_monotone, jacobi_am
 from .ellipse_maps import (
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "PhasePoint", "generating", "rotation_estimate", "step", "step_lifted",
-    "trajectory", "write_trajectory_csv",
+    "trajectory",
     "carlson_rf", "ellip_f", "ellip_fk", "ellip_k", "invert_monotone", "jacobi_am",
     "CausticCoord", "ConjugacyMap", "HyperbolicDecision", "action_angle",
     "action_angle_inverse", "build_conjugacy", "caustic_param",

@@ -6,7 +6,8 @@ machine-readable summary.json into the output directory, and exits 0 on
 success, 1 on configuration errors, 2 on fit-conditioning failures, 3 on
 solver failures and 4 when the conjugacy residual is above --threshold
 (or is NaN).  Set BILLIARDS_LOG to a logging level name for
-progress output; --threads parallelizes the beta q sweeps.
+progress output; --threads parallelizes the beta q sweeps.  This is the
+package's only module that writes files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import PhasePoint, trajectory, write_trajectory_csv
+from .dynamics import PhasePoint, trajectory
 from .ellipse_maps import _witness_decisions, build_conjugacy
 from .errors import (
     BilliardsError,
@@ -36,6 +37,7 @@ from .errors import (
 from .invariants import (
     COND_LIMIT,
     DEFAULT_Q_RANGE,
+    _check_q_range,
     fit_normalized_beta,
     mm_fit_from_samples,
     mm_ratio_check,
@@ -76,7 +78,8 @@ def _parser() -> argparse.ArgumentParser:
         if two_tables:
             p.add_argument("--table2", required=True, help="second table file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="processes for the q sweeps of beta, mm and compare")
         if fit:
             p.add_argument("--qmin", type=int, default=DEFAULT_Q_RANGE[0])
             p.add_argument("--qmax", type=int, default=DEFAULT_Q_RANGE[1])
@@ -149,8 +152,13 @@ def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
         "outputs": outputs,
     }
     summary.update(payload)
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(_strict(summary), fh, indent=2, allow_nan=False)
+    _write_json(outdir / "summary.json", summary)
+
+
+def _write_json(path: Path, obj) -> None:
+    """obj as indented strict JSON: a non-finite float is written null."""
+    with open(path, "w") as fh:
+        json.dump(_strict(obj), fh, indent=2, allow_nan=False)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -168,8 +176,7 @@ def _write_report(path: Path, report, samples) -> None:
     out["q"] = [orb.q for orb in samples.orbits]
     rows = [_solver_row(orb) for orb in samples.orbits]
     out.update({name: list(col) for name, col in zip(SOLVER_COLUMNS, zip(*rows))})
-    with open(path, "w") as fh:
-        json.dump(_strict(out), fh, indent=2, allow_nan=False)
+    _write_json(path, out)
 
 
 def _load(path) -> object:
@@ -179,6 +186,7 @@ def _load(path) -> object:
 
 
 def _cmd_beta(args, outdir: Path) -> int:
+    _check_q_range(args.qmin, args.qmax, args.K)
     stages = _Stages()
     table = _load(args.table)
     stages.lap("load")
@@ -206,6 +214,7 @@ def _cmd_beta(args, outdir: Path) -> int:
 def _cmd_mm(args, outdir: Path) -> int:
     if args.gap_step < 1:
         raise DomainError(f"--gap-step must be >= 1, got {args.gap_step}")
+    _check_q_range(args.qmin, args.qmax, args.K)
     stages = _Stages()
     table = _load(args.table)
     stages.lap("load")
@@ -268,6 +277,8 @@ def _cmd_compare(args, outdir: Path) -> int:
 
 
 def _cmd_conjugacy(args, outdir: Path) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise DomainError(f"--threshold must be finite, got {args.threshold}")
     stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
@@ -320,8 +331,7 @@ def _cmd_witness(args, outdir: Path) -> int:
         payload.update({"m": hot.m, "n": hot.n, "xi_root": hot.xi_root, "u_min": cold.u_min})
     stages.lap("witness")
     json_path = outdir / "witness.json"
-    with open(json_path, "w") as fh:
-        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+    _write_json(json_path, payload)
     stages.lap("write")
     _write_summary(outdir, "witness",
                    {"table": t1.as_config(), "table2": t2.as_config()},
@@ -352,7 +362,10 @@ def _cmd_orbit(args, outdir: Path) -> int:
         s, th, pts = trajectory(table, PhasePoint(args.s0, theta0), args.steps)
         stages.lap("iterate")
         csv_path = outdir / "trajectory.csv"
-        write_trajectory_csv(csv_path, table, s, th, pts)
+        ell = table.perimeter  # s is the lift x mod perimeter
+        _write_csv(csv_path, ("n", "s", "theta", "x", "y_plane_x", "y_plane_y"),
+                   ([i, float(si) % ell, float(ti), float(si), float(pt[0]), float(pt[1])]
+                    for i, (si, ti, pt) in enumerate(zip(s, th, pts))))
         outputs.append(str(csv_path))
         # the mean winding per bounce, as in dynamics.rotation_estimate
         winding = (s[-1] - s[0]) / (args.steps * table.perimeter) if args.steps else math.nan
@@ -371,13 +384,15 @@ _COMMANDS = {
     "orbit": _cmd_orbit,
 }
 
+_PARSER = _parser()
+
 
 def main(argv=None) -> int:
     level = os.environ.get("BILLIARDS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     outdir = Path(args.out)

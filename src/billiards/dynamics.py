@@ -11,7 +11,6 @@ so s appears only at their input and output.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ __all__ = [
     "generating",
     "rotation_estimate",
     "trajectory",
-    "write_trajectory_csv",
 ]
 
 # Chords launched closer than this to the tangent direction are treated as
@@ -131,17 +129,3 @@ def trajectory(table: Table, p: PhasePoint, n: int):
         t[i + 1] = t_red + turns * TWO_PI
     arc = table.arc_of_angle(t)
     return p.s + (arc - arc[0]), th, table.position(t)
-
-
-def write_trajectory_csv(path, table: Table, s_lift, theta, points) -> None:
-    """CSV rows (n, s, theta, x, y_plane_x, y_plane_y): footpoint arc length
-    mod perimeter, incidence angle, the lifted coordinate x, and the plane
-    point of the footpoint."""
-    ell = table.perimeter
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "s", "theta", "x", "y_plane_x", "y_plane_y"])
-        for i, (si, ti, pt) in enumerate(zip(s_lift, theta, points)):
-            writer.writerow(
-                [i, float(si) % ell, float(ti), float(si), float(pt[0]), float(pt[1])]
-            )

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import PhasePoint
 from .elliptic import _jacobi_am, ellip_f, ellip_fk, ellip_k, invert_monotone
 from .errors import BracketError, DomainError, SolverError, _require
-from .tables import EllipseTable
+from .tables import TWO_PI, EllipseTable
 
 __all__ = [
     "CausticCoord",
@@ -37,8 +37,6 @@ __all__ = [
     "hyperbolic_orbit_exists",
     "eccentricity_witness",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 def _ellipse(e) -> EllipseTable:
@@ -297,21 +295,14 @@ class HyperbolicDecision:
     u_min: float | None = None
 
 
-def _hyperbolic_fk(E: EllipseTable, xi):
-    """(F(amp, k), K(k)) of the hyperbolic caustic xi in (-c^2, 0)."""
+def _hyperbolic_phase(E: EllipseTable, slope: float, xi):
+    """F(amp, k) - slope * K(k) for the hyperbolic caustic xi in (-c^2, 0):
+    the phase condition of an (m, n) orbit at slope 2m/n, and its margin at
+    the threshold slope (2/pi) theta_star."""
     k = np.sqrt(np.maximum(1.0 + xi / E.c2, 0.0))
     amp = np.arcsin(np.sqrt(E.b**2 / (E.b**2 - xi)))
-    return ellip_fk(amp, k)
-
-
-def _g_hyperbolic(E: EllipseTable, m: int, n: int, xi):
-    f, bigk = _hyperbolic_fk(E, xi)
-    return f - (2.0 * m / n) * bigk
-
-
-def _u_hyperbolic(E: EllipseTable, xi):
-    f, bigk = _hyperbolic_fk(E, xi)
-    return f - (2.0 / math.pi) * E.theta_star * bigk
+    f, bigk = ellip_fk(amp, k)
+    return f - slope * bigk
 
 
 def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int) -> HyperbolicDecision:
@@ -330,23 +321,24 @@ def hyperbolic_orbit_exists(E: EllipseTable, m: int, n: int) -> HyperbolicDecisi
         # circle: every caustic is a concentric circle
         return HyperbolicDecision(False, m, n, threshold, u_min=math.inf)
     if m / n >= threshold:
+        slope = 2.0 * m / n
         hi = -1e-12 * c2
         for widen in (1e-10, 1e-11, 1e-12, 1e-13):
             lo = -c2 * (1.0 - widen)
-            if _g_hyperbolic(E, m, n, lo) < 0.0 < _g_hyperbolic(E, m, n, hi):
+            if _hyperbolic_phase(E, slope, lo) < 0.0 < _hyperbolic_phase(E, slope, hi):
                 xi = invert_monotone(
-                    lambda x: _g_hyperbolic(E, m, n, x), 0.0, (lo, hi),
+                    lambda x: _hyperbolic_phase(E, slope, x), 0.0, (lo, hi),
                     atol=1e-11, xtol=1e-15,
                 )
                 return HyperbolicDecision(
                     True, m, n, threshold, xi_root=xi,
-                    g_at_root=_g_hyperbolic(E, m, n, xi),
+                    g_at_root=_hyperbolic_phase(E, slope, xi),
                 )
         raise SolverError(
             f"hyperbolic_orbit_exists({m},{n}): could not bracket the phase root"
         )
     grid = np.linspace(-c2 * (1.0 - 1e-6), -1e-6 * c2, 200)
-    u_min = float(np.min(_u_hyperbolic(E, grid)))
+    u_min = float(np.min(_hyperbolic_phase(E, (2.0 / math.pi) * E.theta_star, grid)))
     return HyperbolicDecision(False, m, n, threshold, u_min=u_min)
 
 

@@ -263,15 +263,20 @@ def mm_fit_from_samples(samples: BetaSamples, K: int = 3) -> InvariantReport:
     return report
 
 
-def mm_invariants(table: Table, q_range: tuple[int, int] = DEFAULT_Q_RANGE,
-                  K: int = 3, *, workers: int = 1) -> InvariantReport:
-    """Marvizi-Melrose coefficients from maximal q-gon perimeters."""
-    q_min, q_max = q_range
+def _check_q_range(q_min: int, q_max: int, K: int) -> None:
+    """The q range of beta, mm and mm_invariants, whose L_q fit takes every
+    sampled q: q_min >= 5 and at least 2K + 2 values of q."""
     if q_min < 5:
         raise DomainError(f"q_min must be >= 5, got {q_min}")
     if q_max - q_min + 1 < 2 * K + 2:
         raise DomainError(f"q range must span at least {2 * K + 2} values")
-    samples = sample_beta(table, q_min, q_max, p=1, workers=workers)
+
+
+def mm_invariants(table: Table, q_range: tuple[int, int] = DEFAULT_Q_RANGE,
+                  K: int = 3, *, workers: int = 1) -> InvariantReport:
+    """Marvizi-Melrose coefficients from maximal q-gon perimeters."""
+    _check_q_range(*q_range, K)
+    samples = sample_beta(table, *q_range, p=1, workers=workers)
     return mm_fit_from_samples(samples, K)
 
 

@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .tables import Table
+from .tables import TWO_PI, Table
 
 __all__ = ["OrbitConfig", "find_orbit", "find_orbits", "lq_bounds"]
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * math.pi
 
 SWEEP_CAP = 10_000
 NEWTON_CAP = 50

@@ -16,7 +16,7 @@ import billiards.orbits as orbits_mod
 from billiards.cli import main
 from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
-from billiards.errors import SolverError
+from billiards.errors import DomainError, SolverError
 from billiards.invariants import COND_LIMIT
 from billiards.orbits import STAT_TOL_FACTOR, find_orbit, lq_bounds
 from billiards.tables import CHORD_TOL, load_table
@@ -286,6 +286,18 @@ class TestConjugacyCommand:
         assert rc == 1
         assert "elliptic tables" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path,
+                                       capsys, threshold):
+        # a configuration error before any work, not a residual failure (4)
+        out = tmp_path / "o"
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--grid", "4", "2", f"--threshold={threshold}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: --threshold must be finite") and err.count("\n") == 1
+        assert not (out / "conjugacy_residuals.csv").exists()
+
 
 class TestWitnessCommand:
     def test_distinct_eccentricities(self, tmp_path):
@@ -419,7 +431,14 @@ class TestOrbitCommand:
         assert rc == 0
         with open(out / "trajectory.csv") as fh:
             rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "s", "theta", "x", "y_plane_x", "y_plane_y"]
         assert len(rows) == 22  # header + 21 states
+        assert [int(r[0]) for r in rows[1:]] == list(range(21))
+        # x column is the lift, strictly increasing; s column its reduction
+        x = np.array([float(r[3]) for r in rows[1:]])
+        assert np.all(np.diff(x) > 0)
+        ell = load_table(circle_cfg).perimeter
+        assert [float(r[1]) for r in rows[1:]] == [float(r[3]) % ell for r in rows[1:]]
         # one bounce on the unit circle advances s by 2 theta0
         assert read_summary(out)["rotation_number"] == pytest.approx(0.7 / math.pi, abs=1e-12)
 
@@ -542,10 +561,55 @@ class TestExitCodes:
         assert err.startswith("billiards: ") and err.count("\n") == 1
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, qmin, qmax, K, message", [
+        ("beta", 1, 20, 3, "q_min must be >= 5"),
+        ("mm", 3, 20, 3, "q_min must be >= 5"),
+        ("beta", 10, 16, 3, "q range must span at least 8"),
+        ("mm", 10, 14, 2, "q range must span at least 6"),
+    ], ids=["beta-qmin-1", "mm-qmin-3", "beta-short", "mm-short-K2"])
+    def test_bad_q_range_is_1(self, ellipse_cfg, tmp_path, capsys, monkeypatch,
+                              command, qmin, qmax, K, message):
+        # mm_invariants' check, made before any orbit is solved
+        def unreachable(*a, **k):
+            raise AssertionError("sample_beta called")
+
+        monkeypatch.setattr(cli, "sample_beta", unreachable)
+        rc = main([command, "--table", ellipse_cfg, "--qmin", str(qmin), "--qmax", str(qmax),
+                   "--K", str(K), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"billiards: {message}") and err.count("\n") == 1
+        with pytest.raises(DomainError, match=message):
+            invariants_mod.mm_invariants(load_table(ellipse_cfg), (qmin, qmax), K)
+
     def test_version_flag(self, capsys):
         rc = main(["--version"])
         assert rc == 0
         assert "billiards" in capsys.readouterr().out
+
+
+def test_parser_built_once(ellipse_cfg, tmp_path, monkeypatch, capsys):
+    # main parses with the parser built on import; a parse error (exit 2)
+    # or --version (exit 0) leaves it parsing the next call as the first
+    calls = []
+    monkeypatch.setattr(cli, "_parser", lambda: calls.append(1))
+    argv = ["orbit", "--table", ellipse_cfg, "--theta0", "0.4", "--steps", "30"]
+
+    def run(i):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--out", str(out)]) == 0
+        summary = read_summary(out)
+        del summary["timings"], summary["outputs"]
+        return (out / "trajectory.csv").read_bytes(), summary
+
+    first = run(0)
+    assert main([*argv, "--no-such-flag"]) == 2
+    assert run(1) == first
+    assert main(["--version"]) == 0
+    assert run(2) == first
+    assert main(["beta"]) == 2  # --table missing
+    assert run(3) == first
+    assert not calls
 
 
 def test_threads_default_is_one():

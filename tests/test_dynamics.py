@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from billiards import (
     step,
     step_lifted,
     trajectory,
-    write_trajectory_csv,
 )
 from billiards.dynamics import TANGENCY_CUTOFF, step_angle
 
@@ -218,22 +216,6 @@ class TestRotation:
         p = PhasePoint(ellipse21.arc_of_angle(phi0), th0)
         est = rotation_estimate(ellipse21, p, 10_000)
         assert est == pytest.approx(omega, abs=1e-4)
-
-
-class TestTrajectory:
-    def test_export_columns(self, circle, tmp_path):
-        s, th, pts = trajectory(circle, PhasePoint(0.0, 0.9), 12)
-        assert len(s) == 13
-        assert np.all(np.diff(s) > 0)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, circle, s, th, pts)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "s", "theta", "x", "y_plane_x", "y_plane_y"]
-        assert len(rows) == 14
-        # x column is the lift; s column its reduction
-        x = float(rows[3][3])
-        assert float(rows[3][1]) == pytest.approx(x % circle.perimeter)
 
 
 class TestChartLoop:

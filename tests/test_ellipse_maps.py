@@ -294,7 +294,7 @@ class TestHyperbolicOrbits:
             hyperbolic_orbit_exists(E, 3, 5)
 
     def test_u_positive_on_parameter_grid(self):
-        from billiards.ellipse_maps import _u_hyperbolic
+        from billiards.ellipse_maps import _hyperbolic_phase
 
         # reference magnitude for the global minimum is ~5.65e-9; the grid
         # minimum here only needs strict positivity
@@ -307,7 +307,7 @@ class TestHyperbolicOrbits:
             if c2 == 0.0:
                 continue
             for xi in np.linspace(-c2 * (1 - 1e-4), -1e-4 * c2, 50):
-                assert _u_hyperbolic(E, float(xi)) > 0.0
+                assert _hyperbolic_phase(E, (2.0 / math.pi) * E.theta_star, float(xi)) > 0.0
 
 
 class TestWitness:
