@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from billiards import (
     step_lifted,
     trajectory,
 )
+from billiards.cli import main
 from billiards.dynamics import TANGENCY_CUTOFF, step_angle
 
 TWO_PI = 2.0 * math.pi
@@ -216,6 +219,31 @@ class TestRotation:
         p = PhasePoint(ellipse21.arc_of_angle(phi0), th0)
         est = rotation_estimate(ellipse21, p, 10_000)
         assert est == pytest.approx(omega, abs=1e-4)
+
+
+class TestTrajectory:
+    def test_export_columns(self, circle, tmp_path):
+        # trajectory.csv, written by the orbit command, holds trajectory()'s states
+        s, th, pts = trajectory(circle, PhasePoint(0.0, 0.9), 12)
+        assert len(s) == 13
+        assert np.all(np.diff(s) > 0)
+        cfg = tmp_path / "circle.json"
+        cfg.write_text(json.dumps({"kind": "circle", "R": circle.radius}))
+        out = tmp_path / "out"
+        assert main(["orbit", "--table", str(cfg), "--theta0", "0.9", "--steps", "12",
+                     "--out", str(out)]) == 0
+        with open(out / "trajectory.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "s", "theta", "x", "y_plane_x", "y_plane_y"]
+        assert len(rows) == 14
+        # x column is the lift; s column its reduction
+        x = float(rows[3][3])
+        assert float(rows[3][1]) == pytest.approx(x % circle.perimeter)
+        got = np.array([[float(v) for v in r] for r in rows[1:]])
+        assert np.array_equal(got[:, 0], np.arange(13))
+        assert np.array_equal(got[:, 2], th)
+        assert np.array_equal(got[:, 3], s)
+        assert np.array_equal(got[:, 4:], pts)
 
 
 class TestChartLoop:
