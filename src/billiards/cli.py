@@ -243,6 +243,7 @@ def _cmd_mm(args, outdir: Path) -> int:
 
 
 def _cmd_compare(args, outdir: Path) -> int:
+    _check_q_range(args.qmin, args.qmax, args.K)
     stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
@@ -277,8 +278,9 @@ def _cmd_compare(args, outdir: Path) -> int:
 
 
 def _cmd_conjugacy(args, outdir: Path) -> int:
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise DomainError(f"--threshold must be finite, got {args.threshold}")
+    if args.threshold is not None and not (math.isfinite(args.threshold)
+                                           and args.threshold >= 0.0):
+        raise DomainError(f"--threshold must be finite and >= 0, got {args.threshold}")
     stages = _Stages()
     t1 = _load(args.table)
     t2 = _load(args.table2)
@@ -397,6 +399,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     outdir = Path(args.out)
     try:
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, outdir)
     except TableConfigError as exc:

@@ -264,8 +264,8 @@ def mm_fit_from_samples(samples: BetaSamples, K: int = 3) -> InvariantReport:
 
 
 def _check_q_range(q_min: int, q_max: int, K: int) -> None:
-    """The q range of beta, mm and mm_invariants, whose L_q fit takes every
-    sampled q: q_min >= 5 and at least 2K + 2 values of q."""
+    """The q range of beta, mm, compare and mm_invariants, whose L_q fit
+    takes every sampled q: q_min >= 5 and at least 2K + 2 values of q."""
     if q_min < 5:
         raise DomainError(f"q_min must be >= 5, got {q_min}")
     if q_max - q_min + 1 < 2 * K + 2:

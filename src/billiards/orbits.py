@@ -10,8 +10,9 @@ equally-spaced-in-arc initialization followed by a damped Newton polish
 of the stationarity system; Levenberg-Marquardt damping absorbs the zero
 Hessian mode that the continuous orbit families of integrable tables
 produce.  Minimal critical values are collected by running the same
-Newton solver from rotated (and, at low q, scattered) initializations
-and keeping every distinct critical value found.
+Newton solver from rotated initializations (plus scattered ones at low q,
+on integrable tables only at q = 2) and keeping every distinct critical
+value found.
 
 The starts of one q, or of a whole range of q, are solved as one batch:
 every start is a row of an (n_rows, max q) array and carries its own q.
@@ -203,18 +204,25 @@ class _Chain:
 
 
 def _ordered(t, q, p):
-    """Per row: strictly increasing over its own q columns and spanning
-    less than p turns."""
+    """Per row: a (p, q) lift over its own q columns.  Every gap
+    t_{i+1} - t_i, the closing one t_0 + 2*pi*p - t_{q-1} too, lies strictly
+    between 0 and one turn; a longer gap would make it a (p - 1, q) orbit
+    in disguise.  For p = 1 the rising test and a span under one turn
+    already imply the rest."""
     beyond = np.arange(t.shape[1] - 1) >= (q - 1)[:, None]
-    rising = np.all((np.diff(t, axis=-1) > 0.0) | beyond, axis=-1)
-    return rising & (t[np.arange(len(t)), q - 1] - t[:, 0] < TWO_PI * p)
+    gap = np.diff(t, axis=-1)
+    rising = np.all(((gap > 0.0) & (gap < TWO_PI)) | beyond, axis=-1)
+    span = t[np.arange(len(t)), q - 1] - t[:, 0]
+    return rising & (span < TWO_PI * p) & (span > TWO_PI * (p - 1))
 
 
 def _sweeps(chain: _Chain, t, q, n_sweeps: int):
     """Red-black coordinate passes: a clamped 1-d Newton step of the local
     reflection residual at every even vertex, then every odd one.  Each
     update moves toward the interior maximum of its two adjacent chords, so
-    the pass is a coordinate-ascent globalizer for the Newton polish."""
+    the pass is a coordinate-ascent globalizer for the Newton polish.  A step
+    takes at most 0.45 of either adjacent gap, and of what either has left
+    below one turn, so the row stays a (p, q) lift in the sense of _ordered."""
     span = TWO_PI * chain.p
     t = t.copy()
     rows = np.arange(len(t))[:, None]
@@ -236,6 +244,9 @@ def _sweeps(chain: _Chain, t, q, n_sweeps: int):
             newton = np.where(jd < -1e-14, -fi / np.where(jd < -1e-14, jd, -1.0), 0.0)
             fallback = 0.125 * np.minimum(gap_lo, gap_hi) * np.sign(fi)
             step = np.where(jd < -1e-14, newton, fallback)
+            if chain.p > 1:  # keep both gaps under one turn (for p = 1 the span does)
+                gap_lo, gap_hi = (np.minimum(gap_lo, TWO_PI - gap_hi),
+                                  np.minimum(gap_hi, TWO_PI - gap_lo))
             step = np.clip(step, -0.45 * gap_lo, 0.45 * gap_hi)
             t[:, idx] += np.where(live, step, 0.0)
     return t
@@ -457,13 +468,21 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     starts = []  # the starts of every q, as its rows of t
     for i, q in enumerate(qs):
         rows = [t_eq[i * n_eq:(i + 1) * n_eq, :q]]
-        if orbit_class == "min" and q <= 16:
+        if orbit_class == "min" and q <= 16 and (q == 2 or not table.integrable):
             # Rotations of the equal spacing all sit in the basin of the
-            # ordered family; low-q saddle orbits (focal-crossing ones on the
-            # ellipse) need genuinely scattered ordered starts to be found.
+            # ordered family; a second critical value needs genuinely
+            # scattered ordered starts to be found.  An integrable table has
+            # one only at q = 2.  Every (p, q) orbit with q > 2 is tangent to
+            # the one caustic of rotation number p/q, so all have one length.
+            # An orbit whose chords cross the ellipse's focal segment (tangent
+            # to a confocal hyperbola) alternates between the arcs above and
+            # below the major axis, so if ordered it has rotation number 1/2:
+            # at q = 2 the two axes give two values (8 and 4 on 2:1).
             rng = np.random.default_rng(1000 * q + p)
+            lift = np.arange(q) * p  # q points on the circle, visited p/q turn apart
             for _ in range(16):
-                t0 = np.sort(rng.uniform(0.0, TWO_PI * p, q))
+                u = np.sort(rng.uniform(0.0, TWO_PI, q))
+                t0 = u[lift % q] + TWO_PI * (lift // q)
                 if np.min(np.diff(t0)) > 1e-3:
                     rows.append(t0[None])
         starts.append(np.concatenate(rows))

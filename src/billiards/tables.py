@@ -49,8 +49,10 @@ class Table:
     """Base class: arc-length facade over an angle-parametrized boundary."""
 
     kind = "abstract"
-    # Integrable tables have equal-length periodic-orbit families, so one
-    # solver start finds the maximizer; other tables need the multistart.
+    # Integrable tables have equal-length periodic-orbit families, one per
+    # rotation number p/q with q > 2, so one solver start finds the maximizer
+    # and the min class needs no scattered starts above q = 2; other tables
+    # need the multistart.
     integrable = False
 
     def __init__(self):

@@ -236,6 +236,19 @@ class TestCompareCommand:
         assert [int(r["n"]) for r in rows] == [1, 2, 3]
         assert float(rows[0]["deviation"]) < 1e-3
 
+    def test_bad_q_range_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path, capsys, monkeypatch):
+        # the beta/mm check, before any orbit is solved: q = 2..9 would be
+        # solved and then dropped by the fit (omega > OMEGA_MAX)
+        def unreachable(*a, **k):
+            raise AssertionError("sample_beta called")
+
+        monkeypatch.setattr(cli, "sample_beta", unreachable)
+        rc = main(["compare", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--qmin", "2", "--qmax", "20", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: q_min must be >= 5") and err.count("\n") == 1
+
 
 class TestConjugacyCommand:
     def test_identity(self, ellipse_cfg, tmp_path):
@@ -296,6 +309,19 @@ class TestConjugacyCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("billiards: --threshold must be finite") and err.count("\n") == 1
+        assert not (out / "conjugacy_residuals.csv").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "-1e-300"])
+    def test_negative_threshold_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path, capsys,
+                                     threshold):
+        # no residual is below a negative threshold, so it could only exit 4
+        out = tmp_path / "o"
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--grid", "4", "2", f"--threshold={threshold}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: --threshold must be") and ">= 0" in err
+        assert err.count("\n") == 1
         assert not (out / "conjugacy_residuals.csv").exists()
 
 
@@ -581,6 +607,22 @@ class TestExitCodes:
         assert err.startswith(f"billiards: {message}") and err.count("\n") == 1
         with pytest.raises(DomainError, match=message):
             invariants_mod.mm_invariants(load_table(ellipse_cfg), (qmin, qmax), K)
+
+    @pytest.mark.parametrize("command, threads", [("beta", "-3"), ("mm", "0"),
+                                                   ("orbit", "-1")])
+    def test_threads_below_one_is_1(self, ellipse_cfg, tmp_path, capsys, monkeypatch,
+                                    command, threads):
+        # sample_beta would run a negative count serially without a word
+        def unreachable(*a, **k):
+            raise AssertionError("sample_beta called")
+
+        monkeypatch.setattr(cli, "sample_beta", unreachable)
+        out = tmp_path / "o"
+        rc = main([command, "--table", ellipse_cfg, "--threads", threads, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"billiards: --threads must be >= 1, got {threads}\n"
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         rc = main(["--version"])

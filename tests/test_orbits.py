@@ -142,6 +142,17 @@ class TestExactEllipseLengths:
             exact = ellipse_max_length(a, b, q)
             assert abs(float((orb.length - exact) / exact)) <= 4e-16, q
 
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 2.0), (1.0, 0.3), (1.0, 0.1015625),
+                                      (1.0, 0.1)])
+    def test_min_lengths(self, a, b):
+        # Every (1, q) orbit of an ellipse lies on the caustic of rotation
+        # number 1/q, so the min class has the max-class length; the 8
+        # rotated starts find it on eccentric ellipses too, where "max" fails.
+        qs = [3, 5, 10, 20, 57, 120]
+        for q, orb in zip(qs, find_orbits(EllipseTable(a, b), 1, qs, "min")):
+            exact = ellipse_max_length(a, b, q)
+            assert abs(float((orb.length - exact) / exact)) <= 4e-16, q
+
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="no start converges on this eccentric ellipse")
     def test_eccentric_max_length(self):
@@ -176,6 +187,21 @@ class TestProperties:
         betas = np.array([find_orbit(ellipse21, 1, q).beta for q in qs][::-1])
         slopes = np.diff(betas) / np.diff(omegas)
         assert np.all(np.diff(slopes) > 0.0)
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (3, 5), (4, 5), (2, 7), (3, 7), (3, 8), (5, 8)])
+    def test_orbits_keep_their_rotation_number(self, circle, ellipse21, perturbed, p, q):
+        # A lift with a gap of more than one turn is a (p - 1, q) orbit in
+        # disguise (the 1:5 pentagon for "min" at (2, 5)).  Reversal maps the
+        # (p, q) lifts onto the (q - p, q) ones, chord for chord, so the two
+        # maxima are equal; on an integrable table every (p, q) orbit lies on
+        # one caustic, so "min" has that length too.
+        for table in (circle, ellipse21, perturbed):
+            big = find_orbit(table, min(p, q - p), q, "max").length
+            for orbit_class in ("max", "min") if table.integrable else ("max",):
+                orb = find_orbit(table, p, q, orbit_class)
+                gaps = np.diff(np.append(orb.t, orb.t[0] + 2 * math.pi * p))
+                assert np.all((gaps > 0.0) & (gaps < 2 * math.pi)), orbit_class
+                assert orb.length == pytest.approx(big, rel=1e-15), orbit_class
 
     def test_scaling_homogeneity(self, ellipse21):
         scaled = ellipse21.scaled(3.0)
@@ -372,12 +398,14 @@ class TestBatchedSolver:
         ("perturbed", 15, "max", 6.273996167046811, 3, 5, 2),
         ("perturbed", 20, "max", 6.293215531981547, 3, 7, 2),
         ("perturbed", 10, "min", 6.218808001326209, 0, 16, 2),
-        ("ellipse21", 12, "min", 9.596550106257556, 0, 8, 1),
+        ("ellipse21", 12, "min", 9.596550106257556, 0, 4, 1),
     ])
     def test_same_work_as_sequential_solver(self, request, table_name, q, orbit_class,
                                             length, sweeps, steps, n_cand):
         # Recorded with the start-by-start solver this one replaced; the
-        # Newton step counts with the shifted complex LM solve.
+        # Newton step counts with the shifted complex LM solve.  The ellipse
+        # row solves only its 8 rotated starts (no scattered ones above
+        # q = 2 on integrable tables), so a rotated start is chosen, in 4 steps.
         orb = find_orbit(request.getfixturevalue(table_name), 1, q, orbit_class)
         assert orb.length == pytest.approx(length, rel=1e-14)
         assert (orb.sweeps, orb.newton_steps, len(orb.candidates)) == (sweeps, steps, n_cand)
@@ -398,6 +426,41 @@ class TestBatchedSolver:
         assert orb.length == pytest.approx(6.305534031577483, rel=1e-14)
         (_, _, sweeps, _, ok), = solved
         assert ok.sum() > 1 and sweeps.max() <= 60
+
+    def test_scattered_min_starts_only_where_two_critical_values_can_be(self, perturbed,
+                                                                           monkeypatch):
+        # On an integrable table only q = 2 has two (1, q) critical values
+        # (the axes); above it the 8 rotated starts are all "min" solves.
+        # Other tables keep the scattered starts at every q <= 16.
+        rows = []
+        solve_from = orbits_mod._solve_from
+
+        def record(chain, t_init, q, *args):
+            rows.append(dict(zip(*np.unique(q, return_counts=True))))
+            return solve_from(chain, t_init, q, *args)
+
+        monkeypatch.setattr(orbits_mod, "_solve_from", record)
+        find_orbits(EllipseTable(2.0, 1.0), 1, [2, 3, 12], "min")
+        find_orbits(perturbed, 1, [12], "min")
+        ellipse, other = rows
+        assert ellipse[2] > 8 and (ellipse[3], ellipse[12]) == (8, 8)
+        assert other[12] > 8
+
+    def test_every_start_is_a_lift_of_its_rotation_number(self, perturbed, monkeypatch):
+        # the scattered starts too: q points on the circle visited p/q turn
+        # apart, every gap (the closing one too) between 0 and one turn
+        starts = []
+        solve_from = orbits_mod._solve_from
+
+        def record(chain, t_init, *args):
+            starts.append(t_init)
+            return solve_from(chain, t_init, *args)
+
+        monkeypatch.setattr(orbits_mod, "_solve_from", record)
+        find_orbit(perturbed, 3, 7, "min")
+        t, = starts
+        gaps = np.diff(np.hstack((t, t[:, :1] + 2 * math.pi * 3)), axis=1)
+        assert len(t) > 8 and np.all((gaps > 0.0) & (gaps < 2 * math.pi))
 
     @pytest.mark.parametrize("order", ["by_q", "shuffled"])
     def test_hessian_blocks_are_bit_identical_and_bounded(self, order, monkeypatch):
