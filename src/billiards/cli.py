@@ -43,8 +43,8 @@ from .invariants import (
     mm_ratio_check,
     sample_beta,
 )
-from .orbits import STAT_TOL_FACTOR, find_orbit, lq_bounds
-from .tables import CHORD_TOL, EllipseTable, load_table
+from .orbits import STAT_TOL_FACTOR, VALUE_DEDUPE_RTOL, find_orbit, lq_bounds
+from .tables import ARC_INVERSE_TOL, CHORD_TOL, EllipseTable, load_table
 
 log = logging.getLogger("billiards")
 
@@ -52,6 +52,8 @@ TOLERANCES = {
     "stationarity_per_perimeter": STAT_TOL_FACTOR,
     "fit_condition_limit": COND_LIMIT,
     "chord_parameter": CHORD_TOL,
+    "value_dedupe_relative": VALUE_DEDUPE_RTOL,
+    "arc_inverse_per_perimeter": ARC_INVERSE_TOL,
 }
 
 # How each beta sample's maximal orbit was solved: beta_samples.csv columns

@@ -86,8 +86,11 @@ def sample_beta(table: Table, q_min: int = DEFAULT_Q_RANGE[0],
 
     The maximal orbits of all q are solved as one batch of find_orbits, whose
     rows carry their own q; with workers > 1, each worker process solves one
-    contiguous chunk of the q range as one batch.
+    contiguous chunk of the q range as one batch.  Raises DomainError for
+    workers < 1.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     qs = [q for q in range(q_min, q_max + 1) if math.gcd(p, q) == 1 and q >= 2 * p]
     if workers > 1:
         chunks = [c.tolist() for c in np.array_split(qs, workers) if c.size]

@@ -5,14 +5,15 @@ angle t in [0, 2*pi) and exposed through arc length s.  A table states its
 geometry in two methods: speed |dgamma/dt|, and frame, which returns the
 position, unit tangent, curvature, speed and d speed/dt from one evaluation
 of the boundary; position and dspeed are views of frame.  Construction makes
-one pass over the nodes of composite Gauss panels in t: speed gives the
-monotone arc-length lookup (refined by a local Newton polish on inversion)
-and the perimeter, and one frame call on the same nodes checks kappa > 0
-and sums the Lazutkin perimeter lambda = integral of kappa^(2/3) ds.  The
-circle has both in closed form.  Tables are immutable after construction
-and safe to share across workers.  The bounce, Table.chord_exit,
-solves for the half-step h to t0 + 2h: in closed form, or on the perturbed
-circle by one Newton solve per point in Python floats, free of O(1) cancellation.
+one evaluation, _arc_integrands, on the nodes of composite Gauss panels in t:
+speed's integrand gives the monotone arc-length lookup (refined by a local
+Newton polish on inversion) and the perimeter, and frame's curvature and speed
+check kappa > 0 and sum the Lazutkin perimeter lambda = integral of
+kappa^(2/3) ds.  The circle has both in closed form.  Tables are immutable
+after construction and safe to share across workers.  The bounce,
+Table.chord_exit, solves for the half-step h to t0 + 2h: in closed form, or on
+the perturbed circle by one Newton solve per point in Python floats, free of
+O(1) cancellation.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class Table:
         self._build_arc_tables()
 
     # -- subclass surface --------------------------------------------------
-    # A table defines speed, frame, chord_exit, scaled and as_config;
-    # position and dspeed are views of frame.
+    # A table defines speed, frame, chord_exit, scaled, as_config and, unless its
+    # arc tables are closed-form, _arc_integrands(t) -> (speed, kappa, frame's speed)
+    # from the formulas of speed and frame; position and dspeed are views of frame.
 
     def speed(self, t):
         """|dgamma/dt| at angle parameter t; vectorized."""
@@ -96,12 +98,11 @@ class Table:
         mids = 0.5 * (knots[:-1] + knots[1:])
         tt = mids[:, None] + 0.5 * h * _GL_NODES[None, :]
         gw = 0.5 * h * _GL_WEIGHTS[None, :]
-        panel = (self.speed(tt) * gw).sum(axis=1)
+        v, kappa, w = self._arc_integrands(tt)
         self._t_knots = knots
         self._panel_h = h
-        self._s_knots = np.concatenate([[0.0], np.cumsum(panel)])
+        self._s_knots = np.concatenate([[0.0], np.cumsum((v * gw).sum(axis=1))])
         self._perimeter = float(self._s_knots[-1])
-        _, _, kappa, w, _ = self.frame(tt)
         if np.min(kappa) <= 0.0:
             raise ConvexityError(
                 f"{self.kind}: curvature reaches {np.min(kappa):.3e}; "
@@ -244,6 +245,11 @@ class EllipseTable(Table):
         """Squared speed a^2 sin^2 t + b^2 cos^2 t from sin t and cos t."""
         return (self.a * st) ** 2 + (self.b * ct) ** 2
 
+    def _kappa_w(self, st, ct):
+        """Curvature ab / w^3 and speed w from sin t and cos t."""
+        w = np.sqrt(self._w2(st, ct))
+        return self.a * self.b / w**3, w
+
     def speed(self, t):
         t = np.asarray(t, dtype=float)
         return np.sqrt(self._w2(np.sin(t), np.cos(t)))
@@ -252,10 +258,13 @@ class EllipseTable(Table):
         t = np.asarray(t, dtype=float)
         st, ct = np.sin(t), np.cos(t)
         pos = np.stack([self.a * ct, self.b * st], axis=-1)
-        w = np.sqrt(self._w2(st, ct))
+        kappa, w = self._kappa_w(st, ct)
         tan = np.stack([-self.a * st / w, self.b * ct / w], axis=-1)
-        kappa = self.a * self.b / w**3
         return pos, tan, kappa, w, self.c2 * st * ct / w
+
+    def _arc_integrands(self, t):
+        kappa, w = self._kappa_w(np.sin(t), np.cos(t))
+        return w, kappa, w  # speed is w, bit for bit
 
     def chord_exit(self, t0, theta):
         # The chord from t0 to t0 + 2h is parallel to the tangent at m = t0 + h,
@@ -320,6 +329,14 @@ class PerturbedCircleTable(Table):
                 r[2] += -eps * m * m * c
         return [self.radius * v for v in r]
 
+    @staticmethod
+    def _velocity(r, r1, r2, ct, st):
+        """dgamma/dt = (dx, dy), its length w and the curvature kappa."""
+        dx = r1 * ct - r * st
+        dy = r1 * st + r * ct
+        w = np.sqrt(dx * dx + dy * dy)
+        return dx, dy, w, (r * r + 2.0 * r1 * r1 - r * r2) / w**3
+
     def speed(self, t):
         t = np.asarray(t, dtype=float)
         r, r1 = self._radial(t, 1)
@@ -330,12 +347,14 @@ class PerturbedCircleTable(Table):
         r, r1, r2 = self._radial(t)
         ct, st = np.cos(t), np.sin(t)
         pos = np.stack([r * ct, r * st], axis=-1)
-        dx = r1 * ct - r * st
-        dy = r1 * st + r * ct
-        w = np.sqrt(dx * dx + dy * dy)
+        dx, dy, w, kappa = self._velocity(r, r1, r2, ct, st)
         tan = np.stack([dx / w, dy / w], axis=-1)
-        kappa = (r * r + 2.0 * r1 * r1 - r * r2) / w**3
         return pos, tan, kappa, w, (r * r1 + r1 * r2) / np.sqrt(r * r + r1 * r1)
+
+    def _arc_integrands(self, t):
+        r, r1, r2 = self._radial(t)
+        _, _, w, kappa = self._velocity(r, r1, r2, np.cos(t), np.sin(t))
+        return np.sqrt(r * r + r1 * r1), kappa, w  # speed's bits can differ from w's
 
     def chord_exit(self, t0, theta):
         # T(t) points at t + pi/2 - delta(t), delta = atan2(r', r), the chord to

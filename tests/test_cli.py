@@ -18,8 +18,8 @@ from billiards.dynamics import generating
 from billiards.ellipse_maps import ConjugacyMap
 from billiards.errors import DomainError, SolverError
 from billiards.invariants import COND_LIMIT
-from billiards.orbits import STAT_TOL_FACTOR, find_orbit, lq_bounds
-from billiards.tables import CHORD_TOL, load_table
+from billiards.orbits import STAT_TOL_FACTOR, VALUE_DEDUPE_RTOL, find_orbit, lq_bounds
+from billiards.tables import ARC_INVERSE_TOL, CHORD_TOL, load_table
 
 
 def _reject(token):
@@ -75,6 +75,8 @@ class TestBetaCommand:
             "stationarity_per_perimeter": STAT_TOL_FACTOR,
             "fit_condition_limit": COND_LIMIT,
             "chord_parameter": CHORD_TOL,
+            "value_dedupe_relative": VALUE_DEDUPE_RTOL,
+            "arc_inverse_per_perimeter": ARC_INVERSE_TOL,
         }
         with open(out / "beta_samples.csv") as fh:
             rows = list(csv.DictReader(fh))

@@ -137,6 +137,14 @@ class TestMarviziMelrose:
             assert ([(orb.converged, len(orb.candidates)) for orb in serial.orbits]
                     == [(orb.converged, len(orb.candidates)) for orb in parallel.orbits])
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, circle, workers):
+        # no silent serial fallback: the same rule as the CLI's --threads
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            sample_beta(circle, 10, 24, workers=workers)
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            mm_invariants(circle, (10, 40), K=2, workers=workers)
+
     def test_q_range_validation(self, circle):
         with pytest.raises(DomainError):
             mm_invariants(circle, (3, 40), K=2)

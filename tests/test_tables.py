@@ -22,6 +22,7 @@ from billiards import (
     table_from_config,
 )
 from billiards.dynamics import TANGENCY_CUTOFF, step_lifted
+from billiards.tables import _GL_NODES, _GL_WEIGHTS, _N_PANELS
 
 from chord_oracle import chord_exit_oracle
 
@@ -147,22 +148,51 @@ class TestConstruction:
             rel = abs((table.lazutkin_perimeter - oracle) / oracle)
         assert rel <= 1e-14
 
-    @pytest.mark.parametrize("cls,args,calls", [
+    @pytest.mark.parametrize("cls,args,passes", [
         (CircleTable, (1.0,), 0),
         (EllipseTable, (2.0, 1.0), 1),
         (PerturbedCircleTable, (1.0, [(3, 0.05, 0.0)]), 1),
     ], ids=["circle", "ellipse21", "perturbed"])
-    def test_one_frame_call(self, cls, args, calls, monkeypatch):
-        seen = []
-        frame = cls.frame
+    def test_one_gauss_pass(self, cls, args, passes, monkeypatch):
+        # Construction evaluates the boundary once on the Gauss nodes, through
+        # _arc_integrands, and calls neither speed nor frame.
+        seen = {"speed": 0, "frame": 0, "_arc_integrands": 0}
 
-        def counted(self, t):
-            seen.append(t)
-            return frame(self, t)
+        def counting(name):
+            method = getattr(cls, name, None)
 
-        monkeypatch.setattr(cls, "frame", counted)
+            def counted(self, t):
+                seen[name] += 1
+                return method(self, t)
+            return counted
+
+        for name in seen:
+            monkeypatch.setattr(cls, name, counting(name), raising=False)
         cls(*args)
-        assert len(seen) == calls
+        assert seen == {"speed": 0, "frame": 0, "_arc_integrands": passes}
+
+    @pytest.mark.parametrize("table", [
+        EllipseTable(1.0, 1.0),
+        EllipseTable(2.0, 1.0),
+        EllipseTable(1.0, 0.1),
+        EllipseTable(2.0, 1.0).scaled(1.7),
+        PerturbedCircleTable(1.0, [(3, 0.05, 0.0)]),
+        PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)]),
+    ], ids=["ellipse_round", "ellipse21", "ellipse_thin", "ellipse_scaled",
+            "perturbed1", "perturbed3"])
+    def test_bits_of_speed_and_frame(self, table):
+        # The one-pass build gives the same bits as the panel sums of speed and
+        # the Lazutkin sum of frame's curvature and speed on the same nodes.
+        knots = np.linspace(0.0, TWO_PI, _N_PANELS + 1)
+        h = knots[1] - knots[0]
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        tt = mids[:, None] + 0.5 * h * _GL_NODES[None, :]
+        gw = 0.5 * h * _GL_WEIGHTS[None, :]
+        s_knots = np.concatenate([[0.0], np.cumsum((table.speed(tt) * gw).sum(axis=1))])
+        _, _, kappa, w, _ = table.frame(tt)
+        assert np.array_equal(table._s_knots, s_knots)
+        assert table.perimeter == float(s_knots[-1])
+        assert table.lazutkin_perimeter == float((kappa ** (2.0 / 3.0) * w * gw).sum())
 
     def test_imports_without_scipy(self):
         src = str(Path(billiards.__file__).resolve().parents[1])
