@@ -5,14 +5,22 @@ t_0 < ... < t_{q-1} with t_q = t_0 + 2*pi*p; its length is the sum of the
 q chord lengths.  Stationarity of the length at every vertex is the
 reflection law, so critical configurations are periodic orbits.
 
-The maximizer is found by coordinate-ascent sweeps from the
-equally-spaced-in-arc initialization followed by a damped Newton polish
-of the stationarity system; Levenberg-Marquardt damping absorbs the zero
-Hessian mode that the continuous orbit families of integrable tables
-produce.  Minimal critical values are collected by running the same
-Newton solver from rotated initializations (plus scattered ones at low q,
-on integrable tables only at q = 2) and keeping every distinct critical
-value found.
+The maximizer is found by coordinate-ascent sweeps from equally spaced
+initializations followed by a damped Newton polish of the stationarity
+system; Levenberg-Marquardt damping absorbs the zero Hessian mode that the
+continuous orbit families of integrable tables produce.  Minimal critical
+values are collected by running the same Newton solver from rotated
+initializations (plus scattered ones at low q, on integrable tables only
+at q = 2) and keeping every distinct critical value found.
+
+On integrable tables (circle, ellipse) the starts are equally spaced in
+the Lazutkin coordinate z = integral of kappa^(2/3) ds, in which the
+(1, q) orbits are equally spaced up to O(1/q^2) (Lazutkin 1973); equal
+arc length is O(e^2) off them, and from it "max" found no orbit at some q
+on eccentric ellipses.  Other tables keep the equal-arc starts: with
+Lazutkin starts the m = 3 perturbed circle returned the min class for
+"max" at several phases of q = 13 and 17, so they wait for a Morse-index
+check of the orbit class, after which the equal-arc branch goes.
 
 The starts of one q, or of a whole range of q, are solved as one batch:
 every start is a row of an (n_rows, max q) array and carries its own q.
@@ -365,14 +373,20 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     return t, res, steps, res <= stat_tol
 
 
-def _equal_arc_init(table: Table, p: int, q, offsets):
-    """One start per offset: q points equally spaced in arc from it.  q is
-    one value or one per offset; rows are padded to the largest q with 0."""
-    q = np.broadcast_to(q, offsets.shape)
-    s = np.arange(q.max()) * p * table.perimeter / q[:, None] + offsets[:, None]
+def _equal_init(table: Table, p: int, q, frac):
+    """One start per entry of frac: q points equally spaced, rotated by frac
+    of one gap.  Integrable tables space them in the Lazutkin coordinate,
+    other tables in arc length (see the module docstring).  q is one value
+    or one per start; rows are padded to the largest q with 0."""
+    if table.integrable:
+        period, to_t = table.lazutkin_perimeter, table.angle_of_lazutkin
+    else:
+        period, to_t = table.perimeter, table.angle_of_arc
+    q = np.broadcast_to(q, frac.shape)
+    x = np.arange(q.max()) * p * period / q[:, None] + (frac * period * p / q)[:, None]
     own = np.arange(q.max()) < q[:, None]
-    t = np.zeros(s.shape)
-    t[own] = table.angle_of_arc(s[own])  # only the own columns are inverted
+    t = np.zeros(x.shape)
+    t[own] = to_t(x[own])  # only the own columns are mapped
     return t
 
 
@@ -446,6 +460,11 @@ def _check(p: int, q: int, orbit_class: str):
 def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[OrbitConfig]:
     """find_orbit at every q of qs, all solved as one batch.
 
+    Every start is q points equally spaced, in the Lazutkin coordinate on
+    integrable tables and in arc length on the others (see the module
+    docstring); "max" on an integrable table takes one start per q, the
+    other cases 8, rotated by j/8 of one gap.
+
     Every start of every q is a row that carries its own q, so all q share
     each sweep and Newton evaluation but no decision: each q gets the orbit,
     residual and work that it gets alone.  Returns one OrbitConfig per
@@ -458,13 +477,10 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     if not qs:
         return []
     chain = _Chain(table, p)
-    ell = table.perimeter
-    stat_tol = STAT_TOL_FACTOR * ell
+    stat_tol = STAT_TOL_FACTOR * table.perimeter
 
     n_eq = 8 if orbit_class == "min" or not table.integrable else 1
-    q_eq = np.repeat(qs, n_eq)
-    offsets = np.tile(np.arange(n_eq), len(qs)) * ell * p / (8.0 * q_eq)
-    t_eq = _equal_arc_init(table, p, q_eq, offsets)
+    t_eq = _equal_init(table, p, np.repeat(qs, n_eq), np.tile(np.arange(n_eq) / 8.0, len(qs)))
     starts = []  # the starts of every q, as its rows of t
     for i, q in enumerate(qs):
         rows = [t_eq[i * n_eq:(i + 1) * n_eq, :q]]
@@ -539,9 +555,10 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
 
     orbit_class "max" returns the Birkhoff maximizer; "min" returns the
     smallest critical value discovered by the rotated multistart (the
-    minimax orbit for the tables shipped here).  Raises SolverError with
-    the best iterate attached when nothing converges.  This is
-    find_orbits at the one q.
+    minimax orbit for the tables shipped here).  The starts are equally
+    spaced in the Lazutkin coordinate on integrable tables and in arc
+    length on the others.  Raises SolverError with the best iterate
+    attached when nothing converges.  This is find_orbits at the one q.
     """
     return find_orbits(table, p, [q], orbit_class)[0]
 

@@ -9,7 +9,9 @@ one evaluation, _arc_integrands, on the nodes of composite Gauss panels in t:
 speed's integrand gives the monotone arc-length lookup (refined by a local
 Newton polish on inversion) and the perimeter, and frame's curvature and speed
 check kappa > 0 and sum the Lazutkin perimeter lambda = integral of
-kappa^(2/3) ds.  The circle has both in closed form.  Tables are immutable
+kappa^(2/3) ds, with its per-panel sums kept as knots of the Lazutkin
+coordinate (the orbit solver's starts on integrable tables).  The circle
+has all of them in closed form.  Tables are immutable
 after construction and safe to share across workers.  The bounce,
 Table.chord_exit, solves for the half-step h to t0 + 2h: in closed form, or on
 the perturbed circle by one Newton solve per point in Python floats, free of
@@ -108,7 +110,11 @@ class Table:
                 f"{self.kind}: curvature reaches {np.min(kappa):.3e}; "
                 "table is not strictly convex"
             )
-        self._lazutkin = float((kappa ** (2.0 / 3.0) * w * gw).sum())
+        dz = kappa ** (2.0 / 3.0) * w * gw
+        self._lazutkin = float(dz.sum())
+        # Lazutkin coordinate z(t) = integral of kappa^(2/3) ds at the knots;
+        # the panel sums as a product with ones cost a third of sum(axis=1).
+        self._z_knots = np.concatenate([[0.0], np.cumsum(dz @ np.ones(dz.shape[1]))])
 
     # -- arc-length machinery ----------------------------------------------
 
@@ -152,6 +158,16 @@ class Table:
             raise SolverError(f"{self.kind}: arc-length inversion left a residual of "
                               f"{np.max(np.abs(resid)):.3e}")
         t = t + wind * TWO_PI
+        return t if t.ndim else float(t)
+
+    def angle_of_lazutkin(self, z):
+        """Angle t at the Lazutkin coordinate z (z(t) = integral of
+        kappa^(2/3) ds from 0, winding by lazutkin_perimeter), by linear
+        interpolation between the panel knots: a solver start, not an exact
+        inverse."""
+        z = np.asarray(z, dtype=float)
+        wind = np.floor(z / self._lazutkin)
+        t = np.interp(z - wind * self._lazutkin, self._z_knots, self._t_knots) + wind * TWO_PI
         return t if t.ndim else float(t)
 
     # -- the bounce -----------------------------------------------------------
@@ -203,6 +219,11 @@ class CircleTable(Table):
     def _build_arc_tables(self):
         self._perimeter = TWO_PI * self.radius
         self._lazutkin = TWO_PI * self.radius ** (1.0 / 3.0)
+
+    # Exact Lazutkin coordinate: z = R^(1/3) * t.
+    def angle_of_lazutkin(self, z):
+        t = np.asarray(z, dtype=float) / self.radius ** (1.0 / 3.0)
+        return t if t.ndim else float(t)
 
     def chord_exit(self, t0, theta):
         # Inscribed-chord geometry: the central angle advances by exactly 2*theta.

@@ -146,6 +146,20 @@ class TestBetaCommand:
         summary = read_summary(out)
         assert abs(summary["ell0"] - summary["perimeter"]) < 1e-6
 
+    def test_eccentric_ellipse(self, tmp_path):
+        # From equal-arc starts "max" found no orbit at q = 14 here (exit 3).
+        table = tmp_path / "ellipse_thin.json"
+        table.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.1}))
+        out = tmp_path / "out"
+        rc = main(["beta", "--table", str(table), "--qmin", "10", "--qmax", "20", "--K", "3",
+                   "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        with open(out / "beta_samples.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["q"]) for r in rows] == list(range(10, 21))
+        assert all(r["converged"] == "1" for r in rows)
+        assert abs(read_summary(out)["c3"] - 1.0 / 24.0) < 1e-4
+
     def test_malformed_table(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

@@ -4,6 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.optimize import minimize
 
 from billiards import (
@@ -22,6 +23,7 @@ from billiards import (
 )
 import billiards.orbits as orbits_mod
 from ellipse_beta_oracle import ellipse_max_length
+from strategies import PROPERTY, ellipses
 
 
 def polygon_length(radius, p, q):
@@ -153,13 +155,18 @@ class TestExactEllipseLengths:
             exact = ellipse_max_length(a, b, q)
             assert abs(float((orb.length - exact) / exact)) <= 4e-16, q
 
-    @pytest.mark.xfail(strict=True, raises=SolverError,
-                       reason="no start converges on this eccentric ellipse")
-    def test_eccentric_max_length(self):
-        a, b = 1.0, 0.1015625
-        orb = find_orbit(EllipseTable(a, b), 1, 13)
-        exact = ellipse_max_length(a, b, 13)
-        assert abs(float((orb.length - exact) / exact)) <= 4e-16
+    @pytest.mark.parametrize("b, qs", [
+        (0.1015625, [13, 22, 26, 34]),
+        (0.1, [14, 17, 24, 30, 36, 40]),
+        (0.12, [28, 36, 38]),
+    ])
+    def test_eccentric_max_length(self, b, qs):
+        # From equal-arc starts no "max" start converged at these q (each
+        # raised SolverError after SWEEP_CAP sweeps); the Lazutkin-equal start
+        # lies O(1/q^2) from the orbit family.
+        for q, orb in zip(qs, find_orbits(EllipseTable(1.0, b), 1, qs)):
+            exact = ellipse_max_length(1.0, b, q)
+            assert abs(float((orb.length - exact) / exact)) <= 4e-16, q
 
 
 class TestProperties:
@@ -187,6 +194,16 @@ class TestProperties:
         betas = np.array([find_orbit(ellipse21, 1, q).beta for q in qs][::-1])
         slopes = np.diff(betas) / np.diff(omegas)
         assert np.all(np.diff(slopes) > 0.0)
+
+    @PROPERTY
+    @given(ellipses)
+    def test_max_lengths_rise_and_beta_is_convex(self, table):
+        # b/a reaches 0.1, where "max" from equal-arc starts raised SolverError
+        qs = np.arange(3, 25)
+        lengths = np.array([orb.length for orb in find_orbits(table, 1, qs)])
+        assert np.all(np.diff(lengths) > 0.0)
+        omega, beta = 1.0 / qs[::-1], -lengths[::-1] / qs[::-1]
+        assert np.all(np.diff(np.diff(beta) / np.diff(omega)) > 0.0)
 
     @pytest.mark.parametrize("p,q", [(2, 5), (3, 5), (4, 5), (2, 7), (3, 7), (3, 8), (5, 8)])
     def test_orbits_keep_their_rotation_number(self, circle, ellipse21, perturbed, p, q):
@@ -216,8 +233,7 @@ class TestProperties:
         p, q = 1, 29
         chain = orbits_mod._Chain(perturbed, p)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
-        starts = orbits_mod._equal_arc_init(
-            perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
+        starts = orbits_mod._equal_init(perturbed, p, q, np.arange(8) / 8.0)
         lengths = []
         one = np.array([q])
         for j in range(8):
@@ -275,14 +291,40 @@ class TestProperties:
         assert (orb.sweeps, orb.newton_steps) == (3, 0)
 
 
+class TestStarts:
+    def test_circle_start_is_equal_angle(self):
+        # On the circle the Lazutkin coordinate is R^(1/3) t, so the
+        # integrable start is the equal-angle one, rotations included.
+        table = CircleTable(1.7)
+        for p, q in [(1, 2), (1, 7), (3, 8), (1, 40)]:
+            frac = np.arange(8) / 8.0
+            t = orbits_mod._equal_init(table, p, q, frac)
+            want = 2 * math.pi * p * (np.arange(q) + frac[:, None]) / q
+            np.testing.assert_allclose(t, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["ellipse21", "perturbed"])
+    def test_starts_follow_the_table(self, name, request):
+        # Integrable tables start equally spaced in the Lazutkin coordinate,
+        # the others in arc length; a rotated start moves by its fraction
+        # of one gap.
+        table = request.getfixturevalue(name)
+        if table.integrable:
+            period = table.lazutkin_perimeter
+            coord = lambda t: np.interp(t, table._t_knots, table._z_knots)  # noqa: E731
+        else:
+            period, coord = table.perimeter, table.arc_of_angle
+        t = orbits_mod._equal_init(table, 1, 11, np.array([0.0, 0.375]))
+        want = (np.arange(11) + np.array([[0.0], [0.375]])) * period / 11
+        np.testing.assert_allclose(coord(t), want, rtol=0.0, atol=1e-13)
+
+
 class TestBatchedSolver:
     def test_batch_rows_are_independent(self, perturbed):
         # A start solved inside a batch takes exactly the path it takes alone.
         p, q = 1, 15
         chain = orbits_mod._Chain(perturbed, p)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
-        starts = orbits_mod._equal_arc_init(
-            perturbed, p, q, np.arange(8) * perturbed.perimeter * p / (8.0 * q))
+        starts = orbits_mod._equal_init(perturbed, p, q, np.arange(8) / 8.0)
         qs = np.full(8, q)
         swept = orbits_mod._sweeps(chain, starts, qs, 3)
         batch = orbits_mod._newton(chain, swept, qs, orbits_mod.NEWTON_CAP, stat_tol)
@@ -305,8 +347,8 @@ class TestBatchedSolver:
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
         q_each = np.arange(10, 21)
         qs = np.repeat(q_each, 8)
-        offsets = np.tile(np.arange(8), q_each.size) * perturbed.perimeter * p / (8.0 * qs)
-        starts = orbits_mod._equal_arc_init(perturbed, p, qs, offsets)
+        frac = np.tile(np.arange(8) / 8.0, q_each.size)
+        starts = orbits_mod._equal_init(perturbed, p, qs, frac)
         assert starts.shape == (qs.size, 20)
         pad = np.arange(20) >= qs[:, None]
         swept = orbits_mod._sweeps(chain, starts, qs, 3)
@@ -316,7 +358,7 @@ class TestBatchedSolver:
         for q in q_each:
             rows = np.flatnonzero(qs == q)
             one = qs[rows]
-            alone_start = orbits_mod._equal_arc_init(perturbed, p, q, offsets[rows])
+            alone_start = orbits_mod._equal_init(perturbed, p, q, frac[rows])
             assert np.array_equal(alone_start, starts[rows, :q])
             alone_swept = orbits_mod._sweeps(chain, alone_start, one, 3)
             assert np.array_equal(alone_swept, swept[rows, :q])
@@ -337,8 +379,8 @@ class TestBatchedSolver:
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
         q_each = np.arange(10, 21)
         qs = np.repeat(q_each, 8)
-        offsets = np.tile(np.arange(8), q_each.size) * perturbed.perimeter * p / (8.0 * qs)
-        starts = orbits_mod._equal_arc_init(perturbed, p, qs, offsets)
+        frac = np.tile(np.arange(8) / 8.0, q_each.size)
+        starts = orbits_mod._equal_init(perturbed, p, qs, frac)
         batch = orbits_mod._solve_from(chain, starts, qs, True, stat_tol)
         sweeps = batch[2]
         assert sweeps.max() > 60 and np.any((sweeps > 3) & (sweeps <= 60))
@@ -358,7 +400,7 @@ class TestBatchedSolver:
         qs = np.atleast_1d(q)
         chain = orbits_mod._Chain(table, p)
         rng = np.random.default_rng(5)
-        t = orbits_mod._equal_arc_init(table, p, qs, np.full(qs.size, 0.3))
+        t = orbits_mod._equal_init(table, p, qs, np.full(qs.size, 0.3))
         t = t + rng.uniform(-0.1, 0.1, t.shape)  # off the critical set
         F, diag, off, _ = chain.hessian(t, qs)
         width = t.shape[1]
@@ -387,7 +429,7 @@ class TestBatchedSolver:
         table = request.getfixturevalue(name)
         chain = orbits_mod._Chain(table, 1)
         rng = np.random.default_rng(6)
-        t = orbits_mod._equal_arc_init(table, 1, 9, rng.uniform(0.0, table.perimeter, 4))
+        t = orbits_mod._equal_init(table, 1, 9, rng.uniform(0.0, 9.0, 4))
         t = t + rng.uniform(-0.05, 0.05, t.shape)
         F, _, _, res = chain.hessian(t, np.full(4, 9))
         want = np.max(np.abs(F / table.speed(t)), axis=-1)
@@ -398,14 +440,17 @@ class TestBatchedSolver:
         ("perturbed", 15, "max", 6.273996167046811, 3, 5, 2),
         ("perturbed", 20, "max", 6.293215531981547, 3, 7, 2),
         ("perturbed", 10, "min", 6.218808001326209, 0, 16, 2),
-        ("ellipse21", 12, "min", 9.596550106257556, 0, 4, 1),
+        ("ellipse21", 12, "min", 9.596550106257556, 0, 3, 1),
     ])
     def test_same_work_as_sequential_solver(self, request, table_name, q, orbit_class,
                                             length, sweeps, steps, n_cand):
         # Recorded with the start-by-start solver this one replaced; the
         # Newton step counts with the shifted complex LM solve.  The ellipse
         # row solves only its 8 rotated starts (no scattered ones above
-        # q = 2 on integrable tables), so a rotated start is chosen, in 4 steps.
+        # q = 2 on integrable tables), equally spaced in the Lazutkin
+        # coordinate, so a rotated start is chosen, in 3 steps (4 from
+        # equal-arc starts, with the same length to 1e-14).  The perturbed
+        # rows keep their equal-arc starts and their pins.
         orb = find_orbit(request.getfixturevalue(table_name), 1, q, orbit_class)
         assert orb.length == pytest.approx(length, rel=1e-14)
         assert (orb.sweeps, orb.newton_steps, len(orb.candidates)) == (sweeps, steps, n_cand)
@@ -475,7 +520,7 @@ class TestBatchedSolver:
         if order == "shuffled":
             qs = np.random.default_rng(8).permutation(qs)
         rng = np.random.default_rng(9)
-        t = orbits_mod._equal_arc_init(table, 1, qs, rng.uniform(0.0, 1.0, qs.size))
+        t = orbits_mod._equal_init(table, 1, qs, rng.uniform(0.0, 1.0, qs.size))
         own = np.arange(120) < qs[:, None]
         t[own] += rng.uniform(-0.01, 0.01, own.sum())
         assert t.size > orbits_mod.HESSIAN_BLOCK

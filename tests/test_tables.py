@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import billiards
@@ -25,6 +25,7 @@ from billiards.dynamics import TANGENCY_CUTOFF, step_lifted
 from billiards.tables import _GL_NODES, _GL_WEIGHTS, _N_PANELS
 
 from chord_oracle import chord_exit_oracle
+from strategies import PROPERTY, ellipses, footpoints, perturbed_circles
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,6 +195,24 @@ class TestConstruction:
         assert table.perimeter == float(s_knots[-1])
         assert table.lazutkin_perimeter == float((kappa ** (2.0 / 3.0) * w * gw).sum())
 
+    @pytest.mark.parametrize("table", [
+        EllipseTable(2.0, 1.0),
+        PerturbedCircleTable(1.0, [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)]),
+    ], ids=["ellipse21", "perturbed3"])
+    def test_lazutkin_knots(self, table):
+        # The cumulative panel sums of kappa^(2/3) w rise strictly to the
+        # Lazutkin perimeter, and angle_of_lazutkin interpolates between them,
+        # winding by one turn per Lazutkin perimeter.
+        z, lam = table._z_knots, table.lazutkin_perimeter
+        assert z.shape == (_N_PANELS + 1,) and z[0] == 0.0 and np.all(np.diff(z) > 0.0)
+        assert abs(z[-1] - lam) <= 1e-14 * lam
+        assert np.array_equal(table.angle_of_lazutkin(z[:-1]), table._t_knots[:-1])
+        mid = 0.5 * (z[:-1] + z[1:])
+        np.testing.assert_allclose(table.angle_of_lazutkin(mid - 2.0 * lam),
+                                   0.5 * (table._t_knots[:-1] + table._t_knots[1:]) - 2 * TWO_PI,
+                                   rtol=0.0, atol=1e-13)
+        assert isinstance(table.angle_of_lazutkin(0.25 * lam), float)
+
     def test_imports_without_scipy(self):
         src = str(Path(billiards.__file__).resolve().parents[1])
         code = ("import sys; sys.modules['scipy'] = None; "
@@ -358,16 +377,6 @@ class TestConfig:
             load_table(path)
 
 
-# Fixed examples and no example database: tier-1 stays reproducible.
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-footpoints = st.floats(0.0, TWO_PI, exclude_max=True)
-ellipses = st.builds(lambda a, ratio: EllipseTable(a, a * ratio),
-                     st.floats(0.5, 2.0), st.floats(0.1, 1.0))
-# |eps| m^2 summed over at most three harmonics is at most 0.75, which keeps
-# r^2 + 2 r'^2 - r r'' > 0: every drawn profile is strictly convex.
-perturbed_circles = st.lists(
-    st.tuples(st.integers(2, 5), st.floats(-0.01, 0.01), footpoints), min_size=1, max_size=3,
-).map(lambda harmonics: PerturbedCircleTable(1.0, harmonics))
 bounces = st.one_of(
     st.tuples(ellipses, footpoints, st.floats(TANGENCY_CUTOFF, math.pi - 1e-3)),
     st.tuples(perturbed_circles, footpoints,
