@@ -347,6 +347,8 @@ def mather_alpha(samples: BetaSamples, c: float) -> float:
     """Discrete Legendre-Fenchel transform sup_omega (omega*c - beta(omega))
     over the sampled rotation numbers."""
     om = np.asarray(samples.omega, dtype=float)
+    if om.size < 2:
+        raise DomainError(f"mather_alpha needs at least 2 samples, got {om.size}")
     beta = np.asarray(samples.beta, dtype=float)
     order = np.argsort(om)
     om, beta = om[order], beta[order]

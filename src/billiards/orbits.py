@@ -9,7 +9,7 @@ The maximizer is found by coordinate-ascent sweeps from equally spaced
 initializations followed by a damped Newton polish of the stationarity
 system; Levenberg-Marquardt damping absorbs the zero Hessian mode that the
 continuous orbit families of integrable tables produce.  Minimal critical
-values are collected by running the same Newton solver from rotated
+values are collected by running the same Newton solver from the same
 initializations (plus scattered ones at low q, on integrable tables only
 at q = 2) and keeping every distinct critical value found.
 
@@ -21,6 +21,9 @@ on eccentric ellipses.  Other tables keep the equal-arc starts: with
 Lazutkin starts the m = 3 perturbed circle returned the min class for
 "max" at several phases of q = 13 and 17, so they wait for a Morse-index
 check of the orbit class, after which the equal-arc branch goes.
+Integrable tables take one start per q in both classes: every (p, q)
+orbit with q > 2 is tangent to the one caustic of rotation number p/q,
+so all of them have one length.  Other tables take 8 rotated starts.
 
 The starts of one q, or of a whole range of q, are solved as one batch:
 every start is a row of an (n_rows, max q) array and carries its own q.
@@ -408,13 +411,13 @@ def _solve_from(chain: _Chain, t_init, q, ascent: bool, stat_tol: float):
     """Solve every start (row) of t_init, row r a q[r]-gon, after 3 sweeps
     when ascending.
 
-    All rows are swept and polished together.  A row whose polish fails is
-    then retried with more sweeps, in row order within its q; the retries
-    of different q run together, one row per q at a time.  Once any row of
-    a q has converged, the others of that q only probe for other critical
-    families, so their retry budget drops from SWEEP_CAP to 60 sweeps and a
-    start stranded on a degenerate ridge cannot dominate the runtime.
-    Returns (t, residual, sweeps, newton_steps, ok) arrays, where ok means
+    All rows are swept and polished together.  Then, each round, every
+    failed row that its q's budget allows is swept `extra` more times and
+    polished again, all in one batch.  A q grants SWEEP_CAP sweeps until
+    any of its rows converges; the others then only probe for other
+    critical families, so the budget drops to 60 sweeps and a start
+    stranded on a degenerate ridge cannot dominate the runtime.  Returns
+    (t, residual, sweeps, newton_steps, ok) arrays, where ok means
     converged to an ordered configuration.
     """
     p = chain.p
@@ -423,27 +426,19 @@ def _solve_from(chain: _Chain, t_init, q, ascent: bool, stat_tol: float):
     t_new, res, steps, ok = _newton(chain, t, q, NEWTON_CAP, stat_tol)
     conv = ok & _ordered(t_new, q, p)
     extra = 50 if ascent else 25
-    failed = np.flatnonzero(~ok)
-    while failed.size:
-        # the first failed row of every q, and the budget its q grants it
-        rows = failed[np.unique(q[failed], return_index=True)[1]]
-        failed = np.setdiff1d(failed, rows)
-        budget = np.array([60 if conv[q == qk].any() else SWEEP_CAP for qk in q[rows]])
-        w = q[rows].max()
-        tk, tk_new = t[rows, :w], t_new[rows, :w]
-        live = np.flatnonzero(sweeps[rows] + extra <= budget)
-        while live.size:
-            r, qr = rows[live], q[rows[live]]
-            start = np.where(_ordered(tk_new[live], qr, p)[:, None], tk_new[live], tk[live])
-            tk[live] = _sweeps(chain, start, qr, extra)
-            sweeps[r] += extra
-            tk_new[live], res[r], steps_r, ok[r] = _newton(chain, tk[live], qr, NEWTON_CAP,
-                                                           stat_tol)
-            steps[r] += steps_r
-            live = np.flatnonzero(~ok[rows] & (sweeps[rows] + extra <= budget))
-        t_new[rows, :w] = tk_new
-        conv[rows] = ok[rows] & _ordered(tk_new, q[rows], p)
-    return t_new, res, sweeps, steps, conv
+    while True:
+        budget = np.where(np.isin(q, q[conv]), 60, SWEEP_CAP)
+        r = np.flatnonzero(~ok & (sweeps + extra <= budget))
+        if not r.size:
+            return t_new, res, sweeps, steps, conv
+        w, qr = q[r].max(), q[r]
+        start = np.where(_ordered(t_new[r, :w], qr, p)[:, None], t_new[r, :w], t[r, :w])
+        t[r, :w] = _sweeps(chain, start, qr, extra)
+        sweeps[r] += extra
+        t_new[r, :w], res[r], steps_r, ok[r] = _newton(chain, t[r, :w], qr, NEWTON_CAP,
+                                                       stat_tol)
+        steps[r] += steps_r
+        conv[r] = ok[r] & _ordered(t_new[r, :w], qr, p)
 
 
 def _check(p: int, q: int, orbit_class: str):
@@ -462,8 +457,9 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
 
     Every start is q points equally spaced, in the Lazutkin coordinate on
     integrable tables and in arc length on the others (see the module
-    docstring); "max" on an integrable table takes one start per q, the
-    other cases 8, rotated by j/8 of one gap.
+    docstring).  An integrable table takes one start per q in either
+    class; the others take 8, rotated by j/8 of one gap.  "min" adds
+    scattered starts at q <= 16 on non-integrable tables and at q = 2.
 
     Every start of every q is a row that carries its own q, so all q share
     each sweep and Newton evaluation but no decision: each q gets the orbit,
@@ -479,7 +475,7 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     chain = _Chain(table, p)
     stat_tol = STAT_TOL_FACTOR * table.perimeter
 
-    n_eq = 8 if orbit_class == "min" or not table.integrable else 1
+    n_eq = 1 if table.integrable else 8
     t_eq = _equal_init(table, p, np.repeat(qs, n_eq), np.tile(np.arange(n_eq) / 8.0, len(qs)))
     starts = []  # the starts of every q, as its rows of t
     for i, q in enumerate(qs):
@@ -554,11 +550,11 @@ def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitC
     """Stationary (p, q) configuration of the chord-length functional.
 
     orbit_class "max" returns the Birkhoff maximizer; "min" returns the
-    smallest critical value discovered by the rotated multistart (the
-    minimax orbit for the tables shipped here).  The starts are equally
-    spaced in the Lazutkin coordinate on integrable tables and in arc
-    length on the others.  Raises SolverError with the best iterate
-    attached when nothing converges.  This is find_orbits at the one q.
+    smallest critical value discovered by the multistart (the minimax
+    orbit for the tables shipped here).  The starts are equally spaced in
+    the Lazutkin coordinate on integrable tables and in arc length on the
+    others.  Raises SolverError with the best iterate attached when
+    nothing converges.  This is find_orbits at the one q.
     """
     return find_orbits(table, p, [q], orbit_class)[0]
 

@@ -53,9 +53,9 @@ class Table:
 
     kind = "abstract"
     # Integrable tables have equal-length periodic-orbit families, one per
-    # rotation number p/q with q > 2, so one solver start finds the maximizer
-    # and the min class needs no scattered starts above q = 2; other tables
-    # need the multistart.
+    # rotation number p/q with q > 2, so one solver start per q serves both
+    # orbit classes and the min class needs no scattered starts above q = 2;
+    # other tables need the multistart.
     integrable = False
 
     def __init__(self):

@@ -603,6 +603,17 @@ class TestExitCodes:
         assert err.startswith("billiards: ") and err.count("\n") == 1
         assert not (out / "trajectory.csv").exists()
 
+    def test_radial_profile_through_zero_is_1(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"kind": "perturbed_circle", "R": 1.0,
+                                    "harmonics": [{"m": 1, "eps": 1.2, "phase": 0.0}]}))
+        rc = main(["orbit", "--table", str(path), "--theta0", "0.5", "--steps", "5",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: radial profile reaches zero")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, qmin, qmax, K, message", [
         ("beta", 1, 20, 3, "q_min must be >= 5"),
         ("mm", 3, 20, 3, "q_min must be >= 5"),

@@ -292,6 +292,8 @@ class TestHyperbolicOrbits:
             hyperbolic_orbit_exists(E, 2, 4)
         with pytest.raises(DomainError):
             hyperbolic_orbit_exists(E, 3, 5)
+        with pytest.raises(DomainError, match=r"m and n must be coprime, got \(2, 10\)"):
+            hyperbolic_orbit_exists(EllipseTable(1.0, 0.5), 2, 10)
 
     def test_u_positive_on_parameter_grid(self):
         from billiards.ellipse_maps import _hyperbolic_phase

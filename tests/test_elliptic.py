@@ -248,6 +248,10 @@ class TestInvertMonotone:
         with pytest.raises(BracketError):
             invert_monotone(lambda x: x, 5.0, (0.0, 1.0))
 
+    def test_rejects_reversed_bracket(self):
+        with pytest.raises(DomainError, match=r"bad bracket \(1.0, 0.0\)"):
+            invert_monotone(lambda x: x, 0.5, (1.0, 0.0))
+
     def test_supplied_bracket_values_give_the_same_roots(self):
         rng = np.random.default_rng(55)
         target = rng.uniform(-25.0, 25.0, 50)

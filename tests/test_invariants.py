@@ -88,6 +88,10 @@ class TestNormalizedBetaFit:
         with pytest.raises(DomainError):
             fit_normalized_beta(circle_samples(q_lo=10, q_hi=14), K=3)
 
+    def test_rejects_k_below_one(self):
+        with pytest.raises(DomainError, match="K must be >= 1, got 0"):
+            fit_normalized_beta(circle_samples(), K=0)
+
     def test_high_k_fits(self):
         rep = fit_normalized_beta(circle_samples(), K=5)
         assert rep.beta_coeffs[0] == pytest.approx(C3, abs=1e-10)
@@ -235,3 +239,7 @@ class TestMatherAlpha:
         samples = circle_samples()
         with pytest.raises(DomainError):
             mather_alpha(samples, 100.0)
+
+    def test_one_sample_has_no_slope(self):
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            mather_alpha(circle_samples(q_lo=10, q_hi=10), -6.0)

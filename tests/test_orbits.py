@@ -148,8 +148,8 @@ class TestExactEllipseLengths:
                                       (1.0, 0.1)])
     def test_min_lengths(self, a, b):
         # Every (1, q) orbit of an ellipse lies on the caustic of rotation
-        # number 1/q, so the min class has the max-class length; the 8
-        # rotated starts find it on eccentric ellipses too, where "max" fails.
+        # number 1/q, so the min class has the max-class length; its one
+        # Lazutkin start finds it on eccentric ellipses too.
         qs = [3, 5, 10, 20, 57, 120]
         for q, orb in zip(qs, find_orbits(EllipseTable(a, b), 1, qs, "min")):
             exact = ellipse_max_length(a, b, q)
@@ -368,11 +368,12 @@ class TestBatchedSolver:
                 assert np.array_equal(got, want[rows])
 
     def test_mixed_q_retries_keep_their_own_budget(self, perturbed, monkeypatch):
-        # With a 2-step polish most rows fail and are retried.  A q none of
-        # whose rows has converged grants SWEEP_CAP, one with a converged row
-        # grants 60 sweeps; the batch of q 10..20 must take each q's own
-        # decisions, so it returns exactly what every q returns alone.
-        monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 2)
+        # With no Newton steps every polish fails unless its sweeps alone
+        # converge, so rows are retried.  A q none of whose rows has
+        # converged grants SWEEP_CAP, one with a converged row grants 60
+        # sweeps; the batch of q 10..20 must take each q's own decisions, so
+        # it returns exactly what every q returns alone.
+        monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 0)
         monkeypatch.setattr(orbits_mod, "SWEEP_CAP", 153)
         p = 1
         chain = orbits_mod._Chain(perturbed, p)
@@ -383,13 +384,32 @@ class TestBatchedSolver:
         starts = orbits_mod._equal_init(perturbed, p, qs, frac)
         batch = orbits_mod._solve_from(chain, starts, qs, True, stat_tol)
         sweeps = batch[2]
-        assert sweeps.max() > 60 and np.any((sweeps > 3) & (sweeps <= 60))
+        assert sweeps.max() == 153 and np.any((sweeps > 3) & (sweeps <= 60))
         for q in q_each:
             rows = np.flatnonzero(qs == q)
             alone = orbits_mod._solve_from(chain, starts[rows, :q], qs[rows], True, stat_tol)
             assert np.array_equal(alone[0], batch[0][rows, :q])
             for got, want in zip(alone[1:], batch[1:]):  # residual, sweeps, steps, ok
                 assert np.array_equal(got, want[rows])
+
+    def test_failed_rows_of_every_q_retry_in_one_batch(self, perturbed, monkeypatch):
+        # Each retry round polishes every failed row of every q in one
+        # _newton call: the 16 rows of q 12 and 13, then all 16 again after
+        # 50 more sweeps.  One row of each q converges there, which drops
+        # the others' budget to 60 sweeps, so no third round runs.
+        monkeypatch.setattr(orbits_mod, "NEWTON_CAP", 0)
+        monkeypatch.setattr(orbits_mod, "SWEEP_CAP", 153)
+        batches = []
+        newton = orbits_mod._newton
+
+        def record(chain, t, q, *args):
+            batches.append(len(t))
+            return newton(chain, t, q, *args)
+
+        monkeypatch.setattr(orbits_mod, "_newton", record)
+        orbits = find_orbits(perturbed, 1, [12, 13], "max")
+        assert batches == [16, 16]
+        assert [(orb.sweeps, orb.total_sweeps) for orb in orbits] == [(53, 424)] * 2
 
     @pytest.mark.parametrize("q", [7, 2, pytest.param((2, 7), id="2+7")])
     def test_hessian_matches_finite_differences(self, q):
@@ -446,11 +466,11 @@ class TestBatchedSolver:
                                             length, sweeps, steps, n_cand):
         # Recorded with the start-by-start solver this one replaced; the
         # Newton step counts with the shifted complex LM solve.  The ellipse
-        # row solves only its 8 rotated starts (no scattered ones above
+        # row solves only its one start (no rotated or scattered ones above
         # q = 2 on integrable tables), equally spaced in the Lazutkin
-        # coordinate, so a rotated start is chosen, in 3 steps (4 from
-        # equal-arc starts, with the same length to 1e-14).  The perturbed
-        # rows keep their equal-arc starts and their pins.
+        # coordinate, in 3 steps (4 from equal-arc starts, with the same
+        # length to 1e-14).  The perturbed rows keep their equal-arc starts
+        # and their pins.
         orb = find_orbit(request.getfixturevalue(table_name), 1, q, orbit_class)
         assert orb.length == pytest.approx(length, rel=1e-14)
         assert (orb.sweeps, orb.newton_steps, len(orb.candidates)) == (sweeps, steps, n_cand)
@@ -475,8 +495,9 @@ class TestBatchedSolver:
     def test_scattered_min_starts_only_where_two_critical_values_can_be(self, perturbed,
                                                                            monkeypatch):
         # On an integrable table only q = 2 has two (1, q) critical values
-        # (the axes); above it the 8 rotated starts are all "min" solves.
-        # Other tables keep the scattered starts at every q <= 16.
+        # (the axes); above it every (1, q) orbit has one length, so one
+        # start is all "min" takes, as "max" does.  Other tables keep the 8
+        # rotated starts and add scattered ones at every q <= 16.
         rows = []
         solve_from = orbits_mod._solve_from
 
@@ -488,8 +509,14 @@ class TestBatchedSolver:
         find_orbits(EllipseTable(2.0, 1.0), 1, [2, 3, 12], "min")
         find_orbits(perturbed, 1, [12], "min")
         ellipse, other = rows
-        assert ellipse[2] > 8 and (ellipse[3], ellipse[12]) == (8, 8)
+        assert ellipse[2] > 1 and (ellipse[3], ellipse[12]) == (1, 1)
         assert other[12] > 8
+
+    def test_eccentric_ellipse_min_needs_no_retry(self):
+        # One Lazutkin start per q polishes at once on the 1:0.1 ellipse,
+        # so no q pays for retries.
+        orbits = find_orbits(EllipseTable(1.0, 0.1), 1, range(3, 41), "min")
+        assert [orb.total_sweeps for orb in orbits] == [0] * 38
 
     def test_every_start_is_a_lift_of_its_rotation_number(self, perturbed, monkeypatch):
         # the scattered starts too: q points on the circle visited p/q turn
@@ -666,6 +693,10 @@ class TestValidation:
             find_orbit(circle, 0, 3)
         with pytest.raises(DomainError):
             find_orbit(circle, 5, 3)
+
+    def test_rejects_unknown_orbit_class(self, circle):
+        with pytest.raises(DomainError, match="orbit_class must be 'max' or 'min', got 'mid'"):
+            find_orbit(circle, 1, 5, "mid")
 
     def test_batch_rejects_any_bad_q(self, circle):
         with pytest.raises(DomainError):

@@ -237,6 +237,12 @@ class TestPerturbedCircle:
         with pytest.raises(ConvexityError):
             PerturbedCircleTable(1.0, [(3, 0.2, 0.0)])
 
+    def test_radial_profile_must_stay_positive(self):
+        # r = 1 + 1.2 cos(psi) reaches zero, while r^2 + 2 r'^2 - r r'' =
+        # 3.88 + 3.6 cos(psi) stays positive: only the r > 0 check rejects it
+        with pytest.raises(ConvexityError, match="radial profile reaches zero"):
+            PerturbedCircleTable(1.0, [(1, 1.2, 0.0)])
+
     def test_convexity_grid_resolves_fast_harmonics(self):
         # r^2 + 2 r'^2 - r r'' reaches 1 - 10 = -9 where cos(10000 psi) = -1,
         # but is 1 + 10 on every point of a 10000-point grid
