@@ -39,8 +39,10 @@ only the diagonal, and the Newton polish runs a per-row accept/reject
 state machine, so every start takes the path it would take alone.  Its
 Levenberg-Marquardt step is one complex solve with the shifted Hessian
 H - i*sigma*I, which equals the normal-equations step without squaring
-the condition number of H; it runs once per q, on that q's own columns.
-lq_bounds solves all of its q in one such batch per orbit class.
+the condition number of H.  One O(q) Thomas sweep per Newton pass takes
+it for every row at once, each on its own columns, so the work of a pass
+does not depend on how many q the batch holds.  lq_bounds solves all of
+its q in one such batch per orbit class.
 """
 
 from __future__ import annotations
@@ -134,13 +136,21 @@ def _blocks(q):
 
 
 def _row_sums(a, q):
-    """Sum of every row over its own q columns.  A run of rows of one q is
-    summed by one np.sum on its own columns: zeros past the end of a row
-    would change how the pairwise summation rounds."""
+    """Sum of every row over its own q columns, as chord lengths are summed
+    into orbit lengths.  A run of rows of one q is summed by one np.sum on
+    its own columns: zeros past the end of a row would change how the
+    pairwise summation rounds."""
     out = np.empty(len(q))
     for lo, hi in _runs(q):
         out[lo:hi] = np.sum(a[lo:hi, :q[lo]], axis=-1)
     return out
+
+
+def _sequential_sums(a):
+    """Sum of every row of a, added in column order.  Zeros past the end of
+    a row leave its sum as it is, so a row sums to the same value in any
+    batch, however wide."""
+    return np.cumsum(a, axis=-1)[:, -1]
 
 
 class _Chain:
@@ -263,26 +273,61 @@ def _sweeps(chain: _Chain, t, q, n_sweeps: int):
     return t
 
 
-def _lm_step(diag, off, F, mu):
+def _lm_step(diag, off, F, q, mu):
     """Levenberg-Marquardt step of every row: d solves (H^2 + mu*s*I) d = -H F
     for the cyclic tridiagonal Hessian H = (diag, off) and s = trace(H^2)/q.
     As H^2 + sigma^2 I = (H + i*sigma*I)(H - i*sigma*I) with sigma^2 = mu*s,
     d = -Re[(H - i*sigma*I)^-1 F]: one complex solve with the condition
     number of H, not of H^2; its eigenvalues lambda - i*sigma never vanish.
-    All rows share one q."""
-    n, q = diag.shape
-    i = np.arange(q)
-    A = np.zeros((n, q, q), dtype=complex)
-    A[:, i, i] = diag
-    A[:, i, (i + 1) % q] = off
-    A[:, (i + 1) % q, i] = off
-    # s from the matrix itself: at q = 2 both corners hold the one entry off[1]
-    scale = np.sum(A.real**2, axis=(1, 2)) / q
-    A[:, i, i] -= 1j * np.sqrt(mu * scale)[:, None]
-    try:
-        return -np.linalg.solve(A, F[..., None])[..., 0].real
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular shifted Levenberg-Marquardt system: {exc}") from exc
+
+    Row r is solved on its own q[r] columns by one Thomas sweep down the
+    columns of the whole batch, for F and for the corner vector of the
+    Sherman-Morrison correction (gamma = -a_0, a = diag - i*sigma).  Every
+    leading block H_k - i*sigma*I is nonsingular for sigma > 0, so the sweep
+    needs no pivoting; a zero or non-finite pivot raises SolverError.
+    Padded columns are decoupled, with F = 0, and return 0.  At q = 2 the
+    one coupling off[0] (= off[1]) is the plain off-diagonal and there is no
+    corner.  All arithmetic is elementwise per row and s is summed in
+    column order, so a row's step is the same alone and in any batch."""
+    n, w = diag.shape
+    rows, last = np.arange(n), q - 1
+    col = np.arange(w)
+    corner = np.where(q > 2, off[rows, last], 0.0)
+    link = np.where(col < last[:, None], off, 0.0)  # the (i, i+1) entries of the chain
+    trace = _sequential_sums(np.where(col < q[:, None], diag * diag, 0.0) + 2.0 * link * link)
+    sigma = np.sqrt(mu * (trace + 2.0 * corner * corner) / q)
+    b = diag.T - 1j * sigma  # a = diag - i*sigma as (w, n): one batch row per column
+    link = link.T
+    rhs = np.zeros((w, 2, n), dtype=complex)  # F and the corner vector u
+    rhs[:, 0] = F.T
+    inv = np.empty((w, n), dtype=complex)  # 1 / pivot
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A = B + u v^T with u = gamma e_0 + corner e_{q-1} and
+        # v = e_0 + (corner / gamma) e_{q-1}
+        gamma = -b[0]
+        v_last = corner / gamma
+        b[0] -= gamma
+        b[last, rows] -= corner * v_last
+        rhs[0, 1] = gamma
+        rhs[last, 1, rows] = corner
+        inv[0] = 1.0 / b[0]
+        square = link * link
+        for i in range(1, w):
+            inv[i] = 1.0 / (b[i] - square[i - 1] * inv[i - 1])
+        rhs *= inv[:, None]
+        lower = link[:-1] * inv[1:]  # the eliminated (i, i-1) entry over pivot i
+        for i in range(1, w):
+            rhs[i] -= lower[i - 1] * rhs[i - 1]
+        upper = link * inv  # the (i, i+1) entry over pivot i
+        for i in range(w - 2, -1, -1):
+            rhs[i] -= upper[i] * rhs[i + 1]
+        y, z = rhs[:, 0], rhs[:, 1]  # B^-1 F and B^-1 u
+        den = 1.0 + z[0] + v_last * z[last, rows]
+        x = y - (y[0] + v_last * y[last, rows]) / den * z
+    # 1 / pivot is finite and nonzero exactly when the pivot is
+    if not (np.all(np.isfinite(inv) & (inv != 0.0)) and np.all(np.isfinite(den) & (den != 0.0))):
+        raise SolverError("singular shifted Levenberg-Marquardt system")
+    return -x.real.T
 
 
 # states of a row in _newton
@@ -297,14 +342,15 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     orbit families of integrable tables and nearly so for perturbed ones,
     so the step solves the Levenberg-Marquardt system (J^T J + mu*s*I) d =
     -J^T F, as the shifted complex solve of `_lm_step` (J = H is
-    symmetric), once per q among the rows that need a step; mu grows when
-    a step is rejected and shrinks on success.
+    symmetric), in one call per pass for every row that needs a step; mu
+    grows when a step is rejected and shrinks on success.
 
     Every row runs its own state machine: an outer step records |F|^2,
     up to 12 values of mu are tried, each with up to 20 halvings
     of the step length.  Each pass of the loop moves every live row to its
     next trial points and evaluates all of them in one batch, so rows
-    share evaluations but never decisions.  Returns (t, residual, steps,
+    share evaluations but never decisions.  |F|^2 is summed in column
+    order, which padding does not change.  Returns (t, residual, steps,
     ok) arrays with the residual in max |dL/ds_i|.
     """
     t = np.array(t, dtype=float)
@@ -314,6 +360,7 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     mu = np.full(n, 1e-12)
     tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
     halvings = np.zeros(n, dtype=int)
+    halved = np.zeros(n, dtype=bool)  # the last accepted step was halved
     norm_f = np.empty(n)
     delta = np.zeros(t.shape)  # padded columns never move
     state = np.full(n, _OUTER)
@@ -331,25 +378,26 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
         stop = (res[rows] <= stat_tol) | (steps[rows] >= cap)
         state[rows[stop]] = _DONE
         rows = rows[~stop]
-        norm_f[rows] = _row_sums(F[rows]**2, q[rows])
+        norm_f[rows] = _sequential_sums(F[rows]**2)
         tries[rows] = 0
         state[rows] = _SOLVE
 
         rows = np.flatnonzero(state == _SOLVE)
-        for lo, hi in _runs(q[rows]):
-            g = rows[lo:hi]
-            m = q[g[0]]
-            delta[g, :m] = _lm_step(diag[g, :m], off[g, :m], F[g, :m], mu[g])
+        if rows.size:
+            w = q[rows].max()
+            delta[rows, :w] = _lm_step(diag[rows, :w], off[rows, :w], F[rows, :w], q[rows],
+                                       mu[rows])
         halvings[rows] = 0
         state[rows] = _TRIAL
 
         rows = np.flatnonzero(state == _TRIAL)
         if not rows.size:
             continue
-        # A row first tries the full step.  Once that is rejected, the rest
-        # of its halvings for this mu are evaluated together and the first
-        # that passes is taken: the step a one-at-a-time search takes.
-        count = np.where(halvings[rows] == 0, 1, 20 - halvings[rows])
+        # A row first tries the full step, unless its last accepted step was
+        # halved.  Once the full step is rejected, or at once for such a row,
+        # the rest of its halvings for this mu are evaluated together and the
+        # first that passes is taken: the step a one-at-a-time search takes.
+        count = np.where((halvings[rows] == 0) & ~halved[rows], 1, 20 - halvings[rows])
         owner = np.repeat(rows, count)
         k = halvings[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
         alpha = np.ldexp(1.0, -k)
@@ -357,15 +405,15 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
         t_try = t[owner, :w] + alpha[:, None] * delta[owner, :w]
         ev = np.flatnonzero(_ordered(t_try, q[owner], chain.p))
         if ev.size:
-            q_ev = q[owner[ev]]
-            F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev], q_ev)
-            norm_try = _row_sums(F_try**2, q_ev)
+            F_try, diag_try, off_try, res_try = chain.hessian(t_try[ev], q[owner[ev]])
+            norm_try = _sequential_sums(F_try**2)
             hit = np.flatnonzero(norm_try <= norm_f[owner[ev]] * (1.0 - 1e-6 * alpha[ev]))
             first = hit[np.unique(owner[ev[hit]], return_index=True)[1]]
             up = owner[ev[first]]
             t[up, :w] = t_try[ev[first]]
             F[up, :w], diag[up, :w], off[up, :w] = F_try[first], diag_try[first], off_try[first]
             mu[up] = np.maximum(mu[up] * 0.1, 1e-14)
+            halved[up] = alpha[ev[first]] < 1.0
             steps[up] += 1
             res[up] = res_try[first]
             state[up] = _OUTER

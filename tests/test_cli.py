@@ -107,7 +107,7 @@ class TestBetaCommand:
             assert int(r["total_sweeps"]) >= int(r["sweeps"])
             assert int(r["total_newton_steps"]) >= int(r["newton_steps"])
         q10 = rows[0]  # the maximal 10-gon of this table, solved from 8 starts
-        assert (q10["sweeps"], q10["newton_steps"], q10["candidates"]) == ("3", "4", "2")
+        assert (q10["sweeps"], q10["newton_steps"], q10["candidates"]) == ("3", "5", "2")
         orb = find_orbit(load_table(perturbed_cfg), 1, 10)
         assert (int(q10["total_sweeps"]), int(q10["total_newton_steps"])) == (
             orb.total_sweeps, orb.total_newton_steps)
@@ -559,12 +559,15 @@ class TestExitCodes:
         assert rc == 3
 
     def test_singular_lm_solve_is_3(self, ellipse_cfg, tmp_path, monkeypatch):
-        # the shifted LM system cannot be singular; if LAPACK says so anyway,
-        # the orbit solver fails like any other solver failure
-        def singular(*a, **k):
-            raise np.linalg.LinAlgError("forced singular matrix")
+        # the shifted LM system cannot be singular; if a zero Hessian makes
+        # it so anyway (sigma = 0 too), the sweep meets a zero pivot and the
+        # orbit solver fails like any other solver failure
+        lm_step = orbits_mod._lm_step
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        def singular(diag, off, F, q, mu):
+            return lm_step(np.zeros_like(diag), np.zeros_like(off), F, q, mu)
+
+        monkeypatch.setattr(orbits_mod, "_lm_step", singular)
         rc = main(["orbit", "--table", ellipse_cfg, "--pq", "1", "5",
                    "--out", str(tmp_path / "o")])
         assert rc == 3

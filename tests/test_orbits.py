@@ -269,7 +269,7 @@ class TestProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             orb = find_orbit(perturbed, 1, 13, "min")
-        assert orb.length == 6.259087954816305
+        assert orb.length == 6.259087954816306
         assert orb.converged
 
     def test_canonical_labeling(self, ellipse21):
@@ -316,6 +316,39 @@ class TestStarts:
         t = orbits_mod._equal_init(table, 1, 11, np.array([0.0, 0.375]))
         want = (np.arange(11) + np.array([[0.0], [0.375]])) * period / 11
         np.testing.assert_allclose(coord(t), want, rtol=0.0, atol=1e-13)
+
+
+def _one_trial_at_a_time(chain, t, q, cap, stat_tol):
+    """_newton's search for one row, one trial point per evaluation: the
+    full step, then each halving in turn, for up to 12 values of mu.
+    Returns (t, residual, steps, how many outer steps followed a halved
+    one)."""
+    F, diag, off, res = chain.hessian(t, q)
+    mu, steps, halved, after_halved = 1e-12, 0, False, 0
+    while res[0] > stat_tol and steps < cap:
+        norm = orbits_mod._sequential_sums(F**2)[0]
+        for _ in range(12):
+            delta = orbits_mod._lm_step(diag, off, F, q, np.array([mu]))
+            for k in range(20):
+                alpha = np.ldexp(1.0, -k)
+                t_try = t + alpha * delta
+                if not orbits_mod._ordered(t_try, q, chain.p)[0]:
+                    continue
+                F_try, diag_try, off_try, res_try = chain.hessian(t_try, q)
+                if orbits_mod._sequential_sums(F_try**2)[0] <= norm * (1.0 - 1e-6 * alpha):
+                    break
+            else:
+                mu *= 100.0
+                continue
+            after_halved += halved
+            halved = k > 0
+            t, F, diag, off, res = t_try, F_try, diag_try, off_try, res_try
+            mu = max(mu * 0.1, 1e-14)
+            steps += 1
+            break
+        else:  # every mu failed: the outer step counts, and the row stops
+            return t, res[0], steps + 1, after_halved
+    return t, res[0], steps, after_halved
 
 
 class TestBatchedSolver:
@@ -411,6 +444,27 @@ class TestBatchedSolver:
         assert batches == [16, 16]
         assert [(orb.sweeps, orb.total_sweeps) for orb in orbits] == [(53, 424)] * 2
 
+    def test_halving_ladder_takes_the_one_at_a_time_step(self, perturbed):
+        # After a halved step a row evaluates its whole halving ladder in one
+        # pass; it must take the step, and so the path, of a search that
+        # tries one trial point per evaluation.  The swept q = 20 starts of
+        # "max" take 29 steps after a halved one between them.
+        p, q = 1, 20
+        chain = orbits_mod._Chain(perturbed, p)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        qs = np.full(8, q)
+        starts = orbits_mod._equal_init(perturbed, p, q, np.arange(8) / 8.0)
+        starts = orbits_mod._sweeps(chain, starts, qs, 3)
+        batch = orbits_mod._newton(chain, starts, qs, orbits_mod.NEWTON_CAP, stat_tol)
+        ladders = 0
+        for j in range(8):
+            t, res, steps, halved_then_stepped = _one_trial_at_a_time(
+                chain, starts[j:j + 1], qs[j:j + 1], orbits_mod.NEWTON_CAP, stat_tol)
+            assert np.array_equal(t, batch[0][j:j + 1])
+            assert (res, steps) == (batch[1][j], batch[2][j])
+            ladders += halved_then_stepped
+        assert ladders == 29
+
     @pytest.mark.parametrize("q", [7, 2, pytest.param((2, 7), id="2+7")])
     def test_hessian_matches_finite_differences(self, q):
         # q = 2: both chords share one entry; (2, 7): a q = 2 and a q = 7 row
@@ -456,16 +510,21 @@ class TestBatchedSolver:
         np.testing.assert_allclose(res, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("table_name,q,orbit_class,length,sweeps,steps,n_cand", [
-        ("perturbed", 10, "max", 6.218979971400411, 3, 4, 2),
+        ("perturbed", 10, "max", 6.218979971400411, 3, 5, 2),
         ("perturbed", 15, "max", 6.273996167046811, 3, 5, 2),
         ("perturbed", 20, "max", 6.293215531981547, 3, 7, 2),
-        ("perturbed", 10, "min", 6.218808001326209, 0, 16, 2),
+        ("perturbed", 10, "min", 6.218808001326209, 0, 6, 2),
         ("ellipse21", 12, "min", 9.596550106257556, 0, 3, 1),
     ])
     def test_same_work_as_sequential_solver(self, request, table_name, q, orbit_class,
                                             length, sweeps, steps, n_cand):
         # Recorded with the start-by-start solver this one replaced; the
-        # Newton step counts with the shifted complex LM solve.  The ellipse
+        # Newton step counts with the O(q) sweep of the shifted complex LM
+        # solve.  At q = 10 several starts reach one orbit, with lengths
+        # equal to an ulp, and rounding picks the chosen one among them: the
+        # dense solve picked one of 4 steps for "max" and one of 16 for
+        # "min", while each start's steps are unchanged (31 and 253 over
+        # all starts).  The ellipse
         # row solves only its one start (no rotated or scattered ones above
         # q = 2 on integrable tables), equally spaced in the Lazutkin
         # coordinate, in 3 steps (4 from equal-arc starts, with the same
@@ -644,11 +703,52 @@ def _dense_hessian(diag, off):
     return H
 
 
+def _normal_equations_step(diag, off, F, mu):
+    """(H^T H + mu*s*I) d = -H^T F with s = trace(H^T H)/q, by a dense solve."""
+    q = diag.size
+    H = _dense_hessian(diag, off)
+    gram = H.T @ H
+    return np.linalg.solve(gram + mu * np.trace(gram) / q * np.eye(q), -H.T @ F)
+
+
+def _padded_batch(qs, seed):
+    """Well-conditioned Hessians and gradients of rows of q = qs, padded as
+    `hessian` pads them: F = 0, diag = 1 and off = 0 past a row's q."""
+    rng = np.random.default_rng(seed)
+    n, w = len(qs), max(qs)
+    diag, off, F = np.ones((n, w)), np.zeros((n, w)), np.zeros((n, w))
+    for r, q in enumerate(qs):
+        diag[r, :q] = rng.uniform(-4.0, -1.0, q)
+        off[r, :q] = rng.uniform(-0.6, 0.6, q)
+        if q == 2:  # the Hessian's one coupling, as `hessian` returns it
+            off[r, 1] = off[r, 0]
+        F[r, :q] = rng.uniform(-1.0, 1.0, q)
+    return diag, off, F, np.array(qs), 10.0 ** rng.uniform(-12.0, 0.0, n)
+
+
+def _sparse_solve(rows, rhs):
+    """Gaussian elimination without pivoting on a matrix given as one dict
+    {column: entry} per row; enough for the symmetric positive definite
+    normal equations, and O(q) for their cyclic band."""
+    n = len(rows)
+    for k in range(n):
+        for i in range(k + 1, n):
+            if k in rows[i]:
+                f = rows[i].pop(k) / rows[k][k]
+                for j, v in rows[k].items():
+                    if j > k:
+                        rows[i][j] = rows[i].get(j, 0) - f * v
+                rhs[i] -= f * rhs[k]
+    x = [0] * n
+    for k in reversed(range(n)):
+        x[k] = (rhs[k] - sum(v * x[j] for j, v in rows[k].items() if j > k)) / rows[k][k]
+    return x
+
+
 class TestLMStep:
     @pytest.mark.parametrize("q", [2, 3, 7, 20])
     def test_matches_normal_equations(self, q):
-        # (H^T H + mu*s*I) d = -H^T F with s = trace(H^T H)/q, for a batch of
-        # well-conditioned Hessians and one damping per row
+        # a batch of one q, with one damping per row
         rng = np.random.default_rng(q)
         mu = 10.0 ** np.arange(-12.0, 1.0)
         n = mu.size
@@ -657,12 +757,41 @@ class TestLMStep:
         if q == 2:  # the Hessian's one coupling, as `hessian` returns it
             off[:, 1] = off[:, 0]
         F = rng.uniform(-1.0, 1.0, (n, q))
-        got = orbits_mod._lm_step(diag, off, F, mu)
+        got = orbits_mod._lm_step(diag, off, F, np.full(n, q), mu)
         for k in range(n):
-            H = _dense_hessian(diag[k], off[k])
-            gram = H.T @ H
-            want = np.linalg.solve(gram + mu[k] * np.trace(gram) / q * np.eye(q), -H.T @ F[k])
+            want = _normal_equations_step(diag[k], off[k], F[k], mu[k])
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_padded_batch_matches_normal_equations(self):
+        # rows of q = 2, 3, 7 and 20 in one batch: each row is solved on its
+        # own columns, and its padded columns step by 0
+        diag, off, F, qs, mu = _padded_batch([2, 3, 7, 20, 7, 2], 24)
+        got = orbits_mod._lm_step(diag, off, F, qs, mu)
+        for k, q in enumerate(qs):
+            want = _normal_equations_step(diag[k, :q], off[k, :q], F[k, :q], mu[k])
+            np.testing.assert_allclose(got[k, :q], want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            assert np.all(got[k, q:] == 0.0)
+
+    def test_batch_invariant(self):
+        # a row's step is the same, bit for bit, alone (cut to its own q)
+        # and inside a padded batch of other q
+        diag, off, F, qs, mu = _padded_batch([20, 2, 3, 7, 20, 3], 25)
+        batch = orbits_mod._lm_step(diag, off, F, qs, mu)
+        for k, q in enumerate(qs):
+            alone = orbits_mod._lm_step(diag[k:k + 1, :q], off[k:k + 1, :q], F[k:k + 1, :q],
+                                        qs[k:k + 1], mu[k:k + 1])
+            assert np.array_equal(alone[0], batch[k, :q])
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_singular_system_raises(self, bad):
+        # H = 0 makes sigma = 0 and the system singular; a NaN pivot is
+        # no step either
+        diag, off, F, qs, mu = _padded_batch([5, 7], 26)
+        diag[1, :] = bad
+        off[1, :] = 0.0
+        with pytest.raises(SolverError, match="singular shifted Levenberg-Marquardt system"):
+            orbits_mod._lm_step(diag, off, F, qs, mu)
 
     def test_near_degenerate_step_against_mpmath(self, ellipse21):
         # Near the 2:1 ellipse's q = 12 orbit family H is nearly singular;
@@ -672,7 +801,7 @@ class TestLMStep:
         orb = find_orbit(ellipse21, 1, q, "max")
         t = orb.t[None] + 1e-3 * np.random.default_rng(0).uniform(-1.0, 1.0, (1, q))
         F, diag, off, _ = orbits_mod._Chain(ellipse21, 1).hessian(t, np.array([q]))
-        got = orbits_mod._lm_step(diag, off, F, np.array([mu]))[0]
+        got = orbits_mod._lm_step(diag, off, F, np.array([q]), np.array([mu]))[0]
         with mp.workdps(50):
             H = mp.matrix(_dense_hessian(diag[0], off[0]).tolist())
             f = mp.matrix(F[0].tolist())
@@ -680,6 +809,35 @@ class TestLMStep:
             shift = mp.mpf(mu) * sum(gram[i, i] for i in range(q)) / q
             d = mp.lu_solve(gram + shift * mp.eye(q), -(H.T * f))
             want = np.array([float(x) for x in d])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_indefinite_saddle_step_against_mpmath(self, perturbed):
+        # The sweep does not pivot.  Next to the m = 3 table's q = 120
+        # min-class saddle H is indefinite (one eigenvalue is +3e-11), and at
+        # the smallest damping mu = 1e-14 the step still agrees with a
+        # 50-digit solve to 1e-10 (the sweep was 9e-12 off, as was a dense
+        # LU solve).
+        q, mu = 120, 1e-14
+        orb = find_orbit(perturbed, 1, q, "min")
+        t = orb.t[None] + 1e-6 * np.random.default_rng(0).uniform(-1.0, 1.0, (1, q))
+        F, diag, off, _ = orbits_mod._Chain(perturbed, 1).hessian(t, np.array([q]))
+        eig = np.linalg.eigvalsh(_dense_hessian(diag[0], off[0]))
+        assert eig[0] < 0.0 < eig[-1]
+        got = orbits_mod._lm_step(diag, off, F, np.array([q]), np.array([mu]))[0]
+        with mp.workdps(50):
+            H = [{j % q: mp.mpf(float(v)) for j, v in ((i - 1, off[0, i - 1]), (i, diag[0, i]),
+                                                       (i + 1, off[0, i]))}
+                 for i in range(q)]
+            gram = [{} for _ in range(q)]  # H^T H = H^2, a cyclic band of width 5
+            for i in range(q):
+                for k, h_ik in H[i].items():
+                    for j, h_kj in H[k].items():
+                        gram[i][j] = gram[i].get(j, 0) + h_ik * h_kj
+            shift = mp.mpf(mu) * sum(gram[i][i] for i in range(q)) / q
+            for i in range(q):
+                gram[i][i] += shift
+            rhs = [-sum(h * mp.mpf(float(F[0, k])) for k, h in H[i].items()) for i in range(q)]
+            want = np.array([float(x) for x in _sparse_solve(gram, rhs)])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
