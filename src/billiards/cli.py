@@ -44,7 +44,7 @@ from .invariants import (
     sample_beta,
 )
 from .orbits import STAT_TOL_FACTOR, VALUE_DEDUPE_RTOL, find_orbit, lq_bounds
-from .tables import ARC_INVERSE_TOL, CHORD_TOL, EllipseTable, load_table
+from .tables import ARC_INVERSE_TOL, CHORD_TOL, CircleTable, EllipseTable, load_table
 
 log = logging.getLogger("billiards")
 
@@ -187,6 +187,17 @@ def _load(path) -> object:
     return table
 
 
+def _load_ellipse(path, command: str) -> EllipseTable:
+    """A table of the elliptic commands; a circle is taken as the a = b
+    ellipse it is."""
+    table = _load(path)
+    if isinstance(table, CircleTable):
+        return EllipseTable(table.radius, table.radius)
+    if not isinstance(table, EllipseTable):
+        raise TableConfigError(f"{command} requires elliptic tables")
+    return table
+
+
 def _cmd_beta(args, outdir: Path) -> int:
     _check_q_range(args.qmin, args.qmax, args.K)
     stages = _Stages()
@@ -284,10 +295,8 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
                                            and args.threshold >= 0.0):
         raise DomainError(f"--threshold must be finite and >= 0, got {args.threshold}")
     stages = _Stages()
-    t1 = _load(args.table)
-    t2 = _load(args.table2)
-    if not isinstance(t1, EllipseTable) or not isinstance(t2, EllipseTable):
-        raise TableConfigError("conjugacy requires elliptic tables")
+    t1 = _load_ellipse(args.table, "conjugacy")
+    t2 = _load_ellipse(args.table2, "conjugacy")
     stages.lap("load")
     h = build_conjugacy(t1, t2)
     stages.lap("build")
@@ -315,10 +324,8 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
 
 def _cmd_witness(args, outdir: Path) -> int:
     stages = _Stages()
-    t1 = _load(args.table)
-    t2 = _load(args.table2)
-    if not isinstance(t1, EllipseTable) or not isinstance(t2, EllipseTable):
-        raise TableConfigError("witness requires elliptic tables")
+    t1 = _load_ellipse(args.table, "witness")
+    t2 = _load_ellipse(args.table2, "witness")
     stages.lap("load")
     decisions = _witness_decisions(t1, t2)
     payload = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhasePoint
-from .elliptic import _jacobi_am, ellip_f, ellip_fk, ellip_k, invert_monotone
+from .elliptic import _f_and_k, _jacobi_am, ellip_f, ellip_fk, ellip_k, invert_monotone
 from .errors import BracketError, DomainError, SolverError, _require
 from .tables import TWO_PI, EllipseTable
 
@@ -106,6 +106,7 @@ class CausticCoord:
     k: float
     period: float  # 4 K(k(lambda))
     b: float
+    omega: float  # rotation number of the caustic lambda
 
     @property
     def lam_hat(self):
@@ -124,10 +125,15 @@ def _action_angle_phi(table: EllipseTable, phi, theta) -> CausticCoord:
              "retrograde branch theta > pi/2 not covered by the chart", theta)
     lam = caustic_param(table, phi, theta)
     k = _modulus(table, lam)
-    f, bigk = ellip_fk(phi - 0.5 * math.pi, k)
+    # The time's amplitude over the rotation number's, arcsin(lambda/b),
+    # in one pass that evaluates K once per point, with the time.
+    amp = np.stack(np.broadcast_arrays(phi - 0.5 * math.pi, np.arcsin(lam / table.b)))
+    need_k = np.zeros(amp.shape, dtype=bool)
+    need_k[0] = True
+    (f, f_rot), (bigk, _) = _f_and_k(amp, k, need_k)
     period = 4.0 * bigk
     t = f % period
-    return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b)
+    return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b, omega=f_rot / (2.0 * bigk))
 
 
 def _action_angle_inverse_phi(table: EllipseTable, lam, t, bigk=None):
@@ -210,9 +216,7 @@ class ConjugacyMap:
         caustic of equal rotation number, its time at equal normalized time
         and its complete integral, for the inverse chart."""
         om = self._om_grid
-        # period / 4 = K(k2) exactly: table 2's complete integral is not re-evaluated.
-        omega = np.asarray(ellip_f(np.arcsin(coord2.lam / self.table2.b), coord2.k)
-                           / (2.0 * (coord2.period / 4.0)))
+        omega = np.asarray(coord2.omega)
         _require(omega < om[-1], "rotation number outside table 1's near-boundary range", omega)
         lam = np.zeros(omega.shape)
         pos = omega > 0.0

@@ -114,11 +114,11 @@ def _rf_principal(c, k):
     return carlson_rf(c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0)
 
 
-def _f_and_k(phi, k, every_k: bool):
+def _f_and_k(phi, k, need_k=True):
     """F(phi, k) and K(k) from one carlson_rf call on the principal-branch
-    arguments stacked over the complete ones.  K is evaluated on every
-    element when every_k, else only where the amplitude is wound (and
-    then not returned)."""
+    arguments stacked over the complete ones.  K is evaluated where need_k
+    (broadcast to the shape of phi and k) or where the amplitude is wound,
+    and is NaN elsewhere."""
     phi, k = _arrays(phi, k)
     _check_modulus(k)
     _require(np.isfinite(phi), "ellip_f: amplitude must be finite", phi)
@@ -130,14 +130,15 @@ def _f_and_k(phi, k, every_k: bool):
     # for moderately large |phi|; it is exact for n = 0.
     phi0 = (phi - n * _PI_HI) - n * _PI_LO
     wound = n != 0.0
-    kc = k.ravel() if every_k else k[wound]
-    rf = _rf_principal(np.concatenate((np.cos(phi0).ravel(), np.zeros(kc.size))),
-                       np.concatenate((k.ravel(), kc)))
+    at = (np.broadcast_to(need_k, phi.shape) | wound).ravel()
+    rf = _rf_principal(np.concatenate((np.cos(phi0).ravel(), np.zeros(np.count_nonzero(at)))),
+                       np.concatenate((k.ravel(), k.ravel()[at])))
     f = np.asarray(np.sin(phi0) * rf[:phi.size].reshape(phi.shape))
-    bigk = rf[phi.size:]
-    if wound.any():
-        f[wound] += 2.0 * n[wound] * (bigk[wound.ravel()] if every_k else bigk)
-    return f, bigk.reshape(phi.shape) if every_k else None
+    bigk = np.full(phi.size, np.nan)
+    bigk[at] = rf[phi.size:]
+    bigk = bigk.reshape(phi.shape)
+    f[wound] += 2.0 * n[wound] * bigk[wound]
+    return f, bigk
 
 
 def ellip_f(phi, k):
@@ -153,7 +154,7 @@ def ellip_f(phi, k):
 def ellip_fk(phi, k):
     """(F(phi, k), K(k)) from one carlson_rf call, both of the broadcast
     shape of phi and k; bit for bit (ellip_f(phi, k), ellip_k(k))."""
-    f, bigk = _f_and_k(phi, k, True)
+    f, bigk = _f_and_k(phi, k)
     return (f, bigk) if f.ndim else (float(f), float(bigk))
 
 

@@ -6,9 +6,10 @@ q chord lengths.  Stationarity of the length at every vertex is the
 reflection law, so critical configurations are periodic orbits.
 
 The maximizer is found by coordinate-ascent sweeps from equally spaced
-initializations followed by a damped Newton polish of the stationarity
-system; Levenberg-Marquardt damping absorbs the zero Hessian mode that the
-continuous orbit families of integrable tables produce.  Minimal critical
+initializations (where the orbit class is in question) followed by a
+damped Newton polish of the stationarity system; Levenberg-Marquardt
+damping absorbs the zero Hessian mode that the continuous orbit families
+of integrable tables produce.  Minimal critical
 values are collected by running the same Newton solver from the same
 initializations (plus scattered ones at low q, on integrable tables only
 at q = 2) and keeping every distinct critical value found.
@@ -23,7 +24,11 @@ Lazutkin starts the m = 3 perturbed circle returned the min class for
 check of the orbit class, after which the equal-arc branch goes.
 Integrable tables take one start per q in both classes: every (p, q)
 orbit with q > 2 is tangent to the one caustic of rotation number p/q,
-so all of them have one length.  Other tables take 8 rotated starts.
+so all of them have one length.  Such a row takes no ascent sweeps in
+either class, so "max" and "min" there are one computation, and lq_bounds
+solves that q once.  Other tables take 8 rotated starts, and their "max"
+rows, like the q = 2 rows of integrable tables (the major axis against
+the minor one), ascend.
 
 The starts of one q, or of a whole range of q, are solved as one batch:
 every start is a row of an (n_rows, max q) array and carries its own q.
@@ -42,14 +47,15 @@ H - i*sigma*I, which equals the normal-equations step without squaring
 the condition number of H.  One O(q) Thomas sweep per Newton pass takes
 it for every row at once, each on its own columns, so the work of a pass
 does not depend on how many q the batch holds.  lq_bounds solves all of
-its q in one such batch per orbit class.
+its q in one such batch per orbit class, the min class only at the q
+where it differs from the max one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -375,7 +381,8 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
 
     while not np.all(state == _DONE):
         rows = np.flatnonzero(state == _OUTER)
-        stop = (res[rows] <= stat_tol) | (steps[rows] >= cap)
+        # a NaN residual (a collapsed chord) stops the row where it is
+        stop = (res[rows] <= stat_tol) | (steps[rows] >= cap) | np.isnan(res[rows])
         state[rows[stop]] = _DONE
         rows = rows[~stop]
         norm_f[rows] = _sequential_sums(F[rows]**2)
@@ -455,38 +462,50 @@ def _canonical(t, p):
     return np.concatenate([t[k:], t[:k] + TWO_PI * p]) - (t[k] - t_mod[k])
 
 
-def _solve_from(chain: _Chain, t_init, q, ascent: bool, stat_tol: float):
+def _solve_from(chain: _Chain, t_init, q, ascent, stat_tol: float):
     """Solve every start (row) of t_init, row r a q[r]-gon, after 3 sweeps
-    when ascending.
+    on the rows where ascent (a per-row mask, or one bool for all) is true.
 
-    All rows are swept and polished together.  Then, each round, every
-    failed row that its q's budget allows is swept `extra` more times and
-    polished again, all in one batch.  A q grants SWEEP_CAP sweeps until
-    any of its rows converges; the others then only probe for other
-    critical families, so the budget drops to 60 sweeps and a start
+    The ascent rows are swept together, then all rows are polished
+    together.  Then, each round, every failed row that its q's budget
+    allows is swept `extra` more times (50 on ascent rows, 25 on the
+    others) and polished again, all in one batch.  A q grants SWEEP_CAP
+    sweeps until any of its rows converges; the others then only probe for
+    other critical families, so the budget drops to 60 sweeps and a start
     stranded on a degenerate ridge cannot dominate the runtime.  Returns
     (t, residual, sweeps, newton_steps, ok) arrays, where ok means
     converged to an ordered configuration.
     """
     p = chain.p
-    t = _sweeps(chain, t_init, q, 3) if ascent else np.array(t_init, dtype=float)
-    sweeps = np.full(len(t), 3 if ascent else 0)
+    t = np.array(t_init, dtype=float)
+    ascent = np.broadcast_to(ascent, len(t))
+    sweeps = np.where(ascent, 3, 0)
+    extra = np.where(ascent, 50, 25)
+    _sweep_rows(chain, t, q, np.arange(len(t)), sweeps)
     t_new, res, steps, ok = _newton(chain, t, q, NEWTON_CAP, stat_tol)
     conv = ok & _ordered(t_new, q, p)
-    extra = 50 if ascent else 25
     while True:
         budget = np.where(np.isin(q, q[conv]), 60, SWEEP_CAP)
         r = np.flatnonzero(~ok & (sweeps + extra <= budget))
         if not r.size:
             return t_new, res, sweeps, steps, conv
         w, qr = q[r].max(), q[r]
-        start = np.where(_ordered(t_new[r, :w], qr, p)[:, None], t_new[r, :w], t[r, :w])
-        t[r, :w] = _sweeps(chain, start, qr, extra)
-        sweeps[r] += extra
+        t[r, :w] = np.where(_ordered(t_new[r, :w], qr, p)[:, None], t_new[r, :w], t[r, :w])
+        _sweep_rows(chain, t, q, r, extra[r])
+        sweeps[r] += extra[r]
         t_new[r, :w], res[r], steps_r, ok[r] = _newton(chain, t[r, :w], qr, NEWTON_CAP,
                                                        stat_tol)
         steps[r] += steps_r
         conv[r] = ok[r] & _ordered(t_new[r, :w], qr, p)
+
+
+def _sweep_rows(chain: _Chain, t, q, rows, n):
+    """n[i] sweeps on row rows[i] of t, in place; the rows of one count are
+    swept together, each on its own columns."""
+    for k in np.unique(n[n > 0]):
+        sel = rows[n == k]
+        w = q[sel].max()
+        t[sel, :w] = _sweeps(chain, t[sel, :w], q[sel], int(k))
 
 
 def _check(p: int, q: int, orbit_class: str):
@@ -500,6 +519,13 @@ def _check(p: int, q: int, orbit_class: str):
         raise DomainError(f"orbit_class must be 'max' or 'min', got {orbit_class!r}")
 
 
+def _one_length(table: Table, q):
+    """Whether every (p, q) orbit of table has one length, elementwise in q:
+    on an integrable table each orbit with q > 2 is tangent to the one
+    caustic of rotation number p/q (Poncelet), so its two classes coincide."""
+    return table.integrable & (q > 2)
+
+
 def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[OrbitConfig]:
     """find_orbit at every q of qs, all solved as one batch.
 
@@ -508,6 +534,9 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     docstring).  An integrable table takes one start per q in either
     class; the others take 8, rotated by j/8 of one gap.  "min" adds
     scattered starts at q <= 16 on non-integrable tables and at q = 2.
+    "max" sweeps before the polish except at q > 2 on integrable tables,
+    where both classes make one computation and differ only in
+    orbit_class.
 
     Every start of every q is a row that carries its own q, so all q share
     each sweep and Newton evaluation but no decision: each q gets the orbit,
@@ -528,16 +557,15 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     starts = []  # the starts of every q, as its rows of t
     for i, q in enumerate(qs):
         rows = [t_eq[i * n_eq:(i + 1) * n_eq, :q]]
-        if orbit_class == "min" and q <= 16 and (q == 2 or not table.integrable):
+        if orbit_class == "min" and q <= 16 and not _one_length(table, q):
             # Rotations of the equal spacing all sit in the basin of the
             # ordered family; a second critical value needs genuinely
             # scattered ordered starts to be found.  An integrable table has
-            # one only at q = 2.  Every (p, q) orbit with q > 2 is tangent to
-            # the one caustic of rotation number p/q, so all have one length.
-            # An orbit whose chords cross the ellipse's focal segment (tangent
-            # to a confocal hyperbola) alternates between the arcs above and
-            # below the major axis, so if ordered it has rotation number 1/2:
-            # at q = 2 the two axes give two values (8 and 4 on 2:1).
+            # one only at q = 2.  An orbit whose chords cross the ellipse's
+            # focal segment (tangent to a confocal hyperbola) alternates
+            # between the arcs above and below the major axis, so if ordered
+            # it has rotation number 1/2: at q = 2 the two axes give two
+            # values (8 and 4 on 2:1).
             rng = np.random.default_rng(1000 * q + p)
             lift = np.arange(q) * p  # q points on the circle, visited p/q turn apart
             for _ in range(16):
@@ -550,8 +578,10 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     t_init = np.zeros((q_row.size, qs[-1]))
     t_init[np.arange(qs[-1]) < q_row[:, None]] = np.concatenate([r.ravel() for r in starts])
 
-    t, res, sweeps, nsteps, ok = _solve_from(chain, t_init, q_row, orbit_class == "max",
-                                             stat_tol)
+    # Ascent sweeps steer "max" toward the maximum; where every orbit has one
+    # length there is no class to steer toward.
+    ascent = (orbit_class == "max") & ~_one_length(table, q_row)
+    t, res, sweeps, nsteps, ok = _solve_from(chain, t_init, q_row, ascent, stat_tol)
     conv = np.flatnonzero(ok)
     lengths = np.empty(len(t))
     lengths[conv] = chain.value(t[conv], q_row[conv])
@@ -615,10 +645,12 @@ def lq_bounds(table: Table, qs, maxima=()) -> list[tuple[float, float, OrbitConf
     maxima may hold p = 1 max-class orbits already solved on this table
     (the ones behind sample_beta, say); a q found among them is not solved
     again.  Batch rows are independent, so they are the orbits a solve here
-    would return.  The other q are solved in two batches, one find_orbits
-    call per orbit class.  Critical values that coincide within the dedupe
-    tolerance are reported as equal, so integrable tables (whose q-gons
-    form equal-length families) return a gap of exactly zero.  Raises
+    would return.  The other q are solved in one find_orbits batch.  The
+    min class is solved in a second batch on non-integrable tables and at
+    q = 2; at q > 2 on an integrable table it is the max orbit relabelled
+    "min", which is what that solve would return, so the gap there is
+    exactly zero.  Elsewhere, critical values that coincide within the
+    dedupe tolerance are reported as equal.  Raises
     DomainError before any solve if some q < 2.  If a solve fails, the
     SolverError names the smallest failing q of the max class; only when
     the max class solves at every q, that of the min class.
@@ -627,9 +659,15 @@ def lq_bounds(table: Table, qs, maxima=()) -> list[tuple[float, float, OrbitConf
     if any(orb.p != 1 or orb.orbit_class != "max" for orb in known.values()):
         raise DomainError("lq_bounds: maxima must be p = 1 max-class orbits")
     qs, out = sorted({int(q) for q in qs}), []
-    solved = iter(find_orbits(table, 1, [q for q in qs if q not in known], "max"))
+
+    def solve(want, orbit_class):  # one batch, and none for no q
+        return iter(find_orbits(table, 1, want, orbit_class) if want else ())
+
+    solved = solve([q for q in qs if q not in known], "max")
     uppers = [known[q] if q in known else next(solved) for q in qs]
-    for upper, lower in zip(uppers, find_orbits(table, 1, qs, "min")):
+    solved = solve([q for q in qs if not _one_length(table, q)], "min")
+    for upper in uppers:
+        lower = replace(upper, orbit_class="min") if _one_length(table, upper.q) else next(solved)
         big = upper.length
         small = min(lower.length, big)
         if big - small <= VALUE_DEDUPE_RTOL * max(1.0, abs(big)):

@@ -215,8 +215,11 @@ class TestMmCommand:
             assert int(r["max_total_newton_steps"]) == upper.total_newton_steps >= 1
             assert int(r["min_total_newton_steps"]) == lower.total_newton_steps >= 1
 
-    def test_solves_each_max_orbit_once(self, ellipse_cfg, tmp_path, monkeypatch):
-        # the gap q take their maximal orbits from the beta sweep
+    def test_solves_each_max_orbit_once(self, ellipse_cfg, perturbed_cfg, tmp_path,
+                                        monkeypatch):
+        # the gap q take their maximal orbits from the beta sweep; the ellipse
+        # takes its minimal ones from them too (both classes are one solve at
+        # q > 2), the perturbed circle solves them in one "min" batch
         solved = []
         find = orbits_mod.find_orbits
 
@@ -226,11 +229,13 @@ class TestMmCommand:
 
         monkeypatch.setattr(orbits_mod, "find_orbits", counted)
         monkeypatch.setattr(invariants_mod, "find_orbits", counted)
-        rc = main(["mm", "--table", ellipse_cfg, "--qmin", "10", "--qmax", "20",
-                   "--gap-step", "5", "--out", str(tmp_path / "out"), "--threads", "1"])
-        assert rc == 0
-        assert sum((qs for cls, qs in solved if cls == "max"), []) == list(range(10, 21))
-        assert [qs for cls, qs in solved if cls == "min"] == [[10, 15, 20]]
+        for cfg, min_batches in ((ellipse_cfg, []), (perturbed_cfg, [[10, 15, 20]])):
+            solved.clear()
+            rc = main(["mm", "--table", cfg, "--qmin", "10", "--qmax", "20", "--gap-step",
+                       "5", "--out", str(tmp_path / "out"), "--threads", "1"])
+            assert rc == 0
+            assert sum((qs for cls, qs in solved if cls == "max"), []) == list(range(10, 21))
+            assert [qs for cls, qs in solved if cls == "min"] == min_batches
 
 
 class TestCompareCommand:
@@ -309,11 +314,23 @@ class TestConjugacyCommand:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject)
         assert summary["max_residual"] is None
 
-    def test_requires_ellipses(self, circle_cfg, ellipse_cfg, tmp_path, capsys):
-        rc = main(["conjugacy", "--table", circle_cfg, "--table2", ellipse_cfg,
+    def test_requires_ellipses(self, perturbed_cfg, ellipse_cfg, tmp_path, capsys):
+        rc = main(["conjugacy", "--table", perturbed_cfg, "--table2", ellipse_cfg,
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "elliptic tables" in capsys.readouterr().err
+
+    def test_circle_is_the_round_ellipse(self, circle_cfg, ellipse_cfg, tmp_path):
+        round_cfg = tmp_path / "round.json"
+        round_cfg.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 1.0}))
+        out = {}
+        for name, cfg in (("circle", circle_cfg), ("round", str(round_cfg))):
+            out[name] = tmp_path / name
+            rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", cfg,
+                       "--grid", "12", "4", "--out", str(out[name])])
+            assert rc == 0
+        assert ((out["circle"] / "conjugacy_residuals.csv").read_bytes()
+                == (out["round"] / "conjugacy_residuals.csv").read_bytes())
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path,
@@ -371,11 +388,13 @@ class TestWitnessCommand:
     def test_degenerate_circles(self, circle_cfg, tmp_path):
         other = tmp_path / "circle2.json"
         other.write_text(json.dumps({"kind": "circle", "R": 2.0}))
-        # circles are not EllipseTable configs, so this is a config error
+        # a circle is the a = b ellipse: an equal-eccentricity pair
+        out = tmp_path / "o"
         rc = main(["witness", "--table", circle_cfg, "--table2", str(other),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        # degenerate equal-eccentricity pair as ellipses with a == b
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "witness.json").read_text())["m"] is None
+        # the same degenerate pair as ellipses with a == b
         c1 = tmp_path / "c1.json"
         c1.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 1.0}))
         c2 = tmp_path / "c2.json"
@@ -419,6 +438,24 @@ class TestWitnessCommand:
         for name in ("witness.json", "summary.json"):
             payload = json.loads((out / name).read_text(), parse_constant=_reject)
             assert payload["m"] is not None and payload["u_min"] is None
+
+
+    def test_circle_is_the_round_ellipse(self, circle_cfg, tmp_path):
+        # the circle file and the a = b ellipse file give one witness.json;
+        # u_min is null for the circle partner
+        t1 = tmp_path / "e.json"
+        t1.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 0.6}))
+        round_cfg = tmp_path / "round.json"
+        round_cfg.write_text(json.dumps({"kind": "ellipse", "a": 1.0, "b": 1.0}))
+        out = {}
+        for name, cfg in (("circle", circle_cfg), ("round", str(round_cfg))):
+            out[name] = tmp_path / name
+            rc = main(["witness", "--table", str(t1), "--table2", cfg, "--out", str(out[name])])
+            assert rc == 0
+        payload = (out["circle"] / "witness.json").read_bytes()
+        assert payload == (out["round"] / "witness.json").read_bytes()
+        payload = json.loads(payload, parse_constant=_reject)
+        assert payload["m"] is not None and payload["u_min"] is None
 
 
 class TestGoldenOutputs:

@@ -396,17 +396,18 @@ def _outside_inversion(monkeypatch):
 
 class TestMatchCompleteIntegrals:
     def test_one_complete_integral_per_match(self, ellipse21, monkeypatch):
-        # omega_2 takes K(k2) from coord2.period (period / 4 = K exactly), and
-        # one pass gives omega_1 for the re-check and the K(k1) of the time
-        # rescale; the inversion's own evaluations are not counted.
+        # omega_2 comes with coord2 from the action-angle pass, and one pass
+        # gives omega_1 for the re-check and the K(k1) of the time rescale;
+        # the inversion's own evaluations are not counted.
         h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
         phi = np.linspace(0.0, TWO_PI, 50, endpoint=False)
         coord2 = ellipse_maps._action_angle_phi(h.table2, phi, np.full(50, 0.4))
         assert np.array_equal(coord2.period / 4.0, ellip_k(coord2.k))
+        assert np.array_equal(coord2.omega, rotation_number_of_caustic(h.table2, coord2.lam))
         calls = _rf_spy(monkeypatch, _outside_inversion(monkeypatch))
         lam1, t1, bigk1 = h._match(coord2)
-        # the omega_2 pass (no complete integral), then the fused omega_1 pass
-        assert calls == [0, 50]
+        # the fused omega_1 pass only
+        assert calls == [50]
         k1 = ellipse_maps._modulus(h.table1, lam1)
         assert np.array_equal(bigk1, ellip_k(k1))
         assert np.array_equal(t1, coord2.t_hat * 4.0 * ellip_k(k1))
@@ -434,16 +435,17 @@ class TestCarlsonCalls:
 
     def test_pinned_call_counts(self, ellipse21, monkeypatch):
         # build: the omega_1 grid with omega1_max (1), the theta3* bracket
-        # ends (1) and 7 iterations; grid: action_angle (1), omega_2 (1),
+        # ends (1) and 7 iterations; grid: action_angle with omega_2 (1),
         # the omega_1 inversion, the omega_1 re-check (1) and jacobi_am's
-        # Newton passes.  The parent made 22 and 21.
+        # Newton passes.  Before the fused passes these were 22 and 21, and
+        # before omega_2 joined the action-angle pass the grid made 13.
         calls = _rf_spy(monkeypatch)
         build_conjugacy(EllipseTable(1.3, 0.65), EllipseTable(1.1, 0.792))
         assert len(calls) == 9
         h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
         calls.clear()
         h.residual_grid(n_s=40, n_theta=10)
-        assert len(calls) == 13
+        assert len(calls) == 12
 
     def test_one_complete_integral_per_modulus_in_grid(self, ellipse21, monkeypatch):
         # Outside the omega_1 inversion the grid evaluates K(k2) once (in

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -264,11 +265,32 @@ class TestProperties:
         assert big - small > 1e-5
 
     def test_collapsed_chord_trial_is_silent(self, perturbed):
-        # a retry trial here puts two vertices on one boundary point; the
-        # solver rejects it without a divide-by-zero warning
+        # A row with two vertices on one boundary point (a chord of length 0)
+        # reads a NaN residual, without a divide-by-zero warning; the Newton
+        # polish stops it where it is, unconverged, and the healthy row
+        # beside it takes the path it takes alone.
+        q = np.array([13, 13])
+        chain = orbits_mod._Chain(perturbed, 1)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        healthy = orbits_mod._equal_init(perturbed, 1, 13, np.array([0.3]))[0]
+        collapsed = healthy.copy()
+        collapsed[5] = collapsed[4]
+        t = np.stack([collapsed, healthy])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            orb = find_orbit(perturbed, 1, 13, "min")
+            _, _, _, res = chain.hessian(t, q)
+            t_out, res_out, steps, ok = orbits_mod._newton(chain, t, q, orbits_mod.NEWTON_CAP,
+                                                           stat_tol)
+        assert np.isnan(res[0]) and np.isfinite(res[1])
+        assert np.isnan(res_out[0]) and not ok[0] and steps[0] == 0
+        assert np.array_equal(t_out[0], collapsed)
+        alone = orbits_mod._newton(chain, t[1:], q[1:], orbits_mod.NEWTON_CAP, stat_tol)
+        assert ok[1] and steps[1] >= 1
+        assert np.array_equal(t_out[1], alone[0][0])
+        assert (res_out[1], steps[1], ok[1]) == (alone[1][0], alone[2][0], alone[3][0])
+
+    def test_perturbed_min_length_pin(self, perturbed):
+        orb = find_orbit(perturbed, 1, 13, "min")
         assert orb.length == 6.259087954816306
         assert orb.converged
 
@@ -888,6 +910,64 @@ class TestValidation:
         assert best.s.shape == (9,)
 
 
+def _assert_same_orbit(a, b):
+    """Every field but the orbit class equal, arrays bit for bit."""
+    for f in dataclasses.fields(orbits_mod.OrbitConfig):
+        if f.name != "orbit_class":
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+def _count_solves(monkeypatch):
+    """Spy on orbits.find_orbits: the returned list gets (orbit_class,
+    sorted q) of every call."""
+    solved, find = [], orbits_mod.find_orbits
+
+    def counted(table, p, qs, orbit_class="max"):
+        solved.append((orbit_class, sorted(qs)))
+        return find(table, p, qs, orbit_class)
+
+    monkeypatch.setattr(orbits_mod, "find_orbits", counted)
+    return solved
+
+
+class TestOneLengthClasses:
+    """Every (p, q) orbit of an integrable table with q > 2 is tangent to one
+    caustic, so "max" and "min" there are one computation: one start, no
+    ascent sweeps, and lq_bounds takes the min orbit from the max one."""
+
+    @pytest.mark.parametrize("table", [CircleTable(1.0), EllipseTable(2.0, 1.0),
+                                       EllipseTable(1.0, 0.1)], ids=["circle", "2:1", "1:0.1"])
+    def test_max_and_min_batches_are_equal(self, table):
+        qs = range(3, 41)
+        big, small = find_orbits(table, 1, qs, "max"), find_orbits(table, 1, qs, "min")
+        for upper, lower in zip(big, small):
+            assert (upper.orbit_class, lower.orbit_class) == ("max", "min")
+            _assert_same_orbit(upper, lower)
+            assert upper.total_sweeps == 0
+
+    def test_q2_row_still_sweeps(self, ellipse21):
+        # the major axis (length 8) against the minor one: "max" ascends at q = 2
+        batch = find_orbits(ellipse21, 1, [2, 3, 12], "max")
+        assert batch[0].length == 8.0 and batch[0].sweeps == 3
+        assert [orb.total_sweeps for orb in batch[1:]] == [0, 0]
+        for orb in batch:
+            _assert_same_orbit(orb, find_orbit(ellipse21, 1, orb.q, "max"))
+
+    @pytest.mark.parametrize("qs,min_batches", [([3, 8, 13], []), ([2, 5, 9], [[2]])],
+                             ids=["q>2", "q=2"])
+    def test_lq_bounds_solves_min_only_at_q2(self, ellipse21, monkeypatch, qs, min_batches):
+        want = {orb.q: orb for orb in find_orbits(ellipse21, 1, qs, "min")}
+        solved = _count_solves(monkeypatch)
+        bounds = lq_bounds(ellipse21, qs)
+        assert [qs for cls, qs in solved if cls == "min"] == min_batches
+        for big, small, upper, lower in bounds:
+            assert lower.orbit_class == "min"
+            _assert_same_orbit(lower, want[lower.q])
+        gaps = [big - small for big, small, _, _ in bounds]
+        assert gaps == [4.0 if qs[0] == 2 else 0.0, 0.0, 0.0]  # the two axes at q = 2
+
+
 class TestGapBounds:
     @pytest.mark.parametrize("name,qs", [("ellipse21", range(2, 13)),
                                          ("perturbed", range(10, 21))],
@@ -910,16 +990,10 @@ class TestGapBounds:
         qs = range(5, 12)
         ref = lq_bounds(ellipse21, qs)
         maxima = find_orbits(ellipse21, 1, range(8, 15))
-        solved = []
-        find = orbits_mod.find_orbits
-
-        def counted(table, p, qs, orbit_class="max"):
-            solved.append((orbit_class, sorted(qs)))
-            return find(table, p, qs, orbit_class)
-
-        monkeypatch.setattr(orbits_mod, "find_orbits", counted)
+        solved = _count_solves(monkeypatch)
         out = lq_bounds(ellipse21, qs, maxima)
-        assert solved == [("max", [5, 6, 7]), ("min", list(qs))]
+        # every q > 2 of an integrable table takes its min orbit from the max one
+        assert solved == [("max", [5, 6, 7])]
         for (big, small, upper, lower), (big1, small1, upper1, lower1) in zip(out, ref):
             assert (big, small) == (big1, small1)
             assert (upper.residual, upper.total_newton_steps) == (
@@ -949,16 +1023,17 @@ class TestGapBounds:
         ({"max": [11], "min": [7]}, "find_orbit(1,11,max)"),
         ({"max": [], "min": [11, 9]}, "find_orbit(1,9,min)"),
     ], ids=["max-first", "min"])
-    def test_error_names_smallest_failing_q(self, ellipse21, monkeypatch, fail, named):
-        # max-class failures come first, then the smallest failing min-class q
+    def test_error_names_smallest_failing_q(self, perturbed, monkeypatch, fail, named):
+        # max-class failures come first, then the smallest failing min-class q;
+        # on a non-integrable table every "max" row ascends and no "min" row does
         solve_from = orbits_mod._solve_from
 
         def failing(chain, t, q, ascent, stat_tol):
             out = solve_from(chain, t, q, ascent, stat_tol)
-            out[4][np.isin(q, fail["max" if ascent else "min"])] = False
+            out[4][np.where(ascent, np.isin(q, fail["max"]), np.isin(q, fail["min"]))] = False
             return out
 
         monkeypatch.setattr(orbits_mod, "_solve_from", failing)
         with pytest.raises(SolverError) as err:
-            lq_bounds(ellipse21, [11, 9, 7])
+            lq_bounds(perturbed, [11, 9, 7])
         assert named in str(err.value)
