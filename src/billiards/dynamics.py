@@ -32,6 +32,11 @@ __all__ = [
 # Chords launched closer than this to the tangent direction are treated as
 # the boundary fixed point.
 TANGENCY_CUTOFF = 1e-8
+# Largest spacing of the floats near a trajectory's start s0, per unit
+# perimeter, that trajectory accepts.  Its lift is s0 plus each arc
+# increment; past this spacing the increments round away, and the lifted
+# states no longer resolve the reflection law d_s = -cos(theta).
+REFLECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,15 @@ def trajectory(table: Table, p: PhasePoint, n: int):
     The bounces run in the boundary-angle chart: s enters through one
     angle_of_arc call and leaves through one arc_of_angle call on the
     lifted angles, with s_lift[0] = p.s exactly.  A point within
-    TANGENCY_CUTOFF of theta = 0 or pi stays fixed.
+    TANGENCY_CUTOFF of theta = 0 or pi stays fixed.  Raises DomainError
+    when one ulp of p.s exceeds REFLECTION_TOL of the perimeter.
     """
     if n < 0:
         raise DomainError(f"trajectory needs n >= 0, got {n}")
+    if np.spacing(abs(p.s)) > REFLECTION_TOL * table.perimeter:
+        raise DomainError(f"trajectory: s0 = {p.s!r} is too large to resolve arc increments "
+                          f"(one ulp is {np.spacing(abs(p.s)):.3g}, the perimeter "
+                          f"{table.perimeter:.6g})")
     t = np.empty(n + 1)
     th = np.empty(n + 1)
     t[0], th[0] = table.angle_of_arc(p.s % table.perimeter), p.theta

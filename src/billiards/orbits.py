@@ -46,7 +46,11 @@ Levenberg-Marquardt step is one complex solve with the shifted Hessian
 H - i*sigma*I, which equals the normal-equations step without squaring
 the condition number of H.  One O(q) Thomas sweep per Newton pass takes
 it for every row at once, each on its own columns, so the work of a pass
-does not depend on how many q the batch holds.  lq_bounds solves all of
+does not depend on how many q the batch holds.  Its line search tries
+the full step, unless the row's last step was halved, then the halvings
+in chunks of _HALVING_CHUNK per pass, and takes the first trial that
+passes: a row evaluates no trial past the chunk that decides its step,
+and takes the step a one-at-a-time search takes.  lq_bounds solves all of
 its q in one such batch per orbit class, the min class only at the q
 where it differs from the max one.
 """
@@ -77,6 +81,15 @@ VALUE_DEDUPE_RTOL = 1e-9
 # as fast as 2048, 8192 and 16384, at a peak RSS of 63.8 MB, against
 # 64.8 MB at 8192, 66.6 MB at 16384 and 70.1 MB unblocked.
 HESSIAN_BLOCK = 4096
+# Halvings of one line search that _newton evaluates per pass once the full
+# step is out of the question.  On the q 10..20 "max" batch of the m = 3
+# circle (16 phases, 2-vCPU host), most accepted steps pass by the fourth
+# halving.  Evaluating all 19 or 20 halvings at once cost the polish 2874
+# Hessian rows in 16.8 calls per table; chunks of 8 cost 1464 rows in 20.1
+# calls, and chunks of 4 1038 rows in 28.7 calls.  find_orbits took 0.83
+# (chunks of 8) and 0.86 (chunks of 4) of the all-at-once time, as medians
+# of paired ratios.
+_HALVING_CHUNK = 8
 
 
 @dataclass
@@ -354,10 +367,11 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     Every row runs its own state machine: an outer step records |F|^2,
     up to 12 values of mu are tried, each with up to 20 halvings
     of the step length.  Each pass of the loop moves every live row to its
-    next trial points and evaluates all of them in one batch, so rows
-    share evaluations but never decisions.  |F|^2 is summed in column
-    order, which padding does not change.  Returns (t, residual, steps,
-    ok) arrays with the residual in max |dL/ds_i|.
+    next trial points (the full step, or a chunk of untried halvings) and
+    evaluates all of them in one batch, so rows share evaluations but
+    never decisions.  |F|^2 is summed in column order, which padding does
+    not change.  Returns (t, residual, steps, ok) arrays with the residual
+    in max |dL/ds_i|.
     """
     t = np.array(t, dtype=float)
     n = len(t)
@@ -402,9 +416,11 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
             continue
         # A row first tries the full step, unless its last accepted step was
         # halved.  Once the full step is rejected, or at once for such a row,
-        # the rest of its halvings for this mu are evaluated together and the
-        # first that passes is taken: the step a one-at-a-time search takes.
-        count = np.where((halvings[rows] == 0) & ~halved[rows], 1, 20 - halvings[rows])
+        # it evaluates its next _HALVING_CHUNK untried halvings for this mu
+        # per pass and takes the first that passes: the step a one-at-a-time
+        # search takes, whatever the chunk.
+        count = np.where((halvings[rows] == 0) & ~halved[rows], 1,
+                         np.minimum(_HALVING_CHUNK, 20 - halvings[rows]))
         owner = np.repeat(rows, count)
         k = halvings[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
         alpha = np.ldexp(1.0, -k)

@@ -140,24 +140,34 @@ class Table:
         return s if s.ndim else float(s)
 
     def angle_of_arc(self, s):
-        """Inverse of arc_of_angle (same winding convention).  Raises
-        SolverError when the Newton passes leave a residual above
-        ARC_INVERSE_TOL per unit perimeter."""
+        """Inverse of arc_of_angle (same winding convention), by up to 5
+        Newton passes from the linear interpolation of the knots.  A pass
+        runs only on the points that moved in the one before: a point that
+        did not move is at a fixed point of the pass, so further passes
+        would repeat it bit for bit.  Raises SolverError when a point's
+        last residual is above ARC_INVERSE_TOL per unit perimeter, or s is
+        not finite."""
         s = np.asarray(s, dtype=float)
         wind = np.floor(s / self._perimeter)
-        sr = s - wind * self._perimeter
+        sr = (s - wind * self._perimeter).ravel()
         idx = np.clip(np.searchsorted(self._s_knots, sr, side="right") - 1, 0, _N_PANELS - 1)
         s0 = self._s_knots[idx]
         s1 = self._s_knots[idx + 1]
         t = self._t_knots[idx] + self._panel_h * (sr - s0) / (s1 - s0)
+        resid = np.full_like(t, np.nan)  # a non-finite s fails the check unevaluated
+        live = np.flatnonzero(np.isfinite(t))
         for _ in range(5):
-            resid = self.arc_of_angle(t) - sr
-            t = t - resid / self.speed(t)
-        # The last pass's residual, reused: the check costs no evaluation.
+            t_live = t[live]
+            resid[live] = r = self.arc_of_angle(t_live) - sr[live]
+            t[live] = t_new = t_live - r / self.speed(t_live)
+            live = live[t_new != t_live]
+            if not live.size:
+                break
+        # Each point's last residual, reused: the check costs no evaluation.
         if not np.all(np.abs(resid) <= ARC_INVERSE_TOL * self._perimeter):
             raise SolverError(f"{self.kind}: arc-length inversion left a residual of "
                               f"{np.max(np.abs(resid)):.3e}")
-        t = t + wind * TWO_PI
+        t = t.reshape(s.shape) + wind * TWO_PI
         return t if t.ndim else float(t)
 
     def angle_of_lazutkin(self, z):

@@ -493,6 +493,15 @@ class TestGoldenOutputs:
 
 
 class TestOrbitCommand:
+    def test_unresolved_s0_is_1(self, perturbed_cfg, tmp_path, capsys):
+        # at s0 = 1e17 one ulp is 16: every row would show one s and x
+        out = tmp_path / "o"
+        rc = main(["orbit", "--table", perturbed_cfg, "--s0", "1e17", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("billiards: trajectory: s0 = 1e+17") and err.count("\n") == 1
+        assert not (out / "trajectory.csv").exists()
+
     def test_periodic_export(self, ellipse_cfg, tmp_path):
         out = tmp_path / "out"
         rc = main(["orbit", "--table", ellipse_cfg, "--pq", "1", "5",

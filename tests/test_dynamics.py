@@ -18,7 +18,7 @@ from billiards import (
     trajectory,
 )
 from billiards.cli import main
-from billiards.dynamics import TANGENCY_CUTOFF, step_angle
+from billiards.dynamics import REFLECTION_TOL, TANGENCY_CUTOFF, step_angle
 
 TWO_PI = 2.0 * math.pi
 # Incidence angles of the near-boundary regime, down to just above the cutoff.
@@ -244,6 +244,20 @@ class TestTrajectory:
         assert np.array_equal(got[:, 2], th)
         assert np.array_equal(got[:, 3], s)
         assert np.array_equal(got[:, 4:], pts)
+
+    @pytest.mark.parametrize("s0", [1e17, -1e17, 1e9])
+    def test_unresolved_start_raises(self, perturbed, s0):
+        # one ulp of s0 above REFLECTION_TOL of the perimeter: every arc
+        # increment would round away in the lift
+        with pytest.raises(DomainError, match="too large"):
+            trajectory(perturbed, PhasePoint(s0, 0.9), 5)
+
+    def test_start_inside_one_turn(self, perturbed):
+        # s0 in [0, perimeter) is far inside the bound
+        ell = perturbed.perimeter
+        assert np.spacing(ell) < REFLECTION_TOL * ell
+        s, _, _ = trajectory(perturbed, PhasePoint(math.nextafter(ell, 0.0), 0.9), 5)
+        assert np.all(np.diff(s) > 0.0)
 
 
 class TestChartLoop:

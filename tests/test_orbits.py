@@ -467,10 +467,10 @@ class TestBatchedSolver:
         assert [(orb.sweeps, orb.total_sweeps) for orb in orbits] == [(53, 424)] * 2
 
     def test_halving_ladder_takes_the_one_at_a_time_step(self, perturbed):
-        # After a halved step a row evaluates its whole halving ladder in one
-        # pass; it must take the step, and so the path, of a search that
-        # tries one trial point per evaluation.  The swept q = 20 starts of
-        # "max" take 29 steps after a halved one between them.
+        # After a halved step a row evaluates its halving ladder in chunks of
+        # _HALVING_CHUNK per pass; it must take the step, and so the path, of
+        # a search that tries one trial point per evaluation.  The swept
+        # q = 20 starts of "max" take 29 steps after a halved one between them.
         p, q = 1, 20
         chain = orbits_mod._Chain(perturbed, p)
         stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
@@ -486,6 +486,28 @@ class TestBatchedSolver:
             assert (res, steps) == (batch[1][j], batch[2][j])
             ladders += halved_then_stepped
         assert ladders == 29
+
+    def test_halving_ladder_cost(self, perturbed, monkeypatch):
+        # The polish of the swept q 10..20 x 8 "max" batch evaluates 1569
+        # Hessian rows in 19 calls.  Evaluating every untried halving at
+        # once, instead of chunks of 8, took 3105 rows in 17 calls on the
+        # same batch, to the same 417 steps.
+        p, qs = 1, np.repeat(np.arange(10, 21), 8)
+        chain = orbits_mod._Chain(perturbed, p)
+        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
+        starts = orbits_mod._equal_init(perturbed, p, qs, np.tile(np.arange(8) / 8.0, 11))
+        starts = orbits_mod._sweeps(chain, starts, qs, 3)
+        rows = []
+        hessian = chain.hessian
+
+        def count(t, q):
+            rows.append(len(t))
+            return hessian(t, q)
+
+        monkeypatch.setattr(chain, "hessian", count)
+        _, _, steps, ok = orbits_mod._newton(chain, starts, qs, orbits_mod.NEWTON_CAP, stat_tol)
+        assert (sum(rows), len(rows)) == (1569, 19)
+        assert steps.sum() == 417 and ok.all()
 
     @pytest.mark.parametrize("q", [7, 2, pytest.param((2, 7), id="2+7")])
     def test_hessian_matches_finite_differences(self, q):

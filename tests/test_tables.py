@@ -22,7 +22,7 @@ from billiards import (
     table_from_config,
 )
 from billiards.dynamics import TANGENCY_CUTOFF, step_lifted
-from billiards.tables import _GL_NODES, _GL_WEIGHTS, _N_PANELS
+from billiards.tables import ARC_INVERSE_TOL, _GL_NODES, _GL_WEIGHTS, _N_PANELS
 
 from chord_oracle import chord_exit_oracle
 from strategies import PROPERTY, ellipses, footpoints, perturbed_circles
@@ -298,7 +298,48 @@ class TestSpeedDerivative:
         assert "position" not in vars(cls) and "dspeed" not in vars(cls)
 
 
+def _five_pass_inverse(table, s):
+    """angle_of_arc as five Newton passes on every point, fixed or not,
+    with the check on the fifth pass's residual."""
+    s = np.asarray(s, dtype=float)
+    wind = np.floor(s / table.perimeter)
+    sr = s - wind * table.perimeter
+    idx = np.clip(np.searchsorted(table._s_knots, sr, side="right") - 1, 0, _N_PANELS - 1)
+    s0, s1 = table._s_knots[idx], table._s_knots[idx + 1]
+    t = table._t_knots[idx] + table._panel_h * (sr - s0) / (s1 - s0)
+    for _ in range(5):
+        resid = table.arc_of_angle(t) - sr
+        t = t - resid / table.speed(t)
+    assert np.all(np.abs(resid) <= ARC_INVERSE_TOL * table.perimeter)
+    return t + wind * TWO_PI
+
+
 class TestArcInverse:
+    @pytest.mark.parametrize("name", ["ellipse21", "perturbed"])
+    @pytest.mark.parametrize("make", [
+        lambda ell: np.array(-0.3 * ell),
+        lambda ell: 7.5 * ell,
+        lambda ell: -1e-17,
+        lambda ell: np.array([]),
+        lambda ell: np.concatenate([np.linspace(-ell, 2.0 * ell, 2001),
+                                    np.random.default_rng(4).uniform(-5.0 * ell, 5.0 * ell, 500)]),
+        lambda ell: np.linspace(-2.0 * ell, 3.0 * ell, 1200).reshape(40, 30),
+    ], ids=["0-d", "float-wrapped", "float-negative", "empty", "1-D", "2-D"])
+    def test_same_bits_as_five_full_passes(self, name, make, request):
+        # A pass runs only on the points that moved in the one before; the
+        # others sit at a fixed point, so every t is the five-pass t.
+        table = request.getfixturevalue(name)
+        s = make(table.perimeter)
+        got = table.angle_of_arc(s)
+        assert np.array_equal(got, _five_pass_inverse(table, s))
+        assert np.shape(got) == np.shape(s)
+        assert isinstance(got, float) == (np.ndim(s) == 0)
+
+    @pytest.mark.parametrize("s", [math.nan, [0.5, math.nan, 1.0]], ids=["0-d", "1-D"])
+    def test_non_finite_raises(self, ellipse21, s):
+        with pytest.raises(SolverError, match="residual of nan"):
+            ellipse21.angle_of_arc(s)
+
     @pytest.mark.parametrize("name", ["circle", "ellipse21", "ellipse_e05", "perturbed"])
     def test_dense_grid_accepted(self, name, request):
         table = request.getfixturevalue(name)
