@@ -13,7 +13,6 @@ package's only module that writes files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -164,11 +163,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """A header line, then one line per row; a bool is written 1 or 0."""
+    """A header line, then one line per row: str() of each value, a bool
+    written 1 or 0, \r\n line ends; the bytes csv.writer writes."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+        fh.writelines(",".join([str(int(v) if isinstance(v, bool) else v) for v in row]) + "\r\n"
+                      for row in (header, *rows))
 
 
 def _write_report(path: Path, report, samples) -> None:
@@ -375,8 +374,8 @@ def _cmd_orbit(args, outdir: Path) -> int:
         csv_path = outdir / "trajectory.csv"
         ell = table.perimeter  # s is the lift x mod perimeter
         _write_csv(csv_path, ("n", "s", "theta", "x", "y_plane_x", "y_plane_y"),
-                   ([i, float(si) % ell, float(ti), float(si), float(pt[0]), float(pt[1])]
-                    for i, (si, ti, pt) in enumerate(zip(s, th, pts))))
+                   ([i, si % ell, ti, si, x, y] for i, (si, ti, x, y)
+                    in enumerate(np.column_stack((s, th, pts)).tolist())))
         outputs.append(str(csv_path))
         # the mean winding per bounce, as in dynamics.rotation_estimate
         winding = (s[-1] - s[0]) / (args.steps * table.perimeter) if args.steps else math.nan

@@ -125,17 +125,18 @@ def trajectory(table: Table, p: PhasePoint, n: int):
         raise DomainError(f"trajectory: s0 = {p.s!r} is too large to resolve arc increments "
                           f"(one ulp is {np.spacing(abs(p.s)):.3g}, the perimeter "
                           f"{table.perimeter:.6g})")
-    t = np.empty(n + 1)
-    th = np.empty(n + 1)
-    t[0], th[0] = table.angle_of_arc(p.s % table.perimeter), p.theta
-    t_red, turns = t[0], 0.0  # lift = reduced angle + whole turns: no drift
+    t_red = table.angle_of_arc(p.s % table.perimeter)
+    th_i, turns = float(p.theta), 0.0  # lift = reduced angle + whole turns: no drift
+    t, th = [t_red], [th_i]
     for i in range(n):
-        if not TANGENCY_CUTOFF < th[i] < math.pi - TANGENCY_CUTOFF:
-            t[i + 1:], th[i + 1:] = t[i], th[i]
+        if not TANGENCY_CUTOFF < th_i < math.pi - TANGENCY_CUTOFF:
+            t, th = t + [t[-1]] * (n - i), th + [th_i] * (n - i)
             break
-        t1, th[i + 1] = step_angle(table, t_red, th[i])
+        t1, th_i = step_angle(table, t_red, th_i)
         k, t_red = divmod(t1, TWO_PI)
         turns += k
-        t[i + 1] = t_red + turns * TWO_PI
+        t.append(t_red + turns * TWO_PI)
+        th.append(th_i)
+    t, th = np.array(t), np.array(th)
     arc = table.arc_of_angle(t)
     return p.s + (arc - arc[0]), th, table.position(t)

@@ -8,11 +8,11 @@ of the boundary; position and dspeed are views of frame.  Construction makes
 one evaluation, _arc_integrands, on the nodes of composite Gauss panels in t:
 speed's integrand gives the monotone arc-length lookup (refined by a local
 Newton polish on inversion) and the perimeter, and frame's curvature and speed
-check kappa > 0 and sum the Lazutkin perimeter lambda = integral of
-kappa^(2/3) ds, with its per-panel sums kept as knots of the Lazutkin
-coordinate (the orbit solver's starts on integrable tables).  The circle
-has all of them in closed form.  Tables are immutable
-after construction and safe to share across workers.  The bounce,
+check kappa > 0 (the perturbed circle also r > 0) and sum the Lazutkin perimeter
+lambda = integral of kappa^(2/3) ds, with its per-panel sums kept as knots of
+the Lazutkin coordinate (the orbit solver's starts on integrable tables).  The
+circle has all of them in closed form.  Tables are immutable after construction
+and safe to share across workers.  The bounce,
 Table.chord_exit, solves for the half-step h to t0 + 2h: in closed form, or on
 the perturbed circle by one Newton solve per point in Python floats, free of
 O(1) cancellation.
@@ -41,7 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 _N_PANELS = 1024
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_CONVEXITY_GRID = 10_000  # PerturbedCircleTable's radial check
 CHORD_TOL = 1e-13  # relative Newton step |dh|/h that stops PerturbedCircleTable.chord_exit
 # Largest |s(t) - s| per unit perimeter that angle_of_arc accepts; dense grids
 # on ellipses down to b/a = 0.01 and on perturbed circles reach 2.4e-16.
@@ -144,9 +143,9 @@ class Table:
         Newton passes from the linear interpolation of the knots.  A pass
         runs only on the points that moved in the one before: a point that
         did not move is at a fixed point of the pass, so further passes
-        would repeat it bit for bit.  Raises SolverError when a point's
-        last residual is above ARC_INVERSE_TOL per unit perimeter, or s is
-        not finite."""
+        would repeat it bit for bit; one back at its pass-1 t after pass 3
+        stops too.  Raises SolverError when a point's last residual is above
+        ARC_INVERSE_TOL per unit perimeter, or s is not finite."""
         s = np.asarray(s, dtype=float)
         wind = np.floor(s / self._perimeter)
         sr = (s - wind * self._perimeter).ravel()
@@ -156,11 +155,16 @@ class Table:
         t = self._t_knots[idx] + self._panel_h * (sr - s0) / (s1 - s0)
         resid = np.full_like(t, np.nan)  # a non-finite s fails the check unevaluated
         live = np.flatnonzero(np.isfinite(t))
-        for _ in range(5):
+        for k in range(5):
             t_live = t[live]
             resid[live] = r = self.arc_of_angle(t_live) - sr[live]
             t[live] = t_new = t_live - r / self.speed(t_live)
-            live = live[t_new != t_live]
+            moved = t_new != t_live
+            if k == 0:
+                t_one = t.copy()
+            elif k == 2:  # a two-cycle: passes 4 and 5 would return pass 3's t and residual
+                moved &= t_new != t_one[live]
+            live = live[moved]
             if not live.size:
                 break
         # Each point's last residual, reused: the check costs no evaluation.
@@ -323,9 +327,10 @@ class EllipseTable(Table):
 class PerturbedCircleTable(Table):
     """Radial profile r(psi) = R * (1 + sum eps_m cos(m psi + phase_m)).
 
-    Construction rejects profiles for which r^2 + 2 r'^2 - r r'' (the curvature
-    numerator) fails to stay positive on a grid of at least 32 points per period
-    of the fastest harmonic: the billiard map needs a strictly convex table.
+    Construction rejects profiles for which r or r^2 + 2 r'^2 - r r'' (the
+    curvature numerator) fails to stay positive on a grid of 32 points per period
+    of the fastest harmonic, or r or the curvature on the 12 288 Gauss nodes of
+    the arc tables: the billiard map needs a strictly convex table.
     """
 
     kind = "perturbed_circle"
@@ -384,6 +389,8 @@ class PerturbedCircleTable(Table):
 
     def _arc_integrands(self, t):
         r, r1, r2 = self._radial(t)
+        if np.min(r) <= 0.0:  # the caller checks kappa > 0
+            raise ConvexityError("radial profile reaches zero; not a closed convex curve")
         _, _, w, kappa = self._velocity(r, r1, r2, np.cos(t), np.sin(t))
         return np.sqrt(r * r + r1 * r1), kappa, w  # speed's bits can differ from w's
 
@@ -395,7 +402,7 @@ class PerturbedCircleTable(Table):
         # to pi - theta on (0, pi); theta1 = h - delta(t1) + eps(h).  Past pi/2 the
         # mirror image t -> 2 t0 - t is solved, which integer m make exact.  Each point
         # is one float Newton solve, _exit_one, so an array call's element i is the scalar call.
-        if np.ndim(t0) == 0:
+        if isinstance(t0, float) or np.ndim(t0) == 0:  # np.ndim alone costs ~1 us a bounce
             return self._exit_one(float(t0), float(theta))
         t0, theta = np.broadcast_arrays(t0, theta)
         out = [self._exit_one(a, b) for a, b in zip(t0.ravel().tolist(), theta.ravel().tolist())]
@@ -404,46 +411,45 @@ class PerturbedCircleTable(Table):
 
     def _exit_one(self, t0, theta):
         """chord_exit of one point, in Python floats."""
-        back = theta > 0.5 * math.pi
-        sg, h = (-1.0, math.pi - theta) if back else (1.0, theta)  # sg: walking direction
-        r0 = self.radius + sum(math.cos(t0 * m + p) * er for m, p, er, _ in self._modes)
-        dr0 = sum(math.sin(t0 * m + p) * emr for m, p, _, emr in self._modes)
-        rhs = h - math.atan2(sg * dr0, r0)
-
-        def chord(h):
-            """eps(h), den = x^2 + y^2, den F'(h), r(t1) and r'(t1) along the walk."""
+        sin, cos, atan2, pi, modes = math.sin, math.cos, math.atan2, math.pi, self._modes
+        back = theta > 0.5 * pi
+        sg, h = (-1.0, pi - theta) if back else (1.0, theta)  # sg: walking direction
+        r0 = dr0 = 0.0
+        for m, phase, er, emr in modes:
+            r0 += cos(t0 * m + phase) * er
+            dr0 += sin(t0 * m + phase) * emr
+        r0 += self.radius
+        rhs = h - atan2(sg * dr0, r0)
+        lo, hi, prev, done = 0.0, pi, math.nan, False
+        for _ in range(101):  # Newton from h = theta, exact on the circle; then theta1
+            # eps(h), den = x^2 + y^2, r(t1) = r0 + D and r'(t1) along the walk
             u, D, r1p = sg * h, 0.0, 0.0
-            for m, phase, er, emr in self._modes:
-                D += math.sin((t0 + u) * m + phase) * math.sin(u * m) * er
-                r1p += math.sin((t0 + 2.0 * u) * m + phase) * emr
+            a, b = t0 + u, t0 + 2.0 * u
+            for m, phase, er, emr in modes:
+                D += sin(a * m + phase) * sin(u * m) * er
+                r1p += sin(b * m + phase) * emr
             D, r1p = -2.0 * D, sg * r1p
-            rr, sh, ch = 2.0 * r0 + D, math.sin(h), math.cos(h)
+            rr, sh, ch = 2.0 * r0 + D, sin(h), cos(h)
             x, y = rr * sh, D * ch
+            eps = atan2(y, x)
+            if done:
+                theta1 = h - atan2(r1p, r0 + D) + eps
+                return (t0 + (TWO_PI - 2.0 * h), pi - theta1) if back else (t0 + 2.0 * h, theta1)
             den = x * x + y * y
-            # den eps'(h) = x y' - y x' = 4 r0 r1' sin h cos h - (r0 + r1) D
-            return math.atan2(y, x), den, den - 4.0 * r0 * r1p * sh * ch + rr * D, r0 + D, r1p
-
-        lo, hi, prev = 0.0, math.pi, math.nan
-        for _ in range(100):  # Newton from h = theta, exact on the circle
-            eps, den, dfden, _, _ = chord(h)
             f = h - eps - rhs
             lo, hi = (h, hi) if f < 0.0 else (lo, h)
-            hn = h - f * den / dfden
+            # den eps'(h) = x y' - y x' = 4 r0 r1' sin h cos h - (r0 + r1) D
+            hn = h - f * den / (den - 4.0 * r0 * r1p * sh * ch + rr * D)
             newton = lo <= hn <= hi
             hn = hn if newton else 0.5 * (lo + hi)
             step, h = abs(hn - h), hn
             # Newton steps that stop halving have met the rounding of F (h < ~1e-3).
-            if not step > CHORD_TOL * hn or (newton and step > 0.5 * prev):
-                break
+            done = not step > CHORD_TOL * hn or (newton and step > 0.5 * prev)
             prev = step if newton else math.nan
-        else:
-            raise SolverError(f"{self.kind}: chord solve did not converge")
-        eps, _, _, r1, r1p = chord(h)
-        theta1 = h - math.atan2(r1p, r1) + eps
-        return (t0 + (TWO_PI - 2.0 * h), math.pi - theta1) if back else (t0 + 2.0 * h, theta1)
+        raise SolverError(f"{self.kind}: chord solve did not converge")
 
     def _check_convexity(self):
-        n = max([_CONVEXITY_GRID] + [32 * m for m, _, _ in self.harmonics])
+        n = 32 * max([1] + [abs(m) for m, _, _ in self.harmonics])
         psi = np.linspace(0.0, TWO_PI, n, endpoint=False)
         r, r1, r2 = self._radial(psi)
         if np.min(r) <= 0.0:

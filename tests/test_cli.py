@@ -492,6 +492,26 @@ class TestGoldenOutputs:
             k: summary[k] for k in ("e1", "e2", "interval", "m", "n", "xi_root", "u_min")}
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1.5, True, 1e16, 1e-300],
+     [np.int64(7), np.float64(0.1), False, math.nan, math.inf],
+     [-3, -0.0, np.float64(-math.inf), np.float64(1e16), np.float64(-1e-300)],
+     [np.int64(-1), np.float64(-0.0), 2.0 / 3.0, -math.nan, 123456789012345678]],
+    [],
+], ids=["mixed", "header-only"])
+def test_write_csv_is_csv_writer_bytes(tmp_path, rows):
+    # the reference: csv.writer on the same rows with each bool cast to int
+    header = ("n", "value", "flag", "big", "tiny")
+    cli._write_csv(tmp_path / "got.csv", header, rows)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == len(rows) + 1
+
+
 class TestOrbitCommand:
     def test_unresolved_s0_is_1(self, perturbed_cfg, tmp_path, capsys):
         # at s0 = 1e17 one ulp is 16: every row would show one s and x

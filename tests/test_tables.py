@@ -22,7 +22,7 @@ from billiards import (
     table_from_config,
 )
 from billiards.dynamics import TANGENCY_CUTOFF, step_lifted
-from billiards.tables import ARC_INVERSE_TOL, _GL_NODES, _GL_WEIGHTS, _N_PANELS
+from billiards.tables import ARC_INVERSE_TOL, CHORD_TOL, _GL_NODES, _GL_WEIGHTS, _N_PANELS
 
 from chord_oracle import chord_exit_oracle
 from strategies import PROPERTY, ellipses, footpoints, perturbed_circles
@@ -242,6 +242,58 @@ class TestPerturbedCircle:
         # 3.88 + 3.6 cos(psi) stays positive: only the r > 0 check rejects it
         with pytest.raises(ConvexityError, match="radial profile reaches zero"):
             PerturbedCircleTable(1.0, [(1, 1.2, 0.0)])
+
+    def test_radial_dip_between_grid_points(self):
+        # r = 1 + (1 + delta) cos(psi + pi/32) dips to -delta at psi = 31 pi/32, midway
+        # between two points of the 32-point grid, where r = 1 - (1 + delta) cos(pi/32)
+        # > 0; the curvature numerator 1 + 3 a cos + 2 a^2 stays positive, so only the
+        # r > 0 check on the Gauss nodes rejects it
+        harmonics = [(1, 1.001, math.pi / 32)]
+        psi = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+        assert np.min(1.0 + 1.001 * np.cos(psi + math.pi / 32)) > 0.0
+        with pytest.raises(ConvexityError, match="radial profile reaches zero"):
+            PerturbedCircleTable(1.0, harmonics)
+
+    def test_convexity_near_boundary_against_dense_grid(self):
+        # 300 seeded profiles of one to three harmonics m <= 12, scaled to within
+        # 3 % of the amplitude where r or r^2 + 2 r'^2 - r r'' first reaches zero
+        rng = np.random.default_rng(27)
+        psi = np.linspace(0.0, TWO_PI, 1 << 14, endpoint=False)
+        verdicts = []
+        for _ in range(300):
+            k = int(rng.integers(1, 4))
+            m = rng.choice(np.arange(1, 13), size=k, replace=False)[:, None]
+            w = rng.uniform(0.2, 1.0, (k, 1)) / (m * m)
+            phase = rng.uniform(0.0, TWO_PI, (k, 1))
+            arg = m * psi + phase
+            g, g1, g2 = [(w * v).sum(axis=0) for v in
+                         (np.cos(arg), -m * np.sin(arg), -m * m * np.cos(arg))]
+            # r = 1 + lam g, and the numerator is 1 + b lam + a lam^2: the first
+            # positive root over the grid is the boundary amplitude
+            a, b = g * g + 2.0 * g1 * g1 - g * g2, 2.0 * g - g2
+            disc = b * b - 4.0 * a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+                roots = np.concatenate([np.where(disc >= 0.0, [q / a, 1.0 / q], np.inf),
+                                        np.where(g < 0.0, -1.0 / g, np.inf)[None]])
+            lam = np.min(np.where(roots > 0.0, roots, np.inf)) * rng.uniform(0.97, 1.03)
+            # Dense-grid oracle: its minima are within |num''| spacing^2 / 8 < 2e-5
+            # of the true ones here (|num''| < 1e3, spacing 4e-4), so a margin
+            # above 1e-3 is resolved.
+            r, r1, r2 = 1.0 + lam * g, lam * g1, lam * g2
+            margin = min(np.min(r), np.min(r * r + 2.0 * r1 * r1 - r * r2))
+            if abs(margin) < 1e-3:
+                continue
+            harmonics = [(int(mi), float(lam * wi), float(pi))
+                         for mi, wi, pi in zip(m[:, 0], w[:, 0], phase[:, 0])]
+            try:
+                PerturbedCircleTable(1.0, harmonics)
+                accepted = True
+            except ConvexityError:
+                accepted = False
+            assert accepted == (margin > 0.0), (harmonics, margin)
+            verdicts.append(accepted)
+        assert len(verdicts) > 250 and 0.3 < np.mean(verdicts) < 0.7
 
     def test_convexity_grid_resolves_fast_harmonics(self):
         # r^2 + 2 r'^2 - r r'' reaches 1 - 10 = -9 where cos(10000 psi) = -1,
@@ -490,6 +542,72 @@ class TestChordExitProperties:
         (a, b), (c, e) = np.array([[s1[0] - s1[1], s1[2] - s1[3]],
                                    [y1[0] - y1[1], y1[2] - y1[3]]]) / (2.0 * d)
         assert abs(a * e - b * c - 1.0) <= 1e-6 * (abs(a * e) + abs(b * c))
+
+
+def _plain_sum(terms):
+    """sum() as Python before 3.12 adds floats: from 0, left to right."""
+    total = 0
+    for v in terms:
+        total = total + v
+    return total
+
+
+def _closure_exit_one(table, t0, theta):
+    """PerturbedCircleTable._exit_one as a chord closure called once per Newton
+    step and once more for theta1, with generator sums: the reference for the
+    inlined kernel's bits."""
+    back = theta > 0.5 * math.pi
+    sg, h = (-1.0, math.pi - theta) if back else (1.0, theta)
+    r0 = table.radius + _plain_sum(math.cos(t0 * m + p) * er for m, p, er, _ in table._modes)
+    dr0 = _plain_sum(math.sin(t0 * m + p) * emr for m, p, _, emr in table._modes)
+    rhs = h - math.atan2(sg * dr0, r0)
+
+    def chord(h):
+        u, D, r1p = sg * h, 0.0, 0.0
+        for m, phase, er, emr in table._modes:
+            D += math.sin((t0 + u) * m + phase) * math.sin(u * m) * er
+            r1p += math.sin((t0 + 2.0 * u) * m + phase) * emr
+        D, r1p = -2.0 * D, sg * r1p
+        rr, sh, ch = 2.0 * r0 + D, math.sin(h), math.cos(h)
+        x, y = rr * sh, D * ch
+        den = x * x + y * y
+        return math.atan2(y, x), den, den - 4.0 * r0 * r1p * sh * ch + rr * D, r0 + D, r1p
+
+    lo, hi, prev = 0.0, math.pi, math.nan
+    for _ in range(100):
+        eps, den, dfden, _, _ = chord(h)
+        f = h - eps - rhs
+        lo, hi = (h, hi) if f < 0.0 else (lo, h)
+        hn = h - f * den / dfden
+        newton = lo <= hn <= hi
+        hn = hn if newton else 0.5 * (lo + hi)
+        step, h = abs(hn - h), hn
+        if not step > CHORD_TOL * hn or (newton and step > 0.5 * prev):
+            break
+        prev = step if newton else math.nan
+    else:
+        raise SolverError("chord solve did not converge")
+    eps, _, _, r1, r1p = chord(h)
+    theta1 = h - math.atan2(r1p, r1) + eps
+    return (t0 + (TWO_PI - 2.0 * h), math.pi - theta1) if back else (t0 + 2.0 * h, theta1)
+
+
+@pytest.mark.parametrize("harmonics", [
+    [(3, 0.05, 0.0)],
+    [(2, 0.02, 0.3), (3, 0.05, 1.1), (5, 0.01, 0.2)],
+], ids=["m3", "three-harmonic"])
+def test_exit_kernel_same_bits_as_closure_kernel(harmonics):
+    table = PerturbedCircleTable(1.0, harmonics)
+    rng = np.random.default_rng(12)
+    n = 2500
+    t0 = rng.uniform(-5.0 * TWO_PI, 5.0 * TWO_PI, n)  # negative and wound
+    theta = rng.uniform(0.0, math.pi, n)  # half of them on the mirror branch
+    theta[:250] = 10.0 ** rng.uniform(-12.0, -8.0, 250)  # within 1e-8 of 0 and of pi
+    theta[250:500] = math.pi - 10.0 ** rng.uniform(-12.0, -8.0, 250)
+    theta[500:750] = 10.0 ** rng.uniform(-8.0, 0.0, 250)
+    for a, b in zip(t0.tolist(), theta.tolist()):
+        got, want = table._exit_one(a, b), _closure_exit_one(table, a, b)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b)
 
 
 class TestPerturbedChordOracle:
