@@ -3,9 +3,10 @@
 Subcommands: beta, mm, compare, conjugacy, witness, orbit.  Each command
 reads table description files (JSON), writes CSV data plus a
 machine-readable summary.json into the output directory, and exits 0 on
-success, 1 on configuration errors, 2 on fit-conditioning failures, 3 on
-solver failures and 4 when the conjugacy residual is above --threshold
-(or is NaN).  Set BILLIARDS_LOG to a logging level name for
+success, 1 on configuration errors, 2 on a command line that argparse
+rejects (a usage error) or on fit-conditioning failures, 3 on solver
+failures and 4 when the conjugacy residual is above --threshold (or is
+NaN).  Set BILLIARDS_LOG to a logging level name for
 progress output; --threads parallelizes the beta q sweeps.  This is the
 package's only module that writes files.
 """
@@ -197,13 +198,21 @@ def _load_ellipse(path, command: str) -> EllipseTable:
     return table
 
 
-def _cmd_beta(args, outdir: Path) -> int:
+def _sample(args, *paths):
+    """The set-up of the fit commands: check the q range, load every table
+    and sample its beta.  Returns (stages, tables, samples)."""
     _check_q_range(args.qmin, args.qmax, args.K)
     stages = _Stages()
-    table = _load(args.table)
+    tables = [_load(path) for path in paths]
     stages.lap("load")
-    samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
+    samples = [sample_beta(table, args.qmin, args.qmax, workers=args.threads)
+               for table in tables]
     stages.lap("sample")
+    return stages, tables, samples
+
+
+def _cmd_beta(args, outdir: Path) -> int:
+    stages, (table,), (samples,) = _sample(args, args.table)
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
     csv_path = outdir / "beta_samples.csv"
@@ -226,12 +235,7 @@ def _cmd_beta(args, outdir: Path) -> int:
 def _cmd_mm(args, outdir: Path) -> int:
     if args.gap_step < 1:
         raise DomainError(f"--gap-step must be >= 1, got {args.gap_step}")
-    _check_q_range(args.qmin, args.qmax, args.K)
-    stages = _Stages()
-    table = _load(args.table)
-    stages.lap("load")
-    samples = sample_beta(table, args.qmin, args.qmax, workers=args.threads)
-    stages.lap("sample")
+    stages, (table,), (samples,) = _sample(args, args.table)
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
     rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step), samples.orbits)
@@ -255,14 +259,7 @@ def _cmd_mm(args, outdir: Path) -> int:
 
 
 def _cmd_compare(args, outdir: Path) -> int:
-    _check_q_range(args.qmin, args.qmax, args.K)
-    stages = _Stages()
-    t1 = _load(args.table)
-    t2 = _load(args.table2)
-    stages.lap("load")
-    s1 = sample_beta(t1, args.qmin, args.qmax, workers=args.threads)
-    s2 = sample_beta(t2, args.qmin, args.qmax, workers=args.threads)
-    stages.lap("sample")
+    stages, (t1, t2), (s1, s2) = _sample(args, args.table, args.table2)
     r1 = fit_normalized_beta(s1, args.K)
     r2 = fit_normalized_beta(s2, args.K)
     ratios = mm_ratio_check(r1, r2)

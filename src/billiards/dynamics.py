@@ -61,19 +61,17 @@ def step_angle(table: Table, t0, theta):
 
 def step_lifted(table: Table, s_lift, theta):
     """One bounce on the universal cover: the lift advances by the arc
-    increment in (0, perimeter], so winding is tracked exactly.  Takes
-    arrays; points within TANGENCY_CUTOFF of theta = 0 or pi stay fixed."""
+    increment from t0 to the lifted exit t1 in (t0, t0 + 2*pi), so winding
+    is tracked exactly.  Takes arrays; points within TANGENCY_CUTOFF of
+    theta = 0 or pi stay fixed."""
     s_lift, theta = np.broadcast_arrays(np.asarray(s_lift, dtype=float),
                                         np.asarray(theta, dtype=float))
     s1, theta1 = s_lift.copy(), theta.copy()
     move = (theta > TANGENCY_CUTOFF) & (theta < math.pi - TANGENCY_CUTOFF)
     if move.any():
-        ell = table.perimeter
-        t0 = table.angle_of_arc(s_lift[move] % ell)
-        t1, th1 = step_angle(table, t0, theta[move])
-        theta1[move] = th1
-        ds = (table.arc_of_angle(t1) - table.arc_of_angle(t0)) % ell
-        s1[move] = s_lift[move] + np.where(ds == 0.0, ell, ds)
+        t0 = table.angle_of_arc(s_lift[move] % table.perimeter)
+        t1, theta1[move] = step_angle(table, t0, theta[move])
+        s1[move] = s_lift[move] + (table.arc_of_angle(t1) - table.arc_of_angle(t0))
     return (s1, theta1) if s1.ndim else (float(s1), float(theta1))
 
 

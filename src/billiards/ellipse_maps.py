@@ -98,19 +98,14 @@ def orbit_shift(E: EllipseTable, lam):
 @dataclass(frozen=True)
 class CausticCoord:
     """Action-angle coordinates of a phase point in the elliptic-caustic
-    regime, with the normalized pair used internally (lambda/b, t/period).
-    The fields are arrays when the phase point holds arrays."""
+    regime, with the normalized angle t/period used internally.  The
+    fields are arrays when the phase point holds arrays."""
 
     lam: float
     t: float
     k: float
     period: float  # 4 K(k(lambda))
-    b: float
     omega: float  # rotation number of the caustic lambda
-
-    @property
-    def lam_hat(self):
-        return self.lam / self.b
 
     @property
     def t_hat(self):
@@ -133,7 +128,7 @@ def _action_angle_phi(table: EllipseTable, phi, theta) -> CausticCoord:
     (f, f_rot), (bigk, _) = _f_and_k(amp, k, need_k)
     period = 4.0 * bigk
     t = f % period
-    return CausticCoord(lam=lam, t=t, k=k, period=period, b=table.b, omega=f_rot / (2.0 * bigk))
+    return CausticCoord(lam=lam, t=t, k=k, period=period, omega=f_rot / (2.0 * bigk))
 
 
 def _action_angle_inverse_phi(table: EllipseTable, lam, t, bigk=None):

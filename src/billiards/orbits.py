@@ -3,56 +3,58 @@
 A configuration is a lifted, strictly increasing list of boundary angles
 t_0 < ... < t_{q-1} with t_q = t_0 + 2*pi*p; its length is the sum of the
 q chord lengths.  Stationarity of the length at every vertex is the
-reflection law, so critical configurations are periodic orbits.
+reflection law, so critical configurations are periodic orbits.  "max"
+keeps the longest orbit found, "min" the shortest critical value.  This
+docstring is the one statement of the solver's rules.
 
-The maximizer is found by coordinate-ascent sweeps from equally spaced
-initializations (where the orbit class is in question) followed by a
-damped Newton polish of the stationarity system; Levenberg-Marquardt
-damping absorbs the zero Hessian mode that the continuous orbit families
-of integrable tables produce.  Minimal critical
-values are collected by running the same Newton solver from the same
-initializations (plus scattered ones at low q, on integrable tables only
-at q = 2) and keeping every distinct critical value found.
+Starts.  Every start is q points equally spaced.  Integrable tables
+(circle, ellipse) space them in the Lazutkin coordinate z = integral of
+kappa^(2/3) ds, in which the (1, q) orbits are equally spaced up to
+O(1/q^2) (Lazutkin 1973); equal arc length is O(e^2) off them, and from
+it "max" found no orbit at some q on ellipses with b/a <= 0.12.  Other
+tables space them in arc length: Lazutkin starts made "max" return the
+min class at six phases of the m = 3 perturbed circle (q = 13 and 17),
+so they wait for a Morse-index check of the orbit class, after which the
+equal-arc branch goes.  On an integrable table every (p, q) orbit with
+q > 2 is tangent to the one caustic of rotation number p/q, so all have
+one length: such a q takes one start and no ascent in either class, the
+two classes are one computation, and lq_bounds relabels the max orbit
+"min".  Other tables take 8 starts per q, rotated by j/8 of one gap.
 
-On integrable tables (circle, ellipse) the starts are equally spaced in
-the Lazutkin coordinate z = integral of kappa^(2/3) ds, in which the
-(1, q) orbits are equally spaced up to O(1/q^2) (Lazutkin 1973); equal
-arc length is O(e^2) off them, and from it "max" found no orbit at some q
-on eccentric ellipses.  Other tables keep the equal-arc starts: with
-Lazutkin starts the m = 3 perturbed circle returned the min class for
-"max" at several phases of q = 13 and 17, so they wait for a Morse-index
-check of the orbit class, after which the equal-arc branch goes.
-Integrable tables take one start per q in both classes: every (p, q)
-orbit with q > 2 is tangent to the one caustic of rotation number p/q,
-so all of them have one length.  Such a row takes no ascent sweeps in
-either class, so "max" and "min" there are one computation, and lq_bounds
-solves that q once.  Other tables take 8 rotated starts, and their "max"
-rows, like the q = 2 rows of integrable tables (the major axis against
-the minor one), ascend.
+Ascent and scattered starts.  All other "max" rows take 3
+coordinate-ascent sweeps before their first Newton polish; at q = 2 on
+integrable tables they pick the major axis over the minor one.  "min"
+adds up to 16 scattered ordered starts at q <= 16 on non-integrable
+tables and at q = 2 on integrable ones.
 
-The starts of one q, or of a whole range of q, are solved as one batch:
-every start is a row of an (n_rows, max q) array and carries its own q.
-A row of smaller q is padded past its own columns.  Padded columns are
-inert (no gradient, unit Hessian diagonal, no coupling, no sweep step),
-and cyclic neighbours, row sums and the ordering test read only each
-row's own columns.  Each sweep or Newton pass evaluates all rows in one
-call, which runs in row blocks of at most HESSIAN_BLOCK vertex entries,
-each cut to its widest row, so the working set of a solve stays bounded
-however many rows and q it holds.  The Hessian is cyclic tridiagonal and
-is assembled as its diagonal and off-diagonal vectors; the sweeps read
-only the diagonal, and the Newton polish runs a per-row accept/reject
-state machine, so every start takes the path it would take alone.  Its
-Levenberg-Marquardt step is one complex solve with the shifted Hessian
-H - i*sigma*I, which equals the normal-equations step without squaring
-the condition number of H.  One O(q) Thomas sweep per Newton pass takes
-it for every row at once, each on its own columns, so the work of a pass
-does not depend on how many q the batch holds.  Its line search tries
-the full step, unless the row's last step was halved, then the halvings
-in chunks of _HALVING_CHUNK per pass, and takes the first trial that
-passes: a row evaluates no trial past the chunk that decides its step,
-and takes the step a one-at-a-time search takes.  lq_bounds solves all of
-its q in one such batch per orbit class, the min class only at the q
-where it differs from the max one.
+Retries.  Round 0 sweeps the ascent rows and polishes every row.  Each
+later round takes the failed rows that their q's budget allows, restarts
+each from its last iterate if that is ordered, sweeps it 50 more times
+if it ascends and 25 if not, and polishes it again.  A q grants
+SWEEP_CAP sweeps until any of its rows converges; its other rows then
+only probe for other critical families, so its budget drops to 60 and a
+start stranded on a degenerate ridge cannot dominate the runtime.
+Sweeps, Newton trials and converged lifts keep every gap t_{i+1} - t_i,
+the closing one too, under one turn, so a (p, q) orbit is never a
+(p - 1, q) one in disguise.
+
+Batching.  The starts of all q are one batch: each is a row of an
+(n_rows, max q) array that carries its own q and is padded past it with
+inert columns (no gradient, unit Hessian diagonal, no coupling, no sweep
+step).  Each sweep and Newton pass evaluates its rows in one call, in
+blocks of at most HESSIAN_BLOCK vertex entries cut to their widest row,
+of the cyclic tridiagonal Hessian as its two band vectors.  Rows share
+evaluations but no decision: each q gets the orbit, residual and work
+that it gets alone.
+
+The LM step and the line search.  The Newton polish is damped by
+Levenberg-Marquardt (LM), which absorbs the zero Hessian mode of the
+orbit families of integrable tables; _lm_step takes the step of every
+row in one O(q) sweep, so a pass costs the same however many q the batch
+holds.  The line search tries the full step, unless the row's last step
+was halved, then the halvings in chunks of _HALVING_CHUNK per pass, and
+takes the first trial that passes: the step a one-at-a-time search
+takes, with no trial evaluated past the chunk that decides it.
 """
 
 from __future__ import annotations
@@ -355,24 +357,12 @@ _OUTER, _SOLVE, _TRIAL, _DONE = range(4)
 
 def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     """Damped Gauss-Newton on the stationarity system, one start per row,
-    row r on its own q[r] columns.
-
-    The Hessian of the length functional is exactly singular along the
-    orbit families of integrable tables and nearly so for perturbed ones,
-    so the step solves the Levenberg-Marquardt system (J^T J + mu*s*I) d =
-    -J^T F, as the shifted complex solve of `_lm_step` (J = H is
-    symmetric), in one call per pass for every row that needs a step; mu
-    grows when a step is rejected and shrinks on success.
-
-    Every row runs its own state machine: an outer step records |F|^2,
-    up to 12 values of mu are tried, each with up to 20 halvings
-    of the step length.  Each pass of the loop moves every live row to its
-    next trial points (the full step, or a chunk of untried halvings) and
-    evaluates all of them in one batch, so rows share evaluations but
-    never decisions.  |F|^2 is summed in column order, which padding does
-    not change.  Returns (t, residual, steps, ok) arrays with the residual
-    in max |dL/ds_i|.
-    """
+    row r on its own q[r] columns, by the LM step and line search of the
+    module docstring.  Every row runs its own state machine: an outer step
+    records |F|^2, then tries up to 12 values of mu (x100 once all 20
+    halvings of the step fail, x0.1 on an accepted step).  |F|^2 is
+    summed in column order, which padding does not change.  Returns (t,
+    residual, steps, ok) arrays with the residual in max |dL/ds_i|."""
     t = np.array(t, dtype=float)
     n = len(t)
     F, diag, off, res = chain.hessian(t, q)
@@ -384,15 +374,6 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     norm_f = np.empty(n)
     delta = np.zeros(t.shape)  # padded columns never move
     state = np.full(n, _OUTER)
-
-    def next_mu(rows):
-        mu[rows] *= 100.0
-        tries[rows] += 1
-        state[rows] = _SOLVE
-        spent = rows[tries[rows] == 12]
-        steps[spent] += 1  # the outer step failed: stop where the row is
-        state[spent] = _DONE
-
     while not np.all(state == _DONE):
         rows = np.flatnonzero(state == _OUTER)
         # a NaN residual (a collapsed chord) stops the row where it is
@@ -414,11 +395,6 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
         rows = np.flatnonzero(state == _TRIAL)
         if not rows.size:
             continue
-        # A row first tries the full step, unless its last accepted step was
-        # halved.  Once the full step is rejected, or at once for such a row,
-        # it evaluates its next _HALVING_CHUNK untried halvings for this mu
-        # per pass and takes the first that passes: the step a one-at-a-time
-        # search takes, whatever the chunk.
         count = np.where((halvings[rows] == 0) & ~halved[rows], 1,
                          np.minimum(_HALVING_CHUNK, 20 - halvings[rows]))
         owner = np.repeat(rows, count)
@@ -443,15 +419,20 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
         missed = state[rows] == _TRIAL
         rejected = rows[missed]
         halvings[rejected] += count[missed]
-        next_mu(rejected[halvings[rejected] == 20])
+        rows = rejected[halvings[rejected] == 20]  # every halving failed: the next mu
+        mu[rows] *= 100.0
+        tries[rows] += 1
+        state[rows] = _SOLVE
+        spent = rows[tries[rows] == 12]
+        steps[spent] += 1  # the outer step failed: stop where the row is
+        state[spent] = _DONE
     return t, res, steps, res <= stat_tol
 
 
 def _equal_init(table: Table, p: int, q, frac):
-    """One start per entry of frac: q points equally spaced, rotated by frac
-    of one gap.  Integrable tables space them in the Lazutkin coordinate,
-    other tables in arc length (see the module docstring).  q is one value
-    or one per start; rows are padded to the largest q with 0."""
+    """One start per entry of frac: q points equally spaced in the chart of
+    the module docstring, rotated by frac of one gap.  q is one value or
+    one per start; rows are padded to the largest q with 0."""
     if table.integrable:
         period, to_t = table.lazutkin_perimeter, table.angle_of_lazutkin
     else:
@@ -479,49 +460,34 @@ def _canonical(t, p):
 
 
 def _solve_from(chain: _Chain, t_init, q, ascent, stat_tol: float):
-    """Solve every start (row) of t_init, row r a q[r]-gon, after 3 sweeps
-    on the rows where ascent (a per-row mask, or one bool for all) is true.
-
-    The ascent rows are swept together, then all rows are polished
-    together.  Then, each round, every failed row that its q's budget
-    allows is swept `extra` more times (50 on ascent rows, 25 on the
-    others) and polished again, all in one batch.  A q grants SWEEP_CAP
-    sweeps until any of its rows converges; the others then only probe for
-    other critical families, so the budget drops to 60 sweeps and a start
-    stranded on a degenerate ridge cannot dominate the runtime.  Returns
-    (t, residual, sweeps, newton_steps, ok) arrays, where ok means
-    converged to an ordered configuration.
-    """
-    p = chain.p
+    """Solve every start (row) of t_init, row r a q[r]-gon, in the rounds of
+    the module docstring; ascent is a per-row mask, or one bool for all.
+    Returns (t, residual, sweeps, newton_steps, ok) arrays, where ok means
+    converged to an ordered configuration."""
+    p, n = chain.p, len(t_init)
     t = np.array(t_init, dtype=float)
-    ascent = np.broadcast_to(ascent, len(t))
-    sweeps = np.where(ascent, 3, 0)
-    extra = np.where(ascent, 50, 25)
-    _sweep_rows(chain, t, q, np.arange(len(t)), sweeps)
-    t_new, res, steps, ok = _newton(chain, t, q, NEWTON_CAP, stat_tol)
-    conv = ok & _ordered(t_new, q, p)
-    while True:
-        budget = np.where(np.isin(q, q[conv]), 60, SWEEP_CAP)
-        r = np.flatnonzero(~ok & (sweeps + extra <= budget))
-        if not r.size:
-            return t_new, res, sweeps, steps, conv
+    t_new, res = t.copy(), np.empty(n)
+    sweeps, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    ok, ordered = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    ascent = np.broadcast_to(ascent, n)
+    more = np.where(ascent, 3, 0)  # the sweeps of this round
+    r = np.arange(n)
+    while r.size:
+        for k in np.unique(more[r][more[r] > 0]):  # the rows of one count sweep together
+            sel = r[more[r] == k]
+            w = q[sel].max()
+            t[sel, :w] = _sweeps(chain, t[sel, :w], q[sel], int(k))
+        sweeps[r] += more[r]
         w, qr = q[r].max(), q[r]
-        t[r, :w] = np.where(_ordered(t_new[r, :w], qr, p)[:, None], t_new[r, :w], t[r, :w])
-        _sweep_rows(chain, t, q, r, extra[r])
-        sweeps[r] += extra[r]
-        t_new[r, :w], res[r], steps_r, ok[r] = _newton(chain, t[r, :w], qr, NEWTON_CAP,
-                                                       stat_tol)
+        t_new[r, :w], res[r], steps_r, ok[r] = _newton(chain, t[r, :w], qr, NEWTON_CAP, stat_tol)
         steps[r] += steps_r
-        conv[r] = ok[r] & _ordered(t_new[r, :w], qr, p)
-
-
-def _sweep_rows(chain: _Chain, t, q, rows, n):
-    """n[i] sweeps on row rows[i] of t, in place; the rows of one count are
-    swept together, each on its own columns."""
-    for k in np.unique(n[n > 0]):
-        sel = rows[n == k]
-        w = q[sel].max()
-        t[sel, :w] = _sweeps(chain, t[sel, :w], q[sel], int(k))
+        ordered[r] = _ordered(t_new[r, :w], qr, p)
+        more = np.where(ascent, 50, 25)
+        budget = np.where(np.isin(q, q[ok & ordered]), 60, SWEEP_CAP)
+        r = np.flatnonzero(~ok & (sweeps + more <= budget))
+        back = r[ordered[r]]  # a retried row restarts from its last iterate if ordered
+        t[back] = t_new[back]
+    return t_new, res, sweeps, steps, ok & ordered
 
 
 def _check(p: int, q: int, orbit_class: str):
@@ -536,30 +502,16 @@ def _check(p: int, q: int, orbit_class: str):
 
 
 def _one_length(table: Table, q):
-    """Whether every (p, q) orbit of table has one length, elementwise in q:
-    on an integrable table each orbit with q > 2 is tangent to the one
-    caustic of rotation number p/q (Poncelet), so its two classes coincide."""
+    """Whether every (p, q) orbit of table has one length (see the module
+    docstring), elementwise in q."""
     return table.integrable & (q > 2)
 
 
 def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[OrbitConfig]:
-    """find_orbit at every q of qs, all solved as one batch.
-
-    Every start is q points equally spaced, in the Lazutkin coordinate on
-    integrable tables and in arc length on the others (see the module
-    docstring).  An integrable table takes one start per q in either
-    class; the others take 8, rotated by j/8 of one gap.  "min" adds
-    scattered starts at q <= 16 on non-integrable tables and at q = 2.
-    "max" sweeps before the polish except at q > 2 on integrable tables,
-    where both classes make one computation and differ only in
-    orbit_class.
-
-    Every start of every q is a row that carries its own q, so all q share
-    each sweep and Newton evaluation but no decision: each q gets the orbit,
-    residual and work that it gets alone.  Returns one OrbitConfig per
-    distinct q, in increasing q.  Raises SolverError, with the best iterate
-    attached, for the smallest q at which no start converged.
-    """
+    """find_orbit at every q of qs, all solved as one batch.  Returns one
+    OrbitConfig per distinct q, in increasing q, the one that q gets alone.
+    Raises SolverError, with the best iterate attached, for the smallest q
+    at which no start converged."""
     qs = sorted({int(q) for q in qs})
     for q in qs:
         _check(p, q, orbit_class)
@@ -594,8 +546,6 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
     t_init = np.zeros((q_row.size, qs[-1]))
     t_init[np.arange(qs[-1]) < q_row[:, None]] = np.concatenate([r.ravel() for r in starts])
 
-    # Ascent sweeps steer "max" toward the maximum; where every orbit has one
-    # length there is no class to steer toward.
     ascent = (orbit_class == "max") & ~_one_length(table, q_row)
     t, res, sweeps, nsteps, ok = _solve_from(chain, t_init, q_row, ascent, stat_tol)
     conv = np.flatnonzero(ok)
@@ -641,15 +591,11 @@ def find_orbits(table: Table, p: int, qs, orbit_class: str = "max") -> list[Orbi
 
 
 def find_orbit(table: Table, p: int, q: int, orbit_class: str = "max") -> OrbitConfig:
-    """Stationary (p, q) configuration of the chord-length functional.
-
-    orbit_class "max" returns the Birkhoff maximizer; "min" returns the
-    smallest critical value discovered by the multistart (the minimax
-    orbit for the tables shipped here).  The starts are equally spaced in
-    the Lazutkin coordinate on integrable tables and in arc length on the
-    others.  Raises SolverError with the best iterate attached when
-    nothing converges.  This is find_orbits at the one q.
-    """
+    """Stationary (p, q) configuration of the chord-length functional:
+    orbit_class "max" returns the Birkhoff maximizer, "min" the smallest
+    critical value the starts find (the minimax orbit on the tables
+    shipped here).  Raises SolverError with the best iterate attached
+    when nothing converges.  This is find_orbits at the one q."""
     return find_orbits(table, p, [q], orbit_class)[0]
 
 
@@ -660,17 +606,14 @@ def lq_bounds(table: Table, qs, maxima=()) -> list[tuple[float, float, OrbitConf
 
     maxima may hold p = 1 max-class orbits already solved on this table
     (the ones behind sample_beta, say); a q found among them is not solved
-    again.  Batch rows are independent, so they are the orbits a solve here
-    would return.  The other q are solved in one find_orbits batch.  The
-    min class is solved in a second batch on non-integrable tables and at
-    q = 2; at q > 2 on an integrable table it is the max orbit relabelled
-    "min", which is what that solve would return, so the gap there is
-    exactly zero.  Elsewhere, critical values that coincide within the
-    dedupe tolerance are reported as equal.  Raises
-    DomainError before any solve if some q < 2.  If a solve fails, the
-    SolverError names the smallest failing q of the max class; only when
-    the max class solves at every q, that of the min class.
-    """
+    again, as a batch row is the orbit a solve here would return.  Each
+    class solves its other q in one find_orbits batch; where the min orbit
+    is the max one relabelled (module docstring) the gap is exactly zero.
+    Critical values that coincide within the dedupe tolerance are reported
+    as equal.  Raises DomainError before any solve if some q < 2.  If a
+    solve fails, the SolverError names the smallest failing q of the max
+    class; only when the max class solves at every q, that of the min
+    class."""
     known = {orb.q: orb for orb in maxima}
     if any(orb.p != 1 or orb.orbit_class != "max" for orb in known.values()):
         raise DomainError("lq_bounds: maxima must be p = 1 max-class orbits")

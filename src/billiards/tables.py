@@ -51,10 +51,7 @@ class Table:
     """Base class: arc-length facade over an angle-parametrized boundary."""
 
     kind = "abstract"
-    # Integrable tables have equal-length periodic-orbit families, one per
-    # rotation number p/q with q > 2, so one solver start per q serves both
-    # orbit classes and the min class needs no scattered starts above q = 2;
-    # other tables need the multistart.
+    # Integrable tables have one length per (p, q) orbit family with q > 2.
     integrable = False
 
     def __init__(self):

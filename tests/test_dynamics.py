@@ -209,6 +209,11 @@ class TestRotation:
     def test_boundary_fixed_point(self, circle):
         assert rotation_estimate(circle, PhasePoint(0.3, 0.0), 10) == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_bounce(self, circle, n):
+        with pytest.raises(DomainError, match=f"rotation_estimate needs n >= 1, got {n}"):
+            rotation_estimate(circle, PhasePoint(0.3, 0.5), n)
+
     def test_ellipse_caustic_consistency(self, ellipse21):
         # matches the closed-form rotation number of the conserved caustic
         from billiards import caustic_param, rotation_number_of_caustic

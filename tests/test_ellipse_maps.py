@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from billiards import (
+    BracketError,
     DomainError,
     EllipseTable,
     PhasePoint,
@@ -198,7 +199,7 @@ class TestActionAngle:
 
     def test_normalized_coordinates(self, ellipse21):
         coord = action_angle(ellipse21, PhasePoint(1.0, 0.3))
-        assert 0.0 <= coord.lam_hat < 1.0
+        assert 0.0 <= coord.lam / ellipse21.b < 1.0
         assert 0.0 <= coord.t_hat < 1.0
         assert coord.period == pytest.approx(4.0 * ellip_k(coord.k), rel=1e-14)
 
@@ -251,6 +252,26 @@ class TestConjugacy:
         with pytest.raises(DomainError, match="strip is empty") as err:
             h.residual_grid(n_s=8, n_theta=4, theta_min=theta_min)
         assert repr(theta_min) in str(err.value) and repr(h.theta_star) in str(err.value)
+
+    def test_theta3_star_beyond_table2_range(self, monkeypatch):
+        # The circle's strip reaches rotation numbers that no caustic of the
+        # 1:0.99 ellipse has: the omega_1 inversion finds no bracket, and
+        # theta3* falls back to table 2's theta*.
+        raised = []
+
+        def invert(*args, **kwargs):
+            try:
+                return elliptic.invert_monotone(*args, **kwargs)
+            except BracketError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(ellipse_maps, "invert_monotone", invert)
+        t2 = EllipseTable(1.0, 0.99)
+        h = build_conjugacy(EllipseTable(1.0, 1.0), t2)
+        assert raised
+        assert h.theta3_star == h.theta_star == t2.theta_star == math.asin(0.99)
+        assert h.max_residual(n_s=60, n_theta=15) <= 1e-13
 
     def test_theta_star_composition(self, ellipse21):
         t2 = EllipseTable(3.0, 2.0)

@@ -56,6 +56,10 @@ class TestBetaSamples:
             BetaSamples(np.array([1, 1]), np.array([4, 4]), np.array([0.25, 0.25]),
                         np.array([-1.0, -1.0]), 1.0, 1.0)
 
+    def test_rejects_no_sample(self):
+        with pytest.raises(DomainError, match="needs at least one sample"):
+            BetaSamples(np.array([]), np.array([]), np.array([]), np.array([]), 1.0, 1.0)
+
     def test_rejects_positive_beta(self):
         with pytest.raises(DomainError):
             BetaSamples(np.array([1]), np.array([4]), np.array([0.25]),

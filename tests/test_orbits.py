@@ -900,6 +900,10 @@ class TestValidation:
         with pytest.raises(DomainError, match="orbit_class must be 'max' or 'min', got 'mid'"):
             find_orbit(circle, 1, 5, "mid")
 
+    @pytest.mark.parametrize("orbit_class", ["max", "min"])
+    def test_batch_of_no_q_is_empty(self, perturbed, orbit_class):
+        assert find_orbits(perturbed, 1, [], orbit_class) == []
+
     def test_batch_rejects_any_bad_q(self, circle):
         with pytest.raises(DomainError):
             find_orbits(circle, 2, [5, 6, 7])

@@ -56,6 +56,9 @@ class TestCircle:
         table = CircleTable(8.0)
         assert table.lazutkin_perimeter == pytest.approx(4 * math.pi, rel=1e-12)
 
+    def test_scaled(self):
+        assert CircleTable(2.0).scaled(1.5).radius == 3.0
+
 
 class TestEllipse:
     def test_vertex_curvature(self, ellipse21):
@@ -137,6 +140,16 @@ def lazutkin_integrand(table):
 
 class TestConstruction:
     """One Gauss pass builds the arc tables and the Lazutkin perimeter."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: CircleTable(0.0), "circle radius must be positive, got 0.0"),
+        (lambda: CircleTable(-1.0), "circle radius must be positive, got -1.0"),
+        (lambda: EllipseTable(1.0, 2.0), "ellipse needs 0 < b <= a, got a=1.0, b=2.0"),
+        (lambda: PerturbedCircleTable(0.0, []), "base radius must be positive, got 0.0"),
+    ], ids=["circle-zero", "circle-negative", "ellipse-b-above-a", "perturbed-zero"])
+    def test_parameters_outside_the_convex_family_rejected(self, make, message):
+        with pytest.raises(ConvexityError, match=message):
+            make()
 
     @pytest.mark.parametrize("table", [
         EllipseTable(2.0, 1.0),
@@ -439,6 +452,16 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(TableConfigError):
             table_from_config({"kind": "square", "side": 1.0})
+
+    @pytest.mark.parametrize("cfg", [[{"kind": "circle", "R": 1.0}], "circle", {"R": 1.0}],
+                             ids=["list", "string", "no-kind"])
+    def test_not_an_object_with_a_kind(self, cfg):
+        with pytest.raises(TableConfigError, match="must be an object with a 'kind' field"):
+            table_from_config(cfg)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(TableConfigError, match="cannot read table file"):
+            load_table(tmp_path)  # a directory
 
     def test_missing_field(self):
         with pytest.raises(TableConfigError):
