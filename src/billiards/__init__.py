@@ -7,76 +7,18 @@ together with the eccentricity-rigidity witness built from
 hyperbolic-caustic periodic orbits.
 """
 
-from .dynamics import (
-    PhasePoint,
-    generating,
-    rotation_estimate,
-    step,
-    step_lifted,
-    trajectory,
-)
-from .elliptic import carlson_rf, ellip_f, ellip_fk, ellip_k, invert_monotone, jacobi_am
-from .ellipse_maps import (
-    CausticCoord,
-    ConjugacyMap,
-    HyperbolicDecision,
-    action_angle,
-    action_angle_inverse,
-    build_conjugacy,
-    caustic_param,
-    eccentricity_witness,
-    hyperbolic_orbit_exists,
-    orbit_shift,
-    rotation_number_of_caustic,
-)
-from .errors import (
-    BilliardsError,
-    BracketError,
-    ConditioningError,
-    ConvexityError,
-    DomainError,
-    SolverError,
-    TableConfigError,
-)
-from .invariants import (
-    BetaSamples,
-    InvariantReport,
-    RatioRow,
-    fit_normalized_beta,
-    lazutkin_parameter,
-    mather_alpha,
-    mm_fit_from_samples,
-    mm_invariants,
-    mm_ratio_check,
-    sample_beta,
-)
-from .orbits import OrbitConfig, find_orbit, find_orbits, lq_bounds
-from .tables import (
-    CircleTable,
-    EllipseTable,
-    PerturbedCircleTable,
-    Table,
-    load_table,
-    table_from_config,
-)
+from .dynamics import *
+from .elliptic import *
+from .ellipse_maps import *
+from .errors import *
+from .invariants import *
+from .orbits import *
+from .tables import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PhasePoint", "generating", "rotation_estimate", "step", "step_lifted",
-    "trajectory",
-    "carlson_rf", "ellip_f", "ellip_fk", "ellip_k", "invert_monotone", "jacobi_am",
-    "CausticCoord", "ConjugacyMap", "HyperbolicDecision", "action_angle",
-    "action_angle_inverse", "build_conjugacy", "caustic_param",
-    "eccentricity_witness", "hyperbolic_orbit_exists", "orbit_shift",
-    "rotation_number_of_caustic",
-    "BilliardsError", "BracketError", "ConditioningError", "ConvexityError",
-    "DomainError", "SolverError", "TableConfigError",
-    "BetaSamples", "InvariantReport", "RatioRow", "fit_normalized_beta",
-    "lazutkin_parameter", "mather_alpha", "mm_fit_from_samples",
-    "mm_invariants", "mm_ratio_check", "sample_beta",
-    "OrbitConfig", "find_orbit", "find_orbits", "lq_bounds",
-    "CircleTable", "EllipseTable", "PerturbedCircleTable",
-    "Table", "load_table", "table_from_config",
-]
+# each submodule's __all__ is the one list of its public names; the imports
+# above also bind each submodule's own name in this namespace
+__all__ = ["__version__", *(name for module in (dynamics, elliptic, ellipse_maps, errors,
+                                                invariants, orbits, tables)
+                            for name in module.__all__)]

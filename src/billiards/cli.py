@@ -3,17 +3,19 @@
 Subcommands: beta, mm, compare, conjugacy, witness, orbit.  Each command
 reads table description files (JSON), writes CSV data plus a
 machine-readable summary.json into the output directory, and exits 0 on
-success, 1 on configuration errors, 2 on a command line that argparse
-rejects (a usage error) or on fit-conditioning failures, 3 on solver
-failures and 4 when the conjugacy residual is above --threshold (or is
-NaN).  Set BILLIARDS_LOG to a logging level name for
-progress output; --threads parallelizes the beta q sweeps.  This is the
-package's only module that writes files.
+success, 1 on configuration errors or an output that cannot be written
+(an --out that is a file or lies under one), 2 on a command line that
+argparse rejects (a usage error) or on fit-conditioning failures, 3 on
+solver failures and 4 when the conjugacy residual is above --threshold
+(or is NaN).  Set BILLIARDS_LOG to a logging level name for progress
+output; --threads parallelizes the beta q sweeps.  This is the package's
+only module that writes files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -142,31 +144,25 @@ class _Stages:
         self._last = now
 
 
-def _write_summary(outdir: Path, command: str, config: dict, payload: dict,
-                   outputs: list[str], stages: _Stages) -> None:
-    summary = {
-        "tool": "billiards",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "tolerances": TOLERANCES,
-        "timings": stages.seconds,
-        "outputs": outputs,
-    }
-    summary.update(payload)
-    _write_json(outdir / "summary.json", summary)
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError inside becomes a BilliardsError (exit 1) naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise BilliardsError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
     """obj as indented strict JSON: a non-finite float is written null."""
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(_strict(obj), fh, indent=2, allow_nan=False)
 
 
 def _write_csv(path: Path, header, rows) -> None:
     """A header line, then one line per row: str() of each value, a bool
     written 1 or 0, \r\n line ends; the bytes csv.writer writes."""
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         fh.writelines(",".join([str(int(v) if isinstance(v, bool) else v) for v in row]) + "\r\n"
                       for row in (header, *rows))
 
@@ -187,32 +183,44 @@ def _load(path) -> object:
     return table
 
 
-def _load_ellipse(path, command: str) -> EllipseTable:
-    """A table of the elliptic commands; a circle is taken as the a = b
-    ellipse it is."""
-    table = _load(path)
-    if isinstance(table, CircleTable):
-        return EllipseTable(table.radius, table.radius)
-    if not isinstance(table, EllipseTable):
-        raise TableConfigError(f"{command} requires elliptic tables")
-    return table
+def _configs(tables) -> dict:
+    """The summary's echo of the tables: "table", then "table2"."""
+    return {key: table.as_config() for key, table in zip(("table", "table2"), tables)}
 
 
-def _sample(args, *paths):
+def _ellipses(args, stages):
+    """The two tables of conjugacy and witness; a circle is taken as the
+    a = b ellipse it is."""
+    tables = []
+    for path in (args.table, args.table2):
+        table = _load(path)
+        if isinstance(table, CircleTable):
+            table = EllipseTable(table.radius, table.radius)
+        elif not isinstance(table, EllipseTable):
+            raise TableConfigError(f"{args.command} requires elliptic tables")
+        tables.append(table)
+    stages.lap("load")
+    return tables
+
+
+def _sample(args, stages, *paths):
     """The set-up of the fit commands: check the q range, load every table
-    and sample its beta.  Returns (stages, tables, samples)."""
+    and sample its beta.  Returns (config, tables, samples)."""
     _check_q_range(args.qmin, args.qmax, args.K)
-    stages = _Stages()
     tables = [_load(path) for path in paths]
     stages.lap("load")
     samples = [sample_beta(table, args.qmin, args.qmax, workers=args.threads)
                for table in tables]
     stages.lap("sample")
-    return stages, tables, samples
+    config = {**_configs(tables), "qmin": args.qmin, "qmax": args.qmax, "K": args.K}
+    return config, tables, samples
 
 
-def _cmd_beta(args, outdir: Path) -> int:
-    stages, (table,), (samples,) = _sample(args, args.table)
+# Each command writes its data files into outdir and returns (config,
+# payload, outputs, exit code); main writes summary.json around them.
+
+def _cmd_beta(args, outdir: Path, stages: _Stages):
+    config, (table,), (samples,) = _sample(args, stages, args.table)
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
     csv_path = outdir / "beta_samples.csv"
@@ -221,21 +229,14 @@ def _cmd_beta(args, outdir: Path) -> int:
                 for orb in samples.orbits))
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
-    stages.lap("write")
-    _write_summary(
-        outdir, "beta", {"table": table.as_config(), "qmin": args.qmin,
-                         "qmax": args.qmax, "K": args.K},
-        {"c3": float(report.beta_coeffs[0]), "ell0": float(report.mm_ell[0]),
-         "perimeter": table.perimeter},
-        [str(csv_path), str(rep_path)], stages,
-    )
-    return 0
+    return (config, {"c3": float(report.beta_coeffs[0]), "ell0": float(report.mm_ell[0]),
+                     "perimeter": table.perimeter}, [csv_path, rep_path], 0)
 
 
-def _cmd_mm(args, outdir: Path) -> int:
+def _cmd_mm(args, outdir: Path, stages: _Stages):
     if args.gap_step < 1:
         raise DomainError(f"--gap-step must be >= 1, got {args.gap_step}")
-    stages, (table,), (samples,) = _sample(args, args.table)
+    config, (table,), (samples,) = _sample(args, stages, args.table)
     report = mm_fit_from_samples(samples, args.K)
     stages.lap("fit")
     rows = lq_bounds(table, range(args.qmin, args.qmax + 1, args.gap_step), samples.orbits)
@@ -247,19 +248,14 @@ def _cmd_mm(args, outdir: Path) -> int:
                  lower.residual, lower.total_newton_steps] for big, small, upper, lower in rows))
     rep_path = outdir / "invariant_report.json"
     _write_report(rep_path, report, samples)
-    stages.lap("write")
-    _write_summary(
-        outdir, "mm", {"table": table.as_config(), "qmin": args.qmin,
-                       "qmax": args.qmax, "K": args.K, "gap_step": args.gap_step},
-        {"ell0": float(report.mm_ell[0]), "perimeter": table.perimeter,
-         "max_gap": max(big - small for big, small, _, _ in rows)},
-        [str(csv_path), str(rep_path)], stages,
-    )
-    return 0
+    return ({**config, "gap_step": args.gap_step},
+            {"ell0": float(report.mm_ell[0]), "perimeter": table.perimeter,
+             "max_gap": max(big - small for big, small, _, _ in rows)},
+            [csv_path, rep_path], 0)
 
 
-def _cmd_compare(args, outdir: Path) -> int:
-    stages, (t1, t2), (s1, s2) = _sample(args, args.table, args.table2)
+def _cmd_compare(args, outdir: Path, stages: _Stages):
+    config, _, (s1, s2) = _sample(args, stages, args.table, args.table2)
     r1 = fit_normalized_beta(s1, args.K)
     r2 = fit_normalized_beta(s2, args.K)
     ratios = mm_ratio_check(r1, r2)
@@ -273,27 +269,15 @@ def _cmd_compare(args, outdir: Path) -> int:
     csv_path = outdir / "ratio_table.csv"
     _write_csv(csv_path, ("n", "measured", "predicted", "deviation"),
                ([row.n, row.measured, row.predicted, row.deviation] for row in ratios))
-    stages.lap("write")
-    _write_summary(
-        outdir, "compare",
-        {"table": t1.as_config(), "table2": t2.as_config(), "qmin": args.qmin,
-         "qmax": args.qmax, "K": args.K},
-        {"coefficients": diff,
-         "ratio_table": [row.__dict__ for row in ratios],
-         "lazutkin": [r1.lazutkin, r2.lazutkin]},
-        [str(csv_path)], stages,
-    )
-    return 0
+    return (config, {"coefficients": diff, "ratio_table": [row.__dict__ for row in ratios],
+                     "lazutkin": [r1.lazutkin, r2.lazutkin]}, [csv_path], 0)
 
 
-def _cmd_conjugacy(args, outdir: Path) -> int:
+def _cmd_conjugacy(args, outdir: Path, stages: _Stages):
     if args.threshold is not None and not (math.isfinite(args.threshold)
                                            and args.threshold >= 0.0):
         raise DomainError(f"--threshold must be finite and >= 0, got {args.threshold}")
-    stages = _Stages()
-    t1 = _load_ellipse(args.table, "conjugacy")
-    t2 = _load_ellipse(args.table2, "conjugacy")
-    stages.lap("load")
+    t1, t2 = _ellipses(args, stages)
     h = build_conjugacy(t1, t2)
     stages.lap("build")
     n_s, n_theta = args.grid
@@ -303,55 +287,34 @@ def _cmd_conjugacy(args, outdir: Path) -> int:
     _write_csv(csv_path, ("s", "theta", "residual_s", "residual_theta"),
                np.column_stack((s, th, rs, rt)).tolist())
     max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
-    stages.lap("write")
-    _write_summary(
-        outdir, "conjugacy",
-        {"table": t1.as_config(), "table2": t2.as_config(), "grid": [n_s, n_theta]},
-        {"max_residual": max_res, "max_omega_residual": h._omega_residual,
-         "theta_star": h.theta_star, "theta2_star": t2.theta_star,
-         "theta3_star": h.theta3_star},
-        [str(csv_path)], stages,
-    )
+    rc = 0
     if args.threshold is not None and not max_res <= args.threshold:
         log.error("conjugacy residual %.3e exceeds threshold %.3e", max_res, args.threshold)
-        return 4
-    return 0
+        rc = 4
+    return ({**_configs((t1, t2)), "grid": [n_s, n_theta]},
+            {"max_residual": max_res, "max_omega_residual": h._omega_residual,
+             "theta_star": h.theta_star, "theta2_star": t2.theta_star,
+             "theta3_star": h.theta3_star}, [csv_path], rc)
 
 
-def _cmd_witness(args, outdir: Path) -> int:
-    stages = _Stages()
-    t1 = _load_ellipse(args.table, "witness")
-    t2 = _load_ellipse(args.table2, "witness")
-    stages.lap("load")
+def _cmd_witness(args, outdir: Path, stages: _Stages):
+    t1, t2 = _ellipses(args, stages)
     decisions = _witness_decisions(t1, t2)
-    payload = {
-        "e1": t1.eccentricity,
-        "e2": t2.eccentricity,
-        "interval": sorted([t1.theta_star / math.pi, t2.theta_star / math.pi]),
-        "m": None,
-        "n": None,
-        "xi_root": None,
-        "u_min": None,
-    }
+    payload = {"e1": t1.eccentricity, "e2": t2.eccentricity,
+               "interval": sorted([t1.theta_star / math.pi, t2.theta_star / math.pi]),
+               "m": None, "n": None, "xi_root": None, "u_min": None}
     if decisions is not None:
         hot, cold = decisions
         payload.update({"m": hot.m, "n": hot.n, "xi_root": hot.xi_root, "u_min": cold.u_min})
     stages.lap("witness")
     json_path = outdir / "witness.json"
     _write_json(json_path, payload)
-    stages.lap("write")
-    _write_summary(outdir, "witness",
-                   {"table": t1.as_config(), "table2": t2.as_config()},
-                   payload, [str(json_path)], stages)
-    return 0
+    return _configs((t1, t2)), payload, [json_path], 0
 
 
-def _cmd_orbit(args, outdir: Path) -> int:
-    stages = _Stages()
+def _cmd_orbit(args, outdir: Path, stages: _Stages):
     table = _load(args.table)
     stages.lap("load")
-    outputs = []
-    payload = {}
     if args.pq:
         p, q = args.pq
         orb = find_orbit(table, p, q, args.orbit_class)
@@ -361,9 +324,7 @@ def _cmd_orbit(args, outdir: Path) -> int:
         _write_csv(csv_path, ("i", "s_i", "x_i", "y_i"),
                    ([i, float(si % table.perimeter), float(pt[0]), float(pt[1])]
                     for i, (si, pt) in enumerate(zip(orb.s, pts))))
-        outputs.append(str(csv_path))
-        payload.update({"length": orb.length, "beta": orb.beta,
-                        "residual": orb.residual})
+        payload = {"length": orb.length, "beta": orb.beta, "residual": orb.residual}
     else:
         theta0 = args.theta0 if args.theta0 is not None else math.pi / 4
         s, th, pts = trajectory(table, PhasePoint(args.s0, theta0), args.steps)
@@ -373,13 +334,10 @@ def _cmd_orbit(args, outdir: Path) -> int:
         _write_csv(csv_path, ("n", "s", "theta", "x", "y_plane_x", "y_plane_y"),
                    ([i, si % ell, ti, si, x, y] for i, (si, ti, x, y)
                     in enumerate(np.column_stack((s, th, pts)).tolist())))
-        outputs.append(str(csv_path))
         # the mean winding per bounce, as in dynamics.rotation_estimate
         winding = (s[-1] - s[0]) / (args.steps * table.perimeter) if args.steps else math.nan
-        payload.update({"steps": args.steps, "rotation_number": float(winding % 1.0)})
-    stages.lap("write")
-    _write_summary(outdir, "orbit", {"table": table.as_config()}, payload, outputs, stages)
-    return 0
+        payload = {"steps": args.steps, "rotation_number": float(winding % 1.0)}
+    return _configs([table]), payload, [csv_path], 0
 
 
 _COMMANDS = {
@@ -406,11 +364,16 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
-        outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, outdir)
-    except TableConfigError as exc:
-        print(f"billiards: {exc}", file=sys.stderr)
-        return 1
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+        stages = _Stages()
+        config, payload, outputs, rc = _COMMANDS[args.command](args, outdir, stages)
+        stages.lap("write")
+        _write_json(outdir / "summary.json", {
+            "tool": "billiards", "version": __version__, "command": args.command,
+            "config": config, "tolerances": TOLERANCES, "timings": stages.seconds,
+            "outputs": [str(path) for path in outputs], **payload})
+        return rc
     except ConditioningError as exc:
         print(f"billiards: fit conditioning failure: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+__all__ = ["BilliardsError", "DomainError", "BracketError", "ConvexityError",
+           "TableConfigError", "SolverError", "ConditioningError"]
+
 
 class BilliardsError(Exception):
     """Base class for all package errors."""

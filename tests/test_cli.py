@@ -492,6 +492,71 @@ class TestGoldenOutputs:
             k: summary[k] for k in ("e1", "e2", "interval", "m", "n", "xi_root", "u_min")}
 
 
+    @pytest.mark.parametrize("args, rc, stages, digests", [
+        (["beta", "--table", "{pert}", "--qmin", "10", "--qmax", "24"], 0,
+         ["load", "sample", "fit", "write"],
+         {"beta_samples.csv": "6f7ebcdb783e74911a65358c0c5e3e44dee70a9469135f14253eb6086362b4cd",
+          "invariant_report.json":
+              "bb050c73e3582876f6b651020a7ad1c115feee66097693f78590fd73cf4b6ded",
+          "summary.json": "230185738bd61bc9e3406370ed7c853aed39d34edb79cd42cdc026b2b5c09845"}),
+        (["mm", "--table", "{pert}", "--qmin", "10", "--qmax", "24", "--gap-step", "7"], 0,
+         ["load", "sample", "fit", "gaps", "write"],
+         {"mm_table.csv": "bbeca1b87caa4f44ef7b31219604f4e96e71a0cf66a722d90df99a836e88659c",
+          "invariant_report.json":
+              "bb050c73e3582876f6b651020a7ad1c115feee66097693f78590fd73cf4b6ded",
+          "summary.json": "ec282168154dbe931df97f936f1aaf66a17e02e7f4e87c3a0a8532c455bc8583"}),
+        (["mm", "--table", "{e21}", "--qmin", "10", "--qmax", "30"], 0,
+         ["load", "sample", "fit", "gaps", "write"],
+         {"mm_table.csv": "26909bd72679dc1730b26a0595bfffe452420ed8882b0680154309b869afc8a2",
+          "invariant_report.json":
+              "a9fa74654fa893a7258aa89381135028ebedfde5d14c21da8f0dc0a3bdc5535f",
+          "summary.json": "09b2f11c7d7d686ecad0a727a8cd1a5cff1866792dbebfab38df120af6342b4d"}),
+        (["compare", "--table", "{e21}", "--table2", "{e32}", "--qmin", "10", "--qmax", "40"], 0,
+         ["load", "sample", "fit", "write"],
+         {"ratio_table.csv": "c1e9042b063f370d2da4e51262a6cee63926464ca1fdc332090917cb65f32314",
+          "summary.json": "ffdf57edd57bebfe392b3229cdcb7cc9bee293955695f2bfc3cfd4cab8bf4229"}),
+        (["witness", "--table", "{e21}", "--table2", "{e32}"], 0,
+         ["load", "witness", "write"],
+         {"witness.json": "7a6b1aec728d4b2add675ad043105e9868d2cf6c651174680d50514436f996c3",
+          "summary.json": "57034cabe1273bc09f3aad6e7345e50001e4b447806a2114561314bdc0ebc1c6"}),
+        (["orbit", "--table", "{pert}", "--pq", "2", "7", "--orbit-class", "min"], 0,
+         ["load", "solve", "write"],
+         {"orbit_2_7_min.csv": "e16373b01f2e8057a3e78929e4bac7c6ce4d2044d5cd02587f03fb27fa9eef21",
+          "summary.json": "48042ae26e62dce5dd2bb6395c3c5996bc90f9236f17bc2cc5e919655c65cf69"}),
+        (["orbit", "--table", "{pert}", "--s0", "0.3", "--theta0", "1.1", "--steps", "50"], 0,
+         ["load", "iterate", "write"],
+         {"trajectory.csv": "a2bdfbaee9e01e1d2eb6e538e8b5f1b243158a6990ebc258745f01f03842388a",
+          "summary.json": "f2336edaa1351b5edc4f7dece77b9c7735bf46351470ceb14e16744cbf26fc5f"}),
+        (["conjugacy", "--table", "{e21}", "--table2", "{e32}", "--grid", "8", "4",
+          "--threshold", "0"], 4,
+         ["load", "build", "grid", "write"],
+         {"conjugacy_residuals.csv":
+              "eb78971389979f4fd2db683f8787f3452e3fea56afb69c0d44df5c7577e18f7c",
+          "summary.json": "bf987514fb8e420a4633d1ab361d1ec7823a7a06bd5658e631500021de06d00e"}),
+    ], ids=["beta", "mm-perturbed", "mm-ellipse", "compare", "witness", "orbit-pq-min",
+            "trajectory", "conjugacy-exit-4"])
+    def test_command_bytes(self, perturbed_cfg, ellipse_cfg, ellipse32_cfg, tmp_path,
+                           args, rc, stages, digests):
+        # every data file by sha256, and summary.json by the sha256 of its
+        # json.dumps (key order kept) without the run-dependent timings and
+        # outputs; the stage names are pinned on their own
+        tables = {"pert": perturbed_cfg, "e21": ellipse_cfg, "e32": ellipse32_cfg}
+        out = tmp_path / "out"
+        assert main([a.format(**tables) for a in args] + ["--out", str(out)]) == rc
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        summary = read_summary(out)
+        assert list(summary.pop("timings")) == stages
+        del summary["outputs"]
+        got["summary.json"] = hashlib.sha256(json.dumps(summary).encode()).hexdigest()
+        assert got == digests
+
+    def test_bad_q_range_writes_no_summary(self, perturbed_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["beta", "--table", perturbed_cfg, "--qmin", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "billiards: q_min must be >= 5, got 3\n"
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("rows", [
     [[0, 1.5, True, 1e16, 1e-300],
      [np.int64(7), np.float64(0.1), False, math.nan, math.inf],
@@ -719,6 +784,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"billiards: --threads must be >= 1, got {threads}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_unwritable_out_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "sub" if under else blocker
+        rc = main(["witness", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"billiards: cannot write {out}: ") and err.count("\n") == 1
+        assert blocker.read_text() == "x"
+
+    def test_unwritable_output_file_is_1(self, ellipse_cfg, ellipse32_cfg, tmp_path, capsys):
+        # a directory where the data file goes: open() fails inside the command
+        out = tmp_path / "o"
+        (out / "witness.json").mkdir(parents=True)
+        rc = main(["witness", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"billiards: cannot write {out / 'witness.json'}: ")
+        assert err.count("\n") == 1 and not (out / "summary.json").exists()
+
+    def test_computation_oserror_is_not_relabelled(self, ellipse_cfg, ellipse32_cfg,
+                                                   tmp_path, monkeypatch):
+        def failing(*a, **k):
+            raise OSError("raised by the computation")
+
+        monkeypatch.setattr(cli, "_witness_decisions", failing)
+        with pytest.raises(OSError, match="raised by the computation"):
+            main(["witness", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                  "--out", str(tmp_path / "o")])
 
     def test_version_flag(self, capsys):
         rc = main(["--version"])

@@ -5,6 +5,7 @@ import pytest
 
 from billiards import (
     BetaSamples,
+    CircleTable,
     ConditioningError,
     DomainError,
     fit_normalized_beta,
@@ -144,6 +145,14 @@ class TestMarviziMelrose:
             assert np.array_equal(serial.beta, parallel.beta)
             assert ([(orb.converged, len(orb.candidates)) for orb in serial.orbits]
                     == [(orb.converged, len(orb.candidates)) for orb in parallel.orbits])
+
+    def test_circle_beta_beyond_p_one(self):
+        # (2, q) orbits: beta(2/q) = -2 R sin(2 pi / q) on odd q >= 5
+        samples = sample_beta(CircleTable(1.3), 5, 15, p=2)
+        assert samples.q.tolist() == [5, 7, 9, 11, 13, 15]
+        assert np.all(samples.omega == 2.0 / samples.q)
+        err = np.abs(samples.beta + 2.0 * 1.3 * np.sin(2.0 * math.pi / samples.q))
+        assert err.max() <= 1e-15
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, circle, workers):
