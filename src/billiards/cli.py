@@ -146,11 +146,16 @@ class _Stages:
 
 @contextlib.contextmanager
 def _writing(path: Path):
-    """An OSError inside becomes a BilliardsError (exit 1) naming path."""
+    """Makes the directory of path, so a refused command leaves no --out
+    behind.  An OSError in making it becomes a BilliardsError (exit 1)
+    naming the directory, one inside naming path."""
+    failed = path.parent
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        failed = path
         yield
     except OSError as exc:
-        raise BilliardsError(f"cannot write {path}: {exc}") from exc
+        raise BilliardsError(f"cannot write {failed}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -364,8 +369,6 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
-        with _writing(outdir):
-            outdir.mkdir(parents=True, exist_ok=True)
         stages = _Stages()
         config, payload, outputs, rc = _COMMANDS[args.command](args, outdir, stages)
         stages.lap("write")

@@ -189,7 +189,9 @@ class ConjugacyMap:
         # theta3*: pull the strip boundary back through the rotation matching.
         # The rotation number is arbitrarily steep in lambda near the strip
         # top, so only a modest residual in omega is representable; the
-        # corresponding lambda (hence theta3*) is still ulp-accurate.
+        # corresponding lambda (hence theta3*) is still ulp-accurate.  This
+        # scalar inversion runs in Python floats after one 2-element call at
+        # the bracket ends, with the array path's bits (elliptic docstring).
         try:
             lam2_max = invert_monotone(
                 lambda lam: rotation_number_of_caustic(table2, lam),

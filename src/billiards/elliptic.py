@@ -13,6 +13,16 @@ Every function takes arrays and broadcasts its arguments; a scalar input
 returns a float.  The iterative ones (duplication, Newton, root finding)
 stop each element at its own convergence test, so element i of an array
 call equals the scalar call on element i bit for bit.
+
+Scalar work runs in Python floats, where numpy's per-call dispatch would
+cost more than the arithmetic: carlson_rf on at most RF_FLOAT_COLUMNS
+columns, F and K on one amplitude and modulus, invert_monotone on one
+target and bracket.  These paths repeat the array loops' operations in
+the same order; +, -, *, / and sqrt are correctly rounded in IEEE 754
+arithmetic, so they give the same bits.  sin and cos stay numpy's, and
+invert_monotone hands f 0-d arrays, so that f runs numpy's array loops
+(a Python float's x ** 3 can round differently).  Inputs out of domain
+take the array path, which raises.
 """
 
 from __future__ import annotations
@@ -45,10 +55,20 @@ _RF_SPREAD = 2.0e-3
 # Relative x-tolerance added to xtol in invert_monotone (4 ulp).
 _RTOL = 4.0 * np.finfo(float).eps
 
+# carlson_rf runs calls of at most this many columns through the float
+# kernel _rf_float, column by column, and larger ones through the array
+# loop.  On caustic-chart arguments (2-vCPU host, timeit minima per call)
+# the kernel took 8 us for 1 column, 54 for 16, 77 for 24 and 105 for 32,
+# the array loop 84-109 us at every one of these sizes; they cross near
+# 28 columns, and at 16 the kernel is still 1.5x faster.
+RF_FLOAT_COLUMNS = 16
+
 
 def _arrays(*args):
     """Broadcast the arguments to float arrays of one shape."""
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    arrays = [np.asarray(v, dtype=float) for v in args]
+    # broadcast_arrays returns equal shapes as they are, after a slower check
+    return arrays if len({a.shape for a in arrays}) == 1 else np.broadcast_arrays(*arrays)
 
 
 def carlson_rf(x, y, z):
@@ -58,6 +78,15 @@ def carlson_rf(x, y, z):
     accurate to a few ulp.
     """
     x, y, z = _arrays(x, y, z)
+    if x.size <= RF_FLOAT_COLUMNS:
+        # A column out of domain, or one whose subnormal arguments reach
+        # 0/0, sends the call to the array loop, which raises or warns.
+        try:
+            out = list(map(_rf_float, x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist()))
+        except ZeroDivisionError:
+            out = [None]
+        if None not in out:
+            return np.array(out).reshape(x.shape) if x.ndim else out[0]
     v = np.array((x, y, z)).reshape(3, x.size)
     # One pass for both checks (NaN fails both comparisons); the messages
     # come from the two _require calls, run only when it fails.
@@ -95,6 +124,29 @@ def carlson_rf(x, y, z):
     return out if out.ndim else float(out)
 
 
+def _rf_float(x, y, z):
+    # One column of carlson_rf's array loop in Python floats: the same
+    # operations in the same order, each correctly rounded, so the same bits.
+    # None when the column is out of domain.
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf and 0.0 <= z < math.inf) or (
+            (x == 0.0) + (y == 0.0) + (z == 0.0) > 1):
+        return None
+    for _ in range(300):
+        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = rx * ry + ry * rz + rz * rx
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mu = (x + y + z) / 3.0
+        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+        if max(abs(dx), abs(dy), abs(dz)) < _RF_SPREAD:
+            break
+    else:  # pragma: no cover
+        raise SolverError("carlson_rf: duplication did not converge")
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+    return series / math.sqrt(mu)
+
+
 def _check_modulus(k) -> None:
     _require((k >= 0.0) & (k < 1.0), "modulus k must satisfy 0 <= k < 1", k)
 
@@ -106,12 +158,16 @@ def ellip_k(k):
     return _rf_principal(0.0, k)
 
 
+def _rf_args(c, k):
+    # Arguments of the R_F factor of F = sin(phi) R_F on the principal
+    # branch phi in [-pi/2, pi/2], c = cos(phi); c = 0 gives K(k) exactly.
+    # 1 - (k sin)^2 is written k'^2 + (k cos)^2, which does not cancel near
+    # k = 1, phi = pi/2.
+    return c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0
+
+
 def _rf_principal(c, k):
-    # R_F factor of F = sin(phi) R_F on the principal branch phi in
-    # [-pi/2, pi/2], c = cos(phi); c = 0 gives K(k) exactly.  1 - (k sin)^2
-    # is written k'^2 + (k cos)^2, which does not cancel near k = 1,
-    # phi = pi/2.
-    return carlson_rf(c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0)
+    return carlson_rf(*_rf_args(c, k))
 
 
 def _f_and_k(phi, k, need_k=True):
@@ -120,6 +176,8 @@ def _f_and_k(phi, k, need_k=True):
     (broadcast to the shape of phi and k) or where the amplitude is wound,
     and is NaN elsewhere."""
     phi, k = _arrays(phi, k)
+    if not phi.ndim and 0.0 <= k < 1.0 and math.isfinite(phi):
+        return _f_and_k_float(float(phi), float(k), bool(need_k))
     _check_modulus(k)
     _require(np.isfinite(phi), "ellip_f: amplitude must be finite", phi)
     # Nearest multiple of pi, ties toward zero: |phi| = pi/2 stays on the
@@ -139,6 +197,22 @@ def _f_and_k(phi, k, need_k=True):
     bigk = bigk.reshape(phi.shape)
     f[wound] += 2.0 * n[wound] * bigk[wound]
     return f, bigk
+
+
+def _f_and_k_float(phi, k, need_k):
+    # _f_and_k on one valid (phi, k) in Python floats, with the array
+    # path's roundings: math.ceil is exact, phi + 0.0 is what the zero n
+    # leaves (-0.0 turns +0.0), and sin and cos stay numpy's.
+    c = math.ceil(abs(phi) / math.pi - 0.5)
+    n = math.copysign(float(c), phi)
+    phi0 = (phi - n * _PI_HI) - n * _PI_LO if c else phi + 0.0
+    cos0, sin0 = float(np.cos(phi0)), float(np.sin(phi0))
+    if not (need_k or c):
+        return np.asarray(sin0 * carlson_rf(*_rf_args(cos0, k))), np.asarray(math.nan)
+    (x0, y0, _), (x1, y1, _) = _rf_args(cos0, k), _rf_args(0.0, k)
+    rf, bigk = carlson_rf((x0, x1), (y0, y1), (1.0, 1.0)).tolist()
+    f = sin0 * rf + 2.0 * n * bigk if c else sin0 * rf
+    return np.asarray(f), np.asarray(bigk)
 
 
 def ellip_f(phi, k):
@@ -235,6 +309,10 @@ def invert_monotone(
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise DomainError(f"invert_monotone: bad bracket {bracket!r}")
     shape = target.shape
+    if not shape:
+        fab = [float(v) for v in fab] if fab else np.asarray(
+            f(np.array((float(a), float(b)))), dtype=float).tolist()
+        return _brent_float(f, float(target), float(a), float(b), *fab, atol, xtol)
     target, a, b = target.ravel(), a.ravel(), b.ravel()
     # Both bracket ends in one evaluation of f.
     fa, fb = (v.ravel() for v in fab) if fab else np.split(
@@ -308,4 +386,49 @@ def invert_monotone(
         step = np.where(small | (np.abs(scur) > delta), scur, np.copysign(delta, sbis))
         xcur = xcur + step
         fcur = np.asarray(f(xcur), dtype=float) - tgt
+    raise SolverError("invert_monotone: no convergence in 300 iterations")
+
+
+def _brent_float(f, target, a, b, fa, fb, atol, xtol):
+    # invert_monotone's iteration on one element in Python floats: the
+    # array loop's comparisons and roundings step by step, so the same
+    # root, or the same error, bit for bit.
+    ga, gb = fa - target, fb - target
+    if ga * gb > 0.0:
+        raise BracketError(
+            f"invert_monotone: no sign change on [{a!r}, {b!r}] for target {target!r}")
+    if ga == 0.0 or gb == 0.0:
+        return a if ga == 0.0 else b
+    xpre, xcur, fpre, fcur = a, b, ga, gb
+    xblk, fblk = xpre, fpre
+    spre = scur = xcur - xpre
+    for _ in range(300):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, fpre = xcur, fcur
+            xcur, xblk = xblk, xcur
+            fcur, fblk = fblk, fpre
+
+        delta = 0.5 * (xtol + _RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        small = abs(sbis) < delta
+        good = abs(fcur) <= atol
+        mid = xcur + sbis
+        if fcur == 0.0 or (small and good) or mid == xcur or mid == xblk:
+            if not good and fcur != 0.0:
+                raise SolverError(f"invert_monotone: residual {abs(fcur):.3e} above "
+                                  f"atol={atol!r} at ulp resolution")
+            return xcur
+
+        interp = abs(spre) > delta and abs(fcur) < abs(fpre) and not small
+        stry = -fcur * (xcur - xpre) / (fcur - fpre) if interp else 0.0
+        if interp and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur = xcur + (scur if small or abs(scur) > delta else math.copysign(delta, sbis))
+        fcur = float(f(np.array(xcur))) - target
     raise SolverError("invert_monotone: no convergence in 300 iterations")

@@ -550,11 +550,25 @@ class TestGoldenOutputs:
         got["summary.json"] = hashlib.sha256(json.dumps(summary).encode()).hexdigest()
         assert got == digests
 
-    def test_bad_q_range_writes_no_summary(self, perturbed_cfg, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["beta", "--table", perturbed_cfg, "--qmin", "3", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "billiards: q_min must be >= 5, got 3\n"
-        assert list(out.iterdir()) == []
+    def test_bad_q_range_writes_no_summary(self, perturbed_cfg, ellipse_cfg, ellipse32_cfg,
+                                           tmp_path, capsys):
+        # a command refused for its own arguments leaves no --out behind
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops")
+        for i, (args, err) in enumerate([
+            (["beta", "--table", perturbed_cfg, "--qmin", "3"], "q_min must be >= 5, got 3"),
+            (["mm", "--table", perturbed_cfg, "--gap-step", "0"],
+             "--gap-step must be >= 1, got 0"),
+            (["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg, "--threshold", "-1"],
+             "--threshold must be finite and >= 0, got -1.0"),
+            (["witness", "--table", str(bad), "--table2", ellipse32_cfg],
+             f"table file {bad} is not valid JSON: "),
+        ]):
+            out = tmp_path / f"out{i}"
+            assert main(args + ["--out", str(out)]) == 1
+            msg = capsys.readouterr().err
+            assert msg.startswith(f"billiards: {err}") and msg.count("\n") == 1
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("rows", [

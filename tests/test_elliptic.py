@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import billiards.elliptic as elliptic
 from billiards import (
     BracketError,
     DomainError,
+    SolverError,
     carlson_rf,
     ellip_f,
     ellip_fk,
@@ -192,8 +194,6 @@ class TestEllipFK:
         self._same(1.2, np.array([[0.0], [0.3], [0.9]]))
 
     def test_one_pass(self, monkeypatch):
-        import billiards.elliptic as elliptic
-
         calls, rf = [], elliptic.carlson_rf
         monkeypatch.setattr(elliptic, "carlson_rf", lambda *a: calls.append(1) or rf(*a))
         ellip_fk(np.linspace(-9.0, 9.0, 25), 0.6)
@@ -373,3 +373,122 @@ class TestBatchIndependence:
     def test_one_unbracketed_element_raises(self):
         with pytest.raises(BracketError):
             invert_monotone(lambda x: x, [0.5, 5.0], (0.0, 1.0))
+
+
+def _hex(v):
+    return [float(x).hex() for x in np.ravel(v)]
+
+
+def _outcome(call):
+    """(result type, float.hex of every value) or (error type, message)."""
+    try:
+        out = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), _hex(out)
+
+
+class TestFloatPath:
+    """Scalar evaluations run in Python floats: carlson_rf on at most
+    RF_FLOAT_COLUMNS columns, _f_and_k on 0-d inputs and invert_monotone
+    on a scalar target and bracket.  Each exit matches the array path's, in
+    float.hex, in type and in message."""
+
+    @pytest.mark.parametrize("n", [1, elliptic.RF_FLOAT_COLUMNS, elliptic.RF_FLOAT_COLUMNS + 1])
+    def test_carlson_rf_on_both_sides_of_the_column_limit(self, n, monkeypatch):
+        rng = np.random.default_rng(60 + n)
+        x, y, z = 10.0 ** rng.uniform(-8.0, 8.0, (3, 40 * n))
+        x[::3] = 0.0
+        kernel, kernel_calls = elliptic._rf_float, []
+        monkeypatch.setattr(elliptic, "_rf_float",
+                            lambda *c: kernel_calls.append(1) or kernel(*c))
+        got = [carlson_rf(*cols) for cols in np.split(np.stack((x, y, z)), 40, axis=1)]
+        assert len(kernel_calls) == (40 * n if n <= elliptic.RF_FLOAT_COLUMNS else 0)
+        scalar = [carlson_rf(*v) for v in zip(x, y, z)]
+        assert all(isinstance(v, float) for v in scalar)
+        monkeypatch.setattr(elliptic, "RF_FLOAT_COLUMNS", 0)
+        assert _hex(np.concatenate(got)) == _hex(carlson_rf(x, y, z)) == _hex(scalar)
+
+    @pytest.mark.parametrize("args", [
+        (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (0.0, 0.0, 1.0),
+        (0.0, 5e-324, 5e-324),  # 0/0 after one duplication: numpy's NaN and warning
+    ], ids=["negative", "nan", "inf", "two-zeros", "subnormal"])
+    def test_carlson_rf_out_of_domain(self, args):
+        with np.errstate(invalid="ignore"):
+            scalar = _outcome(lambda: carlson_rf(*args))
+            array = _outcome(lambda: carlson_rf(*([v] for v in args)))
+        assert scalar[0] in (float, DomainError) and scalar[1] == array[1]
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0 - 1e-12])
+    def test_ellip_fk_scalar_is_the_array_path(self, k, monkeypatch):
+        # wound amplitudes, the ties at +-pi/2 and 3 pi/2 that stay on the
+        # lower branch, and signed zeros
+        phi = [7.3, -7.3, 40.0, math.pi / 2, -math.pi / 2, 1.5 * math.pi,
+               np.nextafter(math.pi / 2, 4.0), 0.0, -0.0, 1e-300, -1e-300]
+        scalar = [(ellip_fk(p, k), ellip_f(p, k)) for p in phi]
+        for (f, bigk), f_only in scalar:
+            assert isinstance(f, float) and isinstance(bigk, float) and isinstance(f_only, float)
+        monkeypatch.setattr(elliptic, "RF_FLOAT_COLUMNS", 0)
+        f, bigk = ellip_fk(np.array(phi), k)
+        assert [_hex(v[0]) for v, _ in scalar] == [_hex(v) for v in f]
+        assert [_hex(v[1]) for v, _ in scalar] == [_hex(v) for v in bigk]
+        assert [_hex(v) for _, v in scalar] == [_hex(v) for v in ellip_f(np.array(phi), k)]
+
+    @pytest.mark.parametrize("phi, k", [(0.5, 1.0), (0.5, -0.1), (math.nan, 0.5),
+                                        (math.inf, 0.5), (0.5, math.nan)])
+    def test_ellip_fk_rejects_like_the_array_path(self, phi, k):
+        assert _outcome(lambda: ellip_fk(phi, k)) == _outcome(lambda: ellip_fk([phi], [k]))
+
+    @staticmethod
+    def _both(f, target, bracket, **kw):
+        """invert_monotone's outcome on a float target and on its 1-element
+        array; a returned value is compared as float.hex."""
+        scalar = _outcome(lambda: invert_monotone(f, target, bracket, **kw))
+        array = _outcome(lambda: invert_monotone(f, [target], bracket, **kw))
+        assert scalar[1] == array[1]
+        return scalar, array
+
+    def test_invert_bracket_error(self):
+        scalar, array = self._both(np.sinh, 5000.0, (0.0, 1.0))
+        assert scalar[0] is array[0] is BracketError
+        assert scalar[1].startswith("invert_monotone: no sign change on [0.0, 1.0]")
+
+    def test_invert_stuck_above_atol(self):
+        # a jump of 1 at x = 0.3 that the target falls into
+        def step(x):
+            return np.where(x < 0.3, x, x + 1.0)
+
+        scalar, array = self._both(step, 0.8, (0.0, 1.0))
+        assert scalar[0] is array[0] is SolverError
+        assert "above atol=1e-10 at ulp resolution" in scalar[1]
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["evaluated", "fbracket"])
+    def test_invert_root_at_a_bracket_end(self, supplied):
+        lo, hi = -5.0, 6.0
+        kw = {"fbracket": (np.sinh(lo), np.sinh(hi))} if supplied else {}
+        for target, end in ((float(np.sinh(lo)), lo), (float(np.sinh(hi)), hi)):
+            scalar, array = self._both(np.sinh, target, (lo, hi), **kw)
+            assert scalar == (float, _hex(end)) and array[0] is np.ndarray
+
+    def test_invert_evaluates_zero_d_arrays(self):
+        # After the bracket ends (one 2-element call) f sees 0-d arrays, on
+        # which numpy runs its array loops: x ** 3 rounds differently on a
+        # Python float or np.float64 than on an array.
+        seen = []
+
+        def cube(x):
+            seen.append(np.shape(x))
+            return x ** 3
+
+        invert_monotone(cube, 1.0, (-5.0, 5.0))
+        assert seen[0] == (2,) and len(seen) > 2 and set(seen[1:]) == {()}
+
+    @pytest.mark.parametrize("f", [np.sinh, np.arctan, lambda x: np.tanh(5.0 * x),
+                                   lambda x: x ** 3], ids=["sinh", "arctan", "tanh", "cube"])
+    def test_invert_scalar_steps_like_the_array_loop(self, f):
+        # flat and steep stretches make the secant step fall back to
+        # bisection
+        target = f(np.random.default_rng(62).uniform(-3.0, 4.0, 200))
+        kw = {"atol": 1e-12, "xtol": 1e-15}
+        scalar = [invert_monotone(f, t, (-3.0, 4.0), **kw) for t in target]
+        assert _hex(scalar) == _hex(invert_monotone(f, target, (-3.0, 4.0), **kw))
