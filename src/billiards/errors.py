@@ -42,8 +42,8 @@ class ConditioningError(BilliardsError, RuntimeError):
 
 
 def _require(ok, message: str, values) -> None:
-    """Raise DomainError unless ok holds for every element; the message
-    ends with the first element of values (broadcast to ok) that fails."""
-    if not np.all(ok):
+    """Raise DomainError unless ok holds everywhere (a scalar True skips np.all's microseconds);
+    the message ends with the first element of values (broadcast to ok) that fails."""
+    if not (ok is True or ok is np.True_ or np.all(ok)):
         bad = np.broadcast_to(values, np.shape(ok))[~np.asarray(ok)]
         raise DomainError(f"{message}, got {float(bad.flat[0])!r}")

@@ -5,17 +5,17 @@ angle t in [0, 2*pi) and exposed through arc length s.  A table states its
 geometry in two methods: speed |dgamma/dt|, and frame, which returns the
 position, unit tangent, curvature, speed and d speed/dt from one evaluation
 of the boundary; position and dspeed are views of frame.  Construction makes
-one evaluation, _arc_integrands, on the nodes of composite Gauss panels in t:
+one evaluation, _arc_integrands, on the nodes of composite Gauss panels in t
+(a grid built with its sin and cos once per process, shared by every table):
 speed's integrand gives the monotone arc-length lookup (refined by a local
 Newton polish on inversion) and the perimeter, and frame's curvature and speed
 check kappa > 0 (the perturbed circle also r > 0) and sum the Lazutkin perimeter
 lambda = integral of kappa^(2/3) ds, with its per-panel sums kept as knots of
 the Lazutkin coordinate (the orbit solver's starts on integrable tables).  The
 circle has all of them in closed form.  Tables are immutable after construction
-and safe to share across workers.  The bounce,
-Table.chord_exit, solves for the half-step h to t0 + 2h: in closed form, or on
-the perturbed circle by one Newton solve per point in Python floats, free of
-O(1) cancellation.
+and safe to share across workers.  The bounce, Table.chord_exit, solves for the
+half-step h to t0 + 2h: in closed form, or on the perturbed circle by one
+Newton solve per point in Python floats, free of O(1) cancellation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvexityError, SolverError, TableConfigError, _require
+from .errors import ConvexityError, DomainError, SolverError, TableConfigError, _require
 
 __all__ = [
     "Table",
@@ -41,6 +41,13 @@ TWO_PI = 2.0 * math.pi
 
 _N_PANELS = 1024
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The arc tables' panel knots, Gauss nodes with sin and cos, and weights: shared, read-only.
+_T_KNOTS, _PANEL_H = np.linspace(0.0, TWO_PI, _N_PANELS + 1, retstep=True)
+_GRID_T = 0.5 * (_T_KNOTS[:-1] + _T_KNOTS[1:])[:, None] + 0.5 * _PANEL_H * _GL_NODES[None, :]
+_GRID = (_GRID_T, np.sin(_GRID_T), np.cos(_GRID_T))  # _arc_integrands' argument
+_GRID_W = 0.5 * _PANEL_H * _GL_WEIGHTS[None, :]
+for _a in (_T_KNOTS, _GRID_W) + _GRID:
+    _a.flags.writeable = False
 CHORD_TOL = 1e-13  # relative Newton step |dh|/h that stops PerturbedCircleTable.chord_exit
 # Largest |s(t) - s| per unit perimeter that angle_of_arc accepts; dense grids
 # on ellipses down to b/a = 0.01 and on perturbed circles reach 2.4e-16.
@@ -53,14 +60,15 @@ class Table:
     kind = "abstract"
     # Integrable tables have one length per (p, q) orbit family with q > 2.
     integrable = False
+    _t_knots, _panel_h = _T_KNOTS, _PANEL_H
 
     def __init__(self):
         self._build_arc_tables()
 
     # -- subclass surface --------------------------------------------------
     # A table defines speed, frame, chord_exit, scaled, as_config and, unless its
-    # arc tables are closed-form, _arc_integrands(t) -> (speed, kappa, frame's speed)
-    # from the formulas of speed and frame; position and dspeed are views of frame.
+    # arc tables are closed-form, _arc_integrands((t, sin t, cos t)) -> (speed, kappa,
+    # frame's speed) from the formulas of speed and frame; position and dspeed are views of frame.
 
     def speed(self, t):
         """|dgamma/dt| at angle parameter t; vectorized."""
@@ -89,24 +97,17 @@ class Table:
     # -- construction helpers ----------------------------------------------
 
     def _build_arc_tables(self):
-        """Arc-length lookup, perimeter and Lazutkin perimeter from one set
-        of Gauss nodes; raises ConvexityError where kappa <= 0."""
-        knots = np.linspace(0.0, TWO_PI, _N_PANELS + 1)
-        h = knots[1] - knots[0]
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        tt = mids[:, None] + 0.5 * h * _GL_NODES[None, :]
-        gw = 0.5 * h * _GL_WEIGHTS[None, :]
-        v, kappa, w = self._arc_integrands(tt)
-        self._t_knots = knots
-        self._panel_h = h
-        self._s_knots = np.concatenate([[0.0], np.cumsum((v * gw).sum(axis=1))])
+        """Arc-length lookup, perimeter and Lazutkin perimeter from one evaluation
+        on the shared Gauss grid; raises ConvexityError where kappa <= 0."""
+        v, kappa, w = self._arc_integrands(_GRID)
+        self._s_knots = np.concatenate([[0.0], np.cumsum((v * _GRID_W).sum(axis=1))])
         self._perimeter = float(self._s_knots[-1])
         if np.min(kappa) <= 0.0:
             raise ConvexityError(
                 f"{self.kind}: curvature reaches {np.min(kappa):.3e}; "
                 "table is not strictly convex"
             )
-        dz = kappa ** (2.0 / 3.0) * w * gw
+        dz = kappa ** (2.0 / 3.0) * w * _GRID_W
         self._lazutkin = float(dz.sum())
         # Lazutkin coordinate z(t) = integral of kappa^(2/3) ds at the knots;
         # the panel sums as a product with ones cost a third of sum(axis=1).
@@ -294,8 +295,8 @@ class EllipseTable(Table):
         tan = np.stack([-self.a * st / w, self.b * ct / w], axis=-1)
         return pos, tan, kappa, w, self.c2 * st * ct / w
 
-    def _arc_integrands(self, t):
-        kappa, w = self._kappa_w(np.sin(t), np.cos(t))
+    def _arc_integrands(self, grid):
+        kappa, w = self._kappa_w(grid[1], grid[2])
         return w, kappa, w  # speed is w, bit for bit
 
     def chord_exit(self, t0, theta):
@@ -384,11 +385,11 @@ class PerturbedCircleTable(Table):
         tan = np.stack([dx / w, dy / w], axis=-1)
         return pos, tan, kappa, w, (r * r1 + r1 * r2) / np.sqrt(r * r + r1 * r1)
 
-    def _arc_integrands(self, t):
-        r, r1, r2 = self._radial(t)
+    def _arc_integrands(self, grid):
+        r, r1, r2 = self._radial(grid[0])
         if np.min(r) <= 0.0:  # the caller checks kappa > 0
             raise ConvexityError("radial profile reaches zero; not a closed convex curve")
-        _, _, w, kappa = self._velocity(r, r1, r2, np.cos(t), np.sin(t))
+        _, _, w, kappa = self._velocity(r, r1, r2, grid[2], grid[1])
         return np.sqrt(r * r + r1 * r1), kappa, w  # speed's bits can differ from w's
 
     def chord_exit(self, t0, theta):
@@ -470,26 +471,40 @@ class PerturbedCircleTable(Table):
         }
 
 
+def _numbers(obj, where, keys, others=()):
+    """obj's values at keys as floats (a missing phase is 0); raises TableConfigError
+    naming a key of obj outside keys and others, or a value that is not a JSON number."""
+    for key in obj:
+        if key not in keys + others:
+            raise TableConfigError(f"{where} config has undocumented field {key!r}")
+    values = [obj.get(key, 0.0) if key == "phase" else obj[key] for key in keys]
+    for key, value in zip(keys, values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TableConfigError(f"{where} config field {key!r} must be a number, got {value!r}")
+    return [float(value) for value in values]
+
+
 def table_from_config(cfg: dict) -> Table:
-    """Build a table from a parsed JSON description."""
+    """Build a table from a parsed JSON description: an object with a known kind,
+    only the fields README documents for it, and JSON numbers in them."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise TableConfigError("table config must be an object with a 'kind' field")
     kind = cfg["kind"]
     try:
         if kind == "circle":
-            return CircleTable(float(cfg["R"]))
+            return CircleTable(*_numbers(cfg, kind, ("R",), ("kind",)))
         if kind == "ellipse":
-            return EllipseTable(float(cfg["a"]), float(cfg["b"]))
+            return EllipseTable(*_numbers(cfg, kind, ("a", "b"), ("kind",)))
         if kind == "perturbed_circle":
-            harmonics = [
-                (h["m"], h["eps"], h.get("phase", 0.0)) for h in cfg.get("harmonics", [])
-            ]
-            return PerturbedCircleTable(float(cfg["R"]), harmonics)
+            radius, = _numbers(cfg, kind, ("R",), ("kind", "harmonics"))
+            harmonics = cfg.get("harmonics", [])
+            if not (isinstance(harmonics, list) and all(isinstance(h, dict) for h in harmonics)):
+                raise TableConfigError("table config field 'harmonics' must be a list of objects")
+            return PerturbedCircleTable(
+                radius, [_numbers(h, "harmonic", ("m", "eps", "phase")) for h in harmonics])
     except KeyError as exc:
         raise TableConfigError(f"table config missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConvexityError):
-            raise
+    except (DomainError, OverflowError) as exc:  # non-finite or fractional; an int past float
         raise TableConfigError(f"bad table config value: {exc}") from exc
     raise TableConfigError(f"unknown table kind {kind!r}")
 

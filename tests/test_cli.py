@@ -739,7 +739,11 @@ class TestExitCodes:
         '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": NaN}]}',
         '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": 0.05, "phase": NaN}]}',
         '{"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 2.5, "eps": 0.05}]}',
-    ], ids=["circle-nan", "circle-inf", "ellipse-inf", "eps-nan", "phase-nan", "m-fraction"])
+        '{"kind": "perturbed_circle", "R": 1.0, "harmonic": [{"m": 3, "eps": 0.05}]}',
+        '{"kind": "ellipse", "a": true, "b": 1.0}',
+        '{"kind": "perturbed_circle", "R": 1.0, "harmonics": {"m": 3}}',
+    ], ids=["circle-nan", "circle-inf", "ellipse-inf", "eps-nan", "phase-nan", "m-fraction",
+            "misspelled-field", "bool-value", "harmonics-object"])
     def test_bad_table_value_is_1(self, tmp_path, capsys, text):
         path = tmp_path / "table.json"
         path.write_text(text)

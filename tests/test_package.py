@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import billiards
 from billiards import dynamics, ellipse_maps, elliptic, errors, invariants, orbits, tables
 
@@ -36,3 +39,24 @@ def test_package_reexports_each_module_all():
         assert len(module.__all__) == len(set(module.__all__)), module.__name__
         for name in module.__all__:
             assert getattr(billiards, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("ok,values,shown", [
+    (False, 2.0, "2.0"),
+    (np.array(2.0) < 1.0, np.array(2.0), "2.0"),
+    (np.array([1.0, 2.0, 3.0]) < 2.0, [1.0, 2.0, 3.0], "2.0"),
+    (np.array(False), np.array(np.nan), "nan"),
+], ids=["bool", "np-bool", "array", "0-d-array"])
+def test_require_failure(ok, values, shown):
+    # Each kind of condition fails with the same type and message; the first
+    # failing element of values is shown.
+    assert isinstance(ok, (bool, np.bool_, np.ndarray))
+    with pytest.raises(errors.DomainError) as info:
+        errors._require(ok, "x must be small", values)
+    assert str(info.value) == f"x must be small, got {shown}"
+
+
+@pytest.mark.parametrize("ok", [True, np.array(0.5) < 1.0, np.array([True, True]), np.array(True)],
+                         ids=["bool", "np-bool", "array", "0-d-array"])
+def test_require_holds(ok):
+    assert errors._require(ok, "never shown", 0.0) is None

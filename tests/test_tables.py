@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import billiards
+from billiards import tables
 from billiards import (
     CircleTable,
     ConvexityError,
@@ -225,6 +226,34 @@ class TestConstruction:
                                    0.5 * (table._t_knots[:-1] + table._t_knots[1:]) - 2 * TWO_PI,
                                    rtol=0.0, atol=1e-13)
         assert isinstance(table.angle_of_lazutkin(0.25 * lam), float)
+
+    @pytest.mark.parametrize("name", ["_T_KNOTS", "_GRID_T", "_GRID_SIN", "_GRID_COS", "_GRID_W"])
+    def test_shared_grid_is_read_only(self, name):
+        grid = {"_T_KNOTS": tables._T_KNOTS, "_GRID_W": tables._GRID_W,
+                **dict(zip(["_GRID_T", "_GRID_SIN", "_GRID_COS"], tables._GRID))}
+        with pytest.raises(ValueError, match="read-only"):
+            grid[name][0] = 1.0
+
+    def test_tables_share_the_grid(self):
+        one, two = EllipseTable(2.0, 1.0), PerturbedCircleTable(1.0, [(3, 0.05, 0.0)])
+        assert one._t_knots is two._t_knots is tables._T_KNOTS
+        assert one._panel_h is two._panel_h
+
+    def test_rebuild_after_many_tables_same_bits(self):
+        # 49 builds of mixed kinds between two builds of one table change none of its bytes.
+        def build():
+            return PerturbedCircleTable(1.3, [(2, 0.02, 0.3), (3, -0.01, 1.1)])
+
+        def digest(table):
+            return (np.float64(table.perimeter).tobytes(), table._s_knots.tobytes(),
+                    table._z_knots.tobytes())
+
+        makers = [lambda i: EllipseTable(2.0, 0.02 + 0.02 * i), lambda i: CircleTable(1.0 + i),
+                  lambda i: PerturbedCircleTable(1.0, [(2 + i % 4, 0.001 * (i % 7), 0.1 * i)])]
+        first = digest(build())
+        for i in range(49):
+            makers[i % 3](i)
+        assert digest(build()) == first
 
     def test_imports_without_scipy(self):
         src = str(Path(billiards.__file__).resolve().parents[1])
@@ -488,6 +517,49 @@ class TestConfig:
         table = table_from_config({"kind": "perturbed_circle", "R": 1.0,
                                    "harmonics": [{"m": 3.0, "eps": 0.05}]})
         assert table.as_config()["harmonics"] == [{"m": 3, "eps": 0.05, "phase": 0.0}]
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"kind": "perturbed_circle", "R": 1.0, "harmonic": [{"m": 3, "eps": 0.05}]},
+         "harmonic"),
+        ({"kind": "circle", "R": 1.0, "r": 2.0}, "r"),
+        ({"kind": "ellipse", "a": 2.0, "b": 1.0, "harmonics": []}, "harmonics"),
+        ({"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": 0.05, "phi": 1.0}]},
+         "phi"),
+    ], ids=["misspelled-harmonics", "circle-extra", "ellipse-harmonics", "harmonic-phi"])
+    def test_undocumented_field_rejected(self, cfg, field):
+        with pytest.raises(TableConfigError, match=f"undocumented field '{field}'"):
+            table_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"kind": "ellipse", "a": True, "b": 1.0}, "a"),
+        ({"kind": "circle", "R": "2"}, "R"),
+        ({"kind": "circle", "R": None}, "R"),
+        ({"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": "3", "eps": 0.05}]}, "m"),
+        ({"kind": "perturbed_circle", "R": 1.0, "harmonics": [{"m": 3, "eps": None}]}, "eps"),
+        ({"kind": "perturbed_circle", "R": 1.0,
+          "harmonics": [{"m": 3, "eps": 0.05, "phase": False}]}, "phase"),
+        ({"kind": "circle", "R": [1.0]}, "R"),
+    ], ids=["bool", "string", "null", "m-string", "eps-null", "phase-bool", "list"])
+    def test_value_not_a_number_rejected(self, cfg, field):
+        with pytest.raises(TableConfigError, match=f"field '{field}' must be a number"):
+            table_from_config(json.loads(json.dumps(cfg)))
+
+    @pytest.mark.parametrize("harmonics", [{"m": 3, "eps": 0.05}, [3, 0.05, 0.0], None, "m3"],
+                             ids=["object", "numbers", "null", "string"])
+    def test_harmonics_not_a_list_of_objects_rejected(self, harmonics):
+        with pytest.raises(TableConfigError, match="'harmonics' must be a list of objects"):
+            table_from_config({"kind": "perturbed_circle", "R": 1.0, "harmonics": harmonics})
+
+    def test_integer_beyond_float_rejected(self):
+        with pytest.raises(TableConfigError, match="bad table config value"):
+            table_from_config({"kind": "circle", "R": 10**400})
+
+    def test_readme_tables_load(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        texts = block.replace("\n ", " ").splitlines()
+        assert [table_from_config(json.loads(text)).kind for text in texts] == [
+            "circle", "ellipse", "perturbed_circle"]
 
     def test_nonconvex_rejected_at_load(self, tmp_path):
         path = tmp_path / "bad_table.json"
