@@ -159,9 +159,12 @@ def _writing(path: Path):
 
 
 def _write_json(path: Path, obj) -> None:
-    """obj as indented strict JSON: a non-finite float is written null."""
+    """obj as indented strict JSON: a non-finite float is written null.
+    The text is built before the file opens and written in one call, so an
+    object that cannot be encoded leaves no file."""
+    text = json.dumps(_strict(obj), indent=2, allow_nan=False)
     with _writing(path), open(path, "w") as fh:
-        json.dump(_strict(obj), fh, indent=2, allow_nan=False)
+        fh.write(text)
 
 
 def _write_csv(path: Path, header, rows) -> None:

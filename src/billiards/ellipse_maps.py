@@ -249,8 +249,9 @@ class ConjugacyMap:
 
         Returns (s, theta, res_s, res_theta) flat arrays, theta-major;
         distances in s are circular modulo table 1's perimeter.  It runs in
-        phi: one angle_of_arc call, chord_exit bounces, h once on the stacked
-        points [x; f2(x)] and one arc_of_angle call for the distances in s.
+        phi: one angle_of_arc call on the n_s arc lengths, chord_exit
+        bounces, h once on the stacked points [x; f2(x)] and one
+        arc_of_angle call for the distances in s.
         """
         if n_s < 1 or n_theta < 1:
             raise DomainError(f"residual grid needs n_s, n_theta >= 1, got {n_s}, {n_theta}")
@@ -260,7 +261,7 @@ class ConjugacyMap:
         svals = np.linspace(0.0, self.table2.perimeter, n_s, endpoint=False)
         tvals = np.linspace(theta_min, self.theta_star - 0.01, n_theta)
         s, th = (v.ravel() for v in np.meshgrid(svals, tvals))
-        phi = self.table2.angle_of_arc(s)
+        phi = np.tile(self.table2.angle_of_arc(svals), n_theta)  # s is svals n_theta times over
         phi_f, th_f = self.table2.chord_exit(phi, th)
         coord2 = _action_angle_phi(self.table2, np.concatenate((phi, phi_f)),
                                    np.concatenate((th, th_f)))

@@ -268,7 +268,10 @@ def mm_fit_from_samples(samples: BetaSamples, K: int = 3) -> InvariantReport:
 
 def _check_q_range(q_min: int, q_max: int, K: int) -> None:
     """The q range of beta, mm, compare and mm_invariants, whose L_q fit
-    takes every sampled q: q_min >= 5 and at least 2K + 2 values of q."""
+    takes every sampled q: K >= 1, q_min >= 5 and at least 2K + 2 values
+    of q."""
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
     if q_min < 5:
         raise DomainError(f"q_min must be >= 5, got {q_min}")
     if q_max - q_min + 1 < 2 * K + 2:

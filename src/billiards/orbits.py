@@ -51,10 +51,12 @@ The LM step and the line search.  The Newton polish is damped by
 Levenberg-Marquardt (LM), which absorbs the zero Hessian mode of the
 orbit families of integrable tables; _lm_step takes the step of every
 row in one O(q) sweep, so a pass costs the same however many q the batch
-holds.  The line search tries the full step, unless the row's last step
-was halved, then the halvings in chunks of _HALVING_CHUNK per pass, and
-takes the first trial that passes: the step a one-at-a-time search
-takes, with no trial evaluated past the chunk that decides it.
+holds.  The line search tries alpha = 1, 1/2, ..., 2^-19 and takes the
+first trial that passes: the step a one-at-a-time search takes.  A row
+whose last accepted step was alpha = 2^-k evaluates halvings 0..k in the
+first trial pass of each LM step (so a row's first step, and one after a
+full step, tries alpha = 1 alone), then _HALVING_CHUNK halvings per pass,
+and no trial is evaluated past the pass that decides it.
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ VALUE_DEDUPE_RTOL = 1e-9
 # as fast as 2048, 8192 and 16384, at a peak RSS of 63.8 MB, against
 # 64.8 MB at 8192, 66.6 MB at 16384 and 70.1 MB unblocked.
 HESSIAN_BLOCK = 4096
-# Halvings of one line search that _newton evaluates per pass once the full
-# step is out of the question.  On the q 10..20 "max" batch of the m = 3
-# circle (16 phases, 2-vCPU host), most accepted steps pass by the fourth
-# halving.  Evaluating all 19 or 20 halvings at once cost the polish 2874
-# Hessian rows in 16.8 calls per table; chunks of 8 cost 1464 rows in 20.1
-# calls, and chunks of 4 1038 rows in 28.7 calls.  find_orbits took 0.83
-# (chunks of 8) and 0.86 (chunks of 4) of the all-at-once time, as medians
-# of paired ratios.
+# Halvings of one line search that _newton evaluates per pass after a row's
+# first pass, which evaluates halvings 0..k when its last step was 2^-k.
+# On the q 10..20 "max" batch of the m = 3 circle (16 phases, 2-vCPU host,
+# numpy 2.4.6) chunks of 8 cost the polish 1111 Hessian rows in 18.1 calls
+# per table, every later halving at once 1556 rows in 17.3 calls, chunks of
+# 4 968 rows in 19.3 calls, and a fixed first pass of halvings 0..7 with
+# chunks of 8 1457 rows in 20.8 calls.  find_orbits took 1.07 (all at once)
+# and 0.96 (chunks of 4) of the chunks-of-8 time, as medians of paired
+# ratios.
 _HALVING_CHUNK = 8
 
 
@@ -370,7 +373,7 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
     mu = np.full(n, 1e-12)
     tries = np.zeros(n, dtype=int)  # values of mu tried in this outer step
     halvings = np.zeros(n, dtype=int)
-    halved = np.zeros(n, dtype=bool)  # the last accepted step was halved
+    last_k = np.zeros(n, dtype=int)  # the last accepted step was alpha = 2^-last_k
     norm_f = np.empty(n)
     delta = np.zeros(t.shape)  # padded columns never move
     state = np.full(n, _OUTER)
@@ -395,7 +398,7 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
         rows = np.flatnonzero(state == _TRIAL)
         if not rows.size:
             continue
-        count = np.where((halvings[rows] == 0) & ~halved[rows], 1,
+        count = np.where(halvings[rows] == 0, last_k[rows] + 1,
                          np.minimum(_HALVING_CHUNK, 20 - halvings[rows]))
         owner = np.repeat(rows, count)
         k = halvings[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
@@ -412,7 +415,7 @@ def _newton(chain: _Chain, t, q, cap: int, stat_tol: float):
             t[up, :w] = t_try[ev[first]]
             F[up, :w], diag[up, :w], off[up, :w] = F_try[first], diag_try[first], off_try[first]
             mu[up] = np.maximum(mu[up] * 0.1, 1e-14)
-            halved[up] = alpha[ev[first]] < 1.0
+            last_k[up] = k[ev[first]]
             steps[up] += 1
             res[up] = res_try[first]
             state[up] = _OUTER

@@ -591,6 +591,22 @@ def test_write_csv_is_csv_writer_bytes(tmp_path, rows):
     assert got.count(b"\r\n") == len(rows) + 1
 
 
+def test_write_json_is_json_dump_bytes(tmp_path):
+    # the bytes json.dump streams, built first and written in one call; an
+    # object that cannot be encoded leaves no file
+    obj = {"a": [1, 2.5, math.nan, -math.inf], "b": {"c": "x", "d": [np.float64(0.1), (3, 4)]},
+           "e": "\u00e9\n", "f": True, "g": None, "h": {}, "i": []}
+    path = tmp_path / "got.json"
+    cli._write_json(path, obj)
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump(cli._strict(obj), fh, indent=2, allow_nan=False)
+    assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+    bad = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        cli._write_json(bad, {"a": 1, "b": object()})
+    assert not bad.exists()
+
+
 class TestOrbitCommand:
     def test_unresolved_s0_is_1(self, perturbed_cfg, tmp_path, capsys):
         # at s0 = 1e17 one ulp is 16: every row would show one s and x
@@ -786,6 +802,31 @@ class TestExitCodes:
         assert err.startswith(f"billiards: {message}") and err.count("\n") == 1
         with pytest.raises(DomainError, match=message):
             invariants_mod.mm_invariants(load_table(ellipse_cfg), (qmin, qmax), K)
+
+    @pytest.mark.parametrize("command, K", [("mm", "0"), ("beta", "-1"), ("compare", "0")])
+    def test_K_below_one_solves_no_orbit(self, ellipse_cfg, ellipse32_cfg, tmp_path, capsys,
+                                         monkeypatch, command, K):
+        # K = 0 and K = -1 pass the span check (2K + 2 values of q); the fit
+        # refused them only after the whole q range had been solved
+        solved = []
+
+        def spy(*a, **k):
+            solved.append(a)
+            raise AssertionError("find_orbits called")
+
+        monkeypatch.setattr(orbits_mod, "find_orbits", spy)
+        monkeypatch.setattr(invariants_mod, "find_orbits", spy)
+        tables = ["--table", ellipse_cfg] + (["--table2", ellipse32_cfg] if command == "compare"
+                                              else [])
+        out = tmp_path / "o"
+        rc = main([command, *tables, "--qmin", "10", "--qmax", "60", "--K", K,
+                   "--out", str(out), "--threads", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"billiards: K must be >= 1, got {K}\n"
+        assert not out.exists()
+        with pytest.raises(DomainError, match="K must be >= 1"):
+            invariants_mod.mm_invariants(load_table(ellipse_cfg), (10, 60), int(K))
+        assert solved == []
 
     @pytest.mark.parametrize("command, threads", [("beta", "-3"), ("mm", "0"),
                                                    ("orbit", "-1")])

@@ -510,7 +510,8 @@ class TestResidualGridOnePass:
         assert h._omega_residual <= 1e-10
 
     def test_one_map_call_and_no_grid_reevaluation(self, ellipse21, monkeypatch):
-        # One angle_of_arc call on the n grid points, one arc_of_angle call
+        # One angle_of_arc call on the n_s distinct arc lengths of the grid
+        # (not on its n = n_s * n_theta points), one arc_of_angle call
         # (besides those inside angle_of_arc), one pass of the rotation
         # matching on the 2n stacked points, none of the s-chart maps, and
         # no re-evaluation of the omega grid.
@@ -552,6 +553,6 @@ class TestResidualGridOnePass:
         for name in ("action_angle", "action_angle_inverse"):
             monkeypatch.setattr(ellipse_maps, name, forbidden)
         h.residual_grid(n_s=40, n_theta=10)
-        assert calls == [("angle_of_arc", h.table2, 400), ("match", None, 800),
+        assert calls == [("angle_of_arc", h.table2, 40), ("match", None, 800),
                          ("arc_of_angle", h.table1, 800)]
         assert omega1_at and not np.isin(np.concatenate(omega1_at), h._lam_grid).any()

@@ -343,10 +343,10 @@ class TestStarts:
 def _one_trial_at_a_time(chain, t, q, cap, stat_tol):
     """_newton's search for one row, one trial point per evaluation: the
     full step, then each halving in turn, for up to 12 values of mu.
-    Returns (t, residual, steps, how many outer steps followed a halved
-    one)."""
+    Returns (t, residual, steps, the halving index k of each accepted step
+    alpha = 2^-k)."""
     F, diag, off, res = chain.hessian(t, q)
-    mu, steps, halved, after_halved = 1e-12, 0, False, 0
+    mu, steps, taken = 1e-12, 0, []
     while res[0] > stat_tol and steps < cap:
         norm = orbits_mod._sequential_sums(F**2)[0]
         for _ in range(12):
@@ -362,15 +362,14 @@ def _one_trial_at_a_time(chain, t, q, cap, stat_tol):
             else:
                 mu *= 100.0
                 continue
-            after_halved += halved
-            halved = k > 0
+            taken.append(k)
             t, F, diag, off, res = t_try, F_try, diag_try, off_try, res_try
             mu = max(mu * 0.1, 1e-14)
             steps += 1
             break
         else:  # every mu failed: the outer step counts, and the row stops
-            return t, res[0], steps + 1, after_halved
-    return t, res[0], steps, after_halved
+            return t, res[0], steps + 1, taken
+    return t, res[0], steps, taken
 
 
 class TestBatchedSolver:
@@ -466,31 +465,56 @@ class TestBatchedSolver:
         assert batches == [16, 16]
         assert [(orb.sweeps, orb.total_sweeps) for orb in orbits] == [(53, 424)] * 2
 
-    def test_halving_ladder_takes_the_one_at_a_time_step(self, perturbed):
-        # After a halved step a row evaluates its halving ladder in chunks of
-        # _HALVING_CHUNK per pass; it must take the step, and so the path, of
-        # a search that tries one trial point per evaluation.  The swept
-        # q = 20 starts of "max" take 29 steps after a halved one between them.
-        p, q = 1, 20
-        chain = orbits_mod._Chain(perturbed, p)
-        stat_tol = orbits_mod.STAT_TOL_FACTOR * perturbed.perimeter
-        qs = np.full(8, q)
-        starts = orbits_mod._equal_init(perturbed, p, q, np.arange(8) / 8.0)
-        starts = orbits_mod._sweeps(chain, starts, qs, 3)
-        batch = orbits_mod._newton(chain, starts, qs, orbits_mod.NEWTON_CAP, stat_tol)
-        ladders = 0
-        for j in range(8):
-            t, res, steps, halved_then_stepped = _one_trial_at_a_time(
-                chain, starts[j:j + 1], qs[j:j + 1], orbits_mod.NEWTON_CAP, stat_tol)
-            assert np.array_equal(t, batch[0][j:j + 1])
-            assert (res, steps) == (batch[1][j], batch[2][j])
-            ladders += halved_then_stepped
-        assert ladders == 29
+    @staticmethod
+    def _replay_polishes(table, qs, orbit_class, monkeypatch):
+        """Every _newton polish of find_orbits, replayed row by row by the
+        one-trial-at-a-time search, which must reach the same t, residual
+        and steps.  Returns the halving indices each row's steps took."""
+        polished = []
+        newton = orbits_mod._newton
+
+        def record(chain, t, q, cap, stat_tol):
+            got = newton(chain, t, q, cap, stat_tol)
+            polished.append((chain, np.array(t), np.array(q), cap, stat_tol, got))
+            return got
+
+        monkeypatch.setattr(orbits_mod, "_newton", record)
+        find_orbits(table, 1, qs, orbit_class)
+        taken = []
+        for chain, starts, q, cap, stat_tol, batch in polished:
+            for j, n in enumerate(q):
+                t, res, steps, ks = _one_trial_at_a_time(chain, starts[j:j + 1, :n], q[j:j + 1],
+                                                         cap, stat_tol)
+                assert np.array_equal(t, batch[0][j:j + 1, :n])
+                assert (res, steps) == (batch[1][j], batch[2][j])
+                taken.append(ks)
+        return taken
+
+    def test_halving_ladder_takes_the_one_at_a_time_step(self, perturbed, monkeypatch):
+        # A row whose last step was 2^-k evaluates halvings 0..k in its first
+        # trial pass, then chunks of _HALVING_CHUNK; it must take the step,
+        # and so the path, of a search that tries one trial point per
+        # evaluation.  The swept q 10..20 x 8 "max" starts take 93 steps
+        # after a halved one between them, some after a step of 2^-9.
+        taken = self._replay_polishes(perturbed, range(10, 21), "max", monkeypatch)
+        assert len(taken) == 88
+        assert sum(k > 0 for ks in taken for k in ks[:-1]) == 93
+        assert max(max(ks, default=0) for ks in taken) == 9
+
+    def test_min_halving_ladder_takes_the_one_at_a_time_step(self, perturbed, monkeypatch):
+        # The same over the "min" batch of q 14..16: equal and scattered
+        # starts with no ascent sweeps, and their retries.  Its rows take
+        # 336 steps after a halved one, some as deep as 2^-19.
+        taken = self._replay_polishes(perturbed, range(14, 17), "min", monkeypatch)
+        assert len(taken) == 69
+        assert sum(k > 0 for ks in taken for k in ks[:-1]) == 336
+        assert max(max(ks, default=0) for ks in taken) == 19
 
     def test_halving_ladder_cost(self, perturbed, monkeypatch):
-        # The polish of the swept q 10..20 x 8 "max" batch evaluates 1569
-        # Hessian rows in 19 calls.  Evaluating every untried halving at
-        # once, instead of chunks of 8, took 3105 rows in 17 calls on the
+        # The polish of the swept q 10..20 x 8 "max" batch evaluates 1203
+        # Hessian rows in 18 calls.  A first trial pass of halvings 0..7 for
+        # every row whose last step was halved took 1569 rows in 19 calls,
+        # and every untried halving at once 3105 rows in 17 calls, on the
         # same batch, to the same 417 steps.
         p, qs = 1, np.repeat(np.arange(10, 21), 8)
         chain = orbits_mod._Chain(perturbed, p)
@@ -506,7 +530,7 @@ class TestBatchedSolver:
 
         monkeypatch.setattr(chain, "hessian", count)
         _, _, steps, ok = orbits_mod._newton(chain, starts, qs, orbits_mod.NEWTON_CAP, stat_tol)
-        assert (sum(rows), len(rows)) == (1569, 19)
+        assert (sum(rows), len(rows)) == (1203, 18)
         assert steps.sum() == 417 and ok.all()
 
     @pytest.mark.parametrize("q", [7, 2, pytest.param((2, 7), id="2+7")])
