@@ -175,6 +175,12 @@ def _write_csv(path: Path, header, rows) -> None:
                       for row in (header, *rows))
 
 
+def _column_text(col) -> list:
+    """str() of each float of col, formed once per bitwise-distinct value."""
+    bits, at = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([str(v) for v in bits.view(float).tolist()], dtype=object)[at].tolist()
+
+
 def _write_report(path: Path, report, samples) -> None:
     """invariant_report.json: the fit, plus the per-q solver diagnostics
     under the beta_samples.csv column names."""
@@ -293,7 +299,7 @@ def _cmd_conjugacy(args, outdir: Path, stages: _Stages):
     stages.lap("grid")
     csv_path = outdir / "conjugacy_residuals.csv"
     _write_csv(csv_path, ("s", "theta", "residual_s", "residual_theta"),
-               np.column_stack((s, th, rs, rt)).tolist())
+               zip(*(_column_text(col) for col in (s, th, rs, rt))))
     max_res = float(np.max(np.concatenate((rs, rt))))  # NaN propagates
     rc = 0
     if args.threshold is not None and not max_res <= args.threshold:

@@ -211,10 +211,12 @@ class ConjugacyMap:
     def _match(self, coord2: CausticCoord):
         """The core of h in either chart: (lambda1, t1, K(k1)), the table-1
         caustic of equal rotation number, its time at equal normalized time
-        and its complete integral, for the inverse chart."""
+        and its complete integral, for the inverse chart; once per distinct
+        omega and lambda1, with the bits of a pass over every point."""
         om = self._om_grid
         omega = np.asarray(coord2.omega)
         _require(omega < om[-1], "rotation number outside table 1's near-boundary range", omega)
+        omega, at_omega = np.unique(omega, return_inverse=True)
         lam = np.zeros(omega.shape)
         pos = omega > 0.0
         if pos.any():
@@ -233,9 +235,12 @@ class ConjugacyMap:
         # One pass gives omega_1 for the re-check and the K(k1) that serves
         # the time rescale and the inverse chart; at lambda = 0 (omega = 0)
         # the re-check reads exactly 0.
+        lam, at_lam = np.unique(lam, return_inverse=True)
         omega1, bigk1 = _rotation(self.table1, lam, _modulus(self.table1, lam))
-        resid = np.abs(omega1 - omega)
+        resid = np.abs(omega1[at_lam] - omega)
         self._omega_residual = max(self._omega_residual, float(np.max(resid, initial=0.0)))
+        at = at_lam[at_omega].reshape(np.shape(coord2.omega))
+        lam, bigk1 = lam[at], bigk1[at]
         return lam, coord2.t_hat * 4.0 * bigk1, bigk1
 
     def __call__(self, p: PhasePoint) -> PhasePoint:

@@ -12,7 +12,9 @@ ellip_f and ellip_k calls bit for bit.
 Every function takes arrays and broadcasts its arguments; a scalar input
 returns a float.  The iterative ones (duplication, Newton, root finding)
 stop each element at its own convergence test, so element i of an array
-call equals the scalar call on element i bit for bit.
+call equals the scalar call on element i bit for bit.  carlson_rf checks
+its domain from the minimum and maximum and each column's spread with one
+division; jacobi_am compacts its live elements and fixes k'^2 per element.
 
 Scalar work runs in Python floats, where numpy's per-call dispatch would
 cost more than the arithmetic: carlson_rf on at most RF_FLOAT_COLUMNS
@@ -57,10 +59,10 @@ _RTOL = 4.0 * np.finfo(float).eps
 
 # carlson_rf runs calls of at most this many columns through the float
 # kernel _rf_float, column by column, and larger ones through the array
-# loop.  On caustic-chart arguments (2-vCPU host, timeit minima per call)
-# the kernel took 8 us for 1 column, 54 for 16, 77 for 24 and 105 for 32,
-# the array loop 84-109 us at every one of these sizes; they cross near
-# 28 columns, and at 16 the kernel is still 1.5x faster.
+# loop.  On caustic-chart arguments with a scalar z (2-vCPU host, timeit
+# minima per call) the kernel took 5 us for 1 column, 45 for 16, 69 for 24
+# and 90 for 32, the array loop 40 us at 1 column and 74-87 us from 8 to
+# 32; they cross near 26 columns, and at 16 the kernel is 1.7x faster.
 RF_FLOAT_COLUMNS = 16
 
 
@@ -77,28 +79,32 @@ def carlson_rf(x, y, z):
     Defined for nonnegative arguments with at most one of them zero;
     accurate to a few ulp.
     """
-    x, y, z = _arrays(x, y, z)
-    if x.size <= RF_FLOAT_COLUMNS:
+    shape = np.broadcast(x, y, z).shape
+    v = np.empty((3, *shape))  # the (3, N) state, broadcast as it is filled
+    v[0], v[1], v[2] = x, y, z
+    v = v.reshape(3, -1)
+    if v.shape[1] <= RF_FLOAT_COLUMNS:
         # A column out of domain, or one whose subnormal arguments reach
         # 0/0, sends the call to the array loop, which raises or warns.
         try:
-            out = list(map(_rf_float, x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist()))
+            out = list(map(_rf_float, *v.tolist()))
         except ZeroDivisionError:
             out = [None]
         if None not in out:
-            return np.array(out).reshape(x.shape) if x.ndim else out[0]
-    v = np.array((x, y, z)).reshape(3, x.size)
-    # One pass for both checks (NaN fails both comparisons); the messages
-    # come from the two _require calls, run only when it fails.
-    if not ((v >= 0.0) & (v < math.inf)).all():
+            return np.array(out).reshape(shape) if shape else out[0]
+    # One min/max pass for both checks (NaN fails both comparisons); the
+    # messages come from the two _require calls, run only when it fails.
+    lo, hi = v.min(initial=math.inf), v.max(initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):
         _require(np.isfinite(v), "carlson_rf: arguments must be finite", v)
         _require(v >= 0.0, "carlson_rf: arguments must be nonnegative", v)
-    if np.any((v == 0.0).sum(axis=0) > 1):
+    if lo == 0.0 and np.any((v == 0.0).sum(axis=0) > 1):
         raise DomainError("carlson_rf: diverges when two or more arguments vanish")
 
     # No compaction: a column stops duplicating at its own spread test and
     # keeps its state, from which the series is taken once at the end.
-    # While every column is pending the step needs no masked copy.
+    # While every column is pending the step needs no masked copy.  As mu > 0
+    # and rounding is monotone, max|mu - v| / mu is max|(mu - v) / mu|.
     pending = np.ones(v.shape[1], dtype=bool)
     npending = v.shape[1]
     for _ in range(300):
@@ -111,7 +117,7 @@ def carlson_rf(x, y, z):
         else:
             np.copyto(v, 0.25 * (v + lam), where=pending)
         mu = (v[0] + v[1] + v[2]) / 3.0
-        pending &= np.abs((mu - v) / mu).max(axis=0) >= _RF_SPREAD
+        pending &= np.abs(mu - v).max(axis=0) / mu >= _RF_SPREAD
         npending = np.count_nonzero(pending)
     else:  # pragma: no cover
         raise SolverError("carlson_rf: duplication did not converge")
@@ -120,7 +126,7 @@ def carlson_rf(x, y, z):
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
     series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    out = (series / np.sqrt(mu)).reshape(x.shape)
+    out = (series / np.sqrt(mu)).reshape(shape)
     return out if out.ndim else float(out)
 
 
@@ -155,7 +161,7 @@ def ellip_k(k):
     """Complete elliptic integral of the first kind K(k), 0 <= k < 1."""
     k = np.asarray(k, dtype=float)
     _check_modulus(k)
-    return _rf_principal(0.0, k)
+    return carlson_rf(*_rf_args(0.0, k))
 
 
 def _rf_args(c, k):
@@ -164,10 +170,6 @@ def _rf_args(c, k):
     # 1 - (k sin)^2 is written k'^2 + (k cos)^2, which does not cancel near
     # k = 1, phi = pi/2.
     return c * c, (1.0 - k) * (1.0 + k) + (k * c) * (k * c), 1.0
-
-
-def _rf_principal(c, k):
-    return carlson_rf(*_rf_args(c, k))
 
 
 def _f_and_k(phi, k, need_k=True):
@@ -189,8 +191,8 @@ def _f_and_k(phi, k, need_k=True):
     phi0 = (phi - n * _PI_HI) - n * _PI_LO
     wound = n != 0.0
     at = (np.broadcast_to(need_k, phi.shape) | wound).ravel()
-    rf = _rf_principal(np.concatenate((np.cos(phi0).ravel(), np.zeros(np.count_nonzero(at)))),
-                       np.concatenate((k.ravel(), k.ravel()[at])))
+    c = np.concatenate((np.cos(phi0).ravel(), np.zeros(np.count_nonzero(at))))
+    rf = carlson_rf(*_rf_args(c, np.concatenate((k.ravel(), k.ravel()[at]))))
     f = np.asarray(np.sin(phi0) * rf[:phi.size].reshape(phi.shape))
     bigk = np.full(phi.size, np.nan)
     bigk[at] = rf[phi.size:]
@@ -249,30 +251,34 @@ def _jacobi_am(t, k, bigk):
     n = np.floor(t / (2.0 * bigk) + 0.5)
     r = t - 2.0 * n * bigk  # in [-K, K]
     # Solve F(phi, k) = r on [-pi/2, pi/2]: Newton with a bisection safeguard,
-    # element by element.
-    phi = 0.5 * math.pi * r / bigk
-    lo = np.full(t.size, -0.5 * math.pi)
-    hi = np.full(t.size, 0.5 * math.pi)
+    # element by element, on the live elements only, compacted as they stop.
+    phi = ph = 0.5 * math.pi * r / bigk
     live = np.arange(t.size)
+    kp2 = (1.0 - k) * (1.0 + k)  # as in _rf_args
+    tol = 1e-15 * np.maximum(1.0, np.abs(r))
+    lo, hi = np.full(t.size, -0.5 * math.pi), np.full(t.size, 0.5 * math.pi)
     for _ in range(60):
-        ph, kl, rl = phi[live], k[live], r[live]
-        s = np.sin(ph)
-        err = s * _rf_principal(np.cos(ph), kl) - rl
-        done = np.abs(err) < 1e-15 * np.maximum(1.0, np.abs(rl))
+        s, c = np.sin(ph), np.cos(ph)
+        kc = k * c
+        err = s * carlson_rf(c * c, kp2 + kc * kc, 1.0) - r
+        done = np.abs(err) < tol
         above = err > 0.0
-        hl = np.where(above, ph, hi[live])
-        ll = np.where(above, lo[live], ph)
-        step = err * np.sqrt(1.0 - (kl * s) * (kl * s))  # err / F'(phi)
+        hi = np.where(above, ph, hi)
+        lo = np.where(above, lo, ph)
+        step = err * np.sqrt(1.0 - (k * s) * (k * s))  # err / F'(phi)
         # Near k = 1 F' is large and the residual test above can sit below
         # the rounding noise of F; a step or bracket at ulp level has converged.
-        done |= np.minimum(np.abs(step), hl - ll) <= np.spacing(np.abs(ph))
+        done |= np.minimum(np.abs(step), hi - lo) <= np.spacing(np.abs(ph))
         cand = ph - step
-        inside = (ll < cand) & (cand < hl)
-        phi[live] = np.where(done, ph, np.where(inside, cand, 0.5 * (ll + hl)))
-        lo[live], hi[live] = ll, hl
-        live = live[~done]
+        nxt = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+        if done.any():
+            phi[live[done]] = ph[done]
+            more = ~done
+            live, nxt, k, r, kp2, tol, lo, hi = (
+                a[more] for a in (live, nxt, k, r, kp2, tol, lo, hi))
         if not live.size:
             break
+        ph = nxt
     else:  # pragma: no cover
         raise SolverError("jacobi_am: amplitude iteration did not converge")
     phi = (phi + n * math.pi).reshape(shape)

@@ -141,9 +141,10 @@ class Table:
         Newton passes from the linear interpolation of the knots.  A pass
         runs only on the points that moved in the one before: a point that
         did not move is at a fixed point of the pass, so further passes
-        would repeat it bit for bit; one back at its pass-1 t after pass 3
-        stops too.  Raises SolverError when a point's last residual is above
-        ARC_INVERSE_TOL per unit perimeter, or s is not finite."""
+        would repeat it bit for bit; one back at its t of two passes before
+        stops too, after pass 4 with the pass-3 t and residual that five
+        passes end on.  Raises SolverError when a point's last residual is
+        above ARC_INVERSE_TOL per unit perimeter, or s is not finite."""
         s = np.asarray(s, dtype=float)
         wind = np.floor(s / self._perimeter)
         sr = (s - wind * self._perimeter).ravel()
@@ -153,15 +154,19 @@ class Table:
         t = self._t_knots[idx] + self._panel_h * (sr - s0) / (s1 - s0)
         resid = np.full_like(t, np.nan)  # a non-finite s fails the check unevaluated
         live = np.flatnonzero(np.isfinite(t))
+        t_back = []  # t after passes 1 and 2
         for k in range(5):
-            t_live = t[live]
+            t_live, r_live = t[live], resid[live]
             resid[live] = r = self.arc_of_angle(t_live) - sr[live]
             t[live] = t_new = t_live - r / self.speed(t_live)
             moved = t_new != t_live
-            if k == 0:
-                t_one = t.copy()
-            elif k == 2:  # a two-cycle: passes 4 and 5 would return pass 3's t and residual
-                moved &= t_new != t_one[live]
+            if k < 2:
+                t_back.append(t.copy())
+            elif k < 4:
+                cycle = moved & (t_new == t_back[k - 2][live])
+                if k == 3:
+                    t[live[cycle]], resid[live[cycle]] = t_live[cycle], r_live[cycle]
+                moved &= ~cycle
             live = live[moved]
             if not live.size:
                 break

@@ -475,6 +475,20 @@ class TestGoldenOutputs:
         assert summary["max_residual"].hex() == "0x1.8000000000000p-48"
         assert summary["max_omega_residual"].hex() == "0x1.0000000000000p-53"
 
+    def test_conjugacy_21_vs_32_default_grid(self, ellipse_cfg, ellipse32_cfg, tmp_path):
+        # the 200 x 50 grid, where the stacked points repeat their caustics
+        # and the CSV columns their values most
+        out = tmp_path / "out"
+        rc = main(["conjugacy", "--table", ellipse_cfg, "--table2", ellipse32_cfg,
+                   "--out", str(out)])
+        assert rc == 0
+        digest = hashlib.sha256((out / "conjugacy_residuals.csv").read_bytes()).hexdigest()
+        assert digest == "901d172e87c143815d95667a13b39d1c53c8cb95ee48da86ce8a0269156d7cbb"
+        summary = read_summary(out)
+        assert summary["config"]["grid"] == [200, 50]
+        assert summary["max_residual"].hex() == "0x1.0000000000000p-47"
+        assert summary["max_omega_residual"].hex() == "0x1.8000000000000p-53"
+
     def test_witness_21_vs_5_15(self, ellipse_cfg, tmp_path):
         t2 = tmp_path / "e515.json"
         t2.write_text(json.dumps({"kind": "ellipse", "a": 5.0, "b": 1.5}))
@@ -589,6 +603,21 @@ def test_write_csv_is_csv_writer_bytes(tmp_path, rows):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.count(b"\r\n") == len(rows) + 1
+
+
+def test_column_text_is_write_csv_bytes(tmp_path):
+    # conjugacy formats each distinct value of a column once; the rows of
+    # text write the bytes _write_csv writes for the floats themselves
+    nan_bits = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+    col = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 0.1, -0.0, 1e16, 1e-300,
+                    2.0 / 3.0, 0.0, math.nan, 0.1, *nan_bits, 5e-324])
+    cols = (col, col[::-1], np.roll(col, 3))
+    text = [cli._column_text(c) for c in cols]
+    assert text[0][:5] == ["-0.0", "0.0", "nan", "inf", "-inf"]
+    cli._write_csv(tmp_path / "got.csv", ("a", "b", "c"), zip(*text))
+    cli._write_csv(tmp_path / "want.csv", ("a", "b", "c"), np.column_stack(cols).tolist())
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert cli._column_text(np.empty(0)) == []
 
 
 def test_write_json_is_json_dump_bytes(tmp_path):

@@ -373,6 +373,26 @@ class TestBatchIndependence:
         assert np.array_equal(out.s, [p.s for p in ref])
         assert np.array_equal(out.theta, [p.theta for p in ref])
 
+    def test_conjugacy_map_on_repeated_points(self, ellipse21):
+        # _match inverts each distinct omega_2 and evaluates each distinct
+        # lambda_1 once: a batch holding every point three times, as 2-D
+        # array, and a 0-d point all give the per-point bits
+        h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
+        rng = np.random.default_rng(65)
+        s = rng.uniform(0.0, h.table2.perimeter, 30)
+        th = rng.uniform(0.01, h.theta_star, 30)
+        s, th = np.tile(s, 3), np.tile(th, 3)
+        s[7], th[7] = 0.0, th[8]  # a repeated theta at another s
+        ref = [h(PhasePoint(a, b)) for a, b in zip(s, th)]
+        assert all(isinstance(p.s, float) and isinstance(p.theta, float) for p in ref)
+        want = [[p.s.hex() for p in ref], [p.theta.hex() for p in ref]]
+        for shape in ((90,), (3, 30)):
+            out = h(PhasePoint(s.reshape(shape), th.reshape(shape)))
+            assert np.shape(out.s) == np.shape(out.theta) == shape
+            assert [[float(v).hex() for v in np.ravel(x)] for x in (out.s, out.theta)] == want
+        one = h(PhasePoint(np.array(s[7]), np.array(th[7])))
+        assert (one.s.hex(), one.theta.hex()) == (want[0][7], want[1][7])
+
     def test_oracle(self):
         E = ellipse_from_ecc(0.8)
         rng = np.random.default_rng(64)
@@ -427,8 +447,11 @@ class TestMatchCompleteIntegrals:
         assert np.array_equal(coord2.omega, rotation_number_of_caustic(h.table2, coord2.lam))
         calls = _rf_spy(monkeypatch, _outside_inversion(monkeypatch))
         lam1, t1, bigk1 = h._match(coord2)
-        # the fused omega_1 pass only
-        assert calls == [50]
+        # the fused omega_1 pass only, on the 20 distinct lambda_1 of the 21
+        # distinct omega_2 of the 50 points (50 before the passes ran once
+        # per distinct value)
+        assert (np.unique(coord2.omega).size, np.unique(lam1).size) == (21, 20)
+        assert calls == [20]
         k1 = ellipse_maps._modulus(h.table1, lam1)
         assert np.array_equal(bigk1, ellip_k(k1))
         assert np.array_equal(t1, coord2.t_hat * 4.0 * ellip_k(k1))
@@ -469,9 +492,12 @@ class TestCarlsonCalls:
         assert len(calls) == 12
 
     def test_one_complete_integral_per_modulus_in_grid(self, ellipse21, monkeypatch):
-        # Outside the omega_1 inversion the grid evaluates K(k2) once (in
-        # action_angle) and K(k1) once (in _match, passed on to the Newton
-        # solve of jacobi_am) per stacked point; no ellip_k call at all.
+        # Outside the omega_1 inversion the grid evaluates K(k2) once per
+        # stacked point (in action_angle) and K(k1) once per distinct lambda_1
+        # (in _match, passed on to the Newton solve of jacobi_am); no ellip_k
+        # call at all.  That is 800 + 494 with numpy's AVX512 loops and
+        # 800 + 507 without (the distinct count follows the bits), where one
+        # K(k1) per point made 2 * 800.
         h = build_conjugacy(ellipse21, EllipseTable(3.0, 2.0))
 
         def forbidden(k):
@@ -480,8 +506,10 @@ class TestCarlsonCalls:
         calls = _rf_spy(monkeypatch, _outside_inversion(monkeypatch))
         monkeypatch.setattr(elliptic, "ellip_k", forbidden)
         monkeypatch.setattr(ellipse_maps, "ellip_k", forbidden)
+        matched, match = [], h._match
+        monkeypatch.setattr(h, "_match", lambda coord2: matched.append(match(coord2)) or matched[0])
         h.residual_grid(n_s=40, n_theta=10)
-        assert sum(calls) == 2 * 800
+        assert sum(calls) == 800 + np.unique(matched[0][0]).size
 
 
 class TestResidualGridOnePass:

@@ -375,6 +375,89 @@ class TestBatchIndependence:
             invert_monotone(lambda x: x, [0.5, 5.0], (0.0, 1.0))
 
 
+def _jacobi_am_uncompacted(t, k, bigk):
+    """_jacobi_am's Newton loop run on full-size arrays, with k'^2 and the
+    residual tolerance formed in every pass: the reference that the
+    compacted loop must equal bit for bit."""
+    t, k, bigk = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(t, k, bigk))
+    n = np.floor(t / (2.0 * bigk) + 0.5)
+    r = t - 2.0 * n * bigk
+    phi = 0.5 * math.pi * r / bigk
+    lo, hi = np.full(t.size, -0.5 * math.pi), np.full(t.size, 0.5 * math.pi)
+    live = np.arange(t.size)
+    for _ in range(60):
+        ph, kl, rl = phi[live], k[live], r[live]
+        s = np.sin(ph)
+        err = s * carlson_rf(*elliptic._rf_args(np.cos(ph), kl)) - rl
+        done = np.abs(err) < 1e-15 * np.maximum(1.0, np.abs(rl))
+        above = err > 0.0
+        hl, ll = np.where(above, ph, hi[live]), np.where(above, lo[live], ph)
+        step = err * np.sqrt(1.0 - (kl * s) * (kl * s))
+        done |= np.minimum(np.abs(step), hl - ll) <= np.spacing(np.abs(ph))
+        cand = ph - step
+        inside = (ll < cand) & (cand < hl)
+        phi[live] = np.where(done, ph, np.where(inside, cand, 0.5 * (ll + hl)))
+        lo[live], hi[live] = ll, hl
+        live = live[~done]
+        if not live.size:
+            return phi + n * math.pi
+    raise AssertionError("reference loop did not converge")
+
+
+class TestTrimmedArrayLoops:
+    """carlson_rf's array loop checks its domain from the minimum and
+    maximum and tests the spread once per column; _jacobi_am carries
+    compacted live arrays.  Both keep the bits and the messages."""
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "carlson_rf: arguments must be finite, got nan"),
+        (-1.0, "carlson_rf: arguments must be nonnegative, got -1.0"),
+        (math.inf, "carlson_rf: arguments must be finite, got inf"),
+        (-math.inf, "carlson_rf: arguments must be finite, got -inf"),
+        (0.0, "carlson_rf: diverges when two or more arguments vanish"),
+    ], ids=["nan", "negative", "inf", "-inf", "two-zeros"])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_carlson_rf_array_path_messages(self, value, message, row):
+        args = np.ones((3, elliptic.RF_FLOAT_COLUMNS + 9))
+        args[row, 12] = value
+        if value == 0.0:
+            args[(row + 1) % 3, 12] = 0.0  # the second zero of the column
+        with pytest.raises(DomainError) as exc:
+            carlson_rf(*args)
+        assert str(exc.value) == message
+
+    def test_carlson_rf_one_zero_per_column(self):
+        # a zero in each column, but never two, passes the divergence check
+        n = elliptic.RF_FLOAT_COLUMNS + 9
+        x, y, z = np.ones((3, n))
+        x[::2], y[1::2] = 0.0, -0.0
+        assert np.array_equal(carlson_rf(x, y, z), [carlson_rf(*v) for v in zip(x, y, z)])
+
+    def test_jacobi_am_random(self):
+        rng = np.random.default_rng(70)
+        t = rng.uniform(-20.0, 20.0, 3000)
+        k = rng.uniform(0.0, 0.9999, 3000)
+        k[:500] = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0, 500)
+        bigk = ellip_k(k)
+        assert _hex(elliptic._jacobi_am(t, k, bigk)) == _hex(_jacobi_am_uncompacted(t, k, bigk))
+
+    def test_jacobi_am_at_plus_minus_k(self):
+        k = np.concatenate(([0.0, 0.5], 1.0 - 10.0 ** -np.arange(1.0, 5.0)))
+        bigk = ellip_k(k)
+        t = np.concatenate((bigk, -bigk, 3.0 * bigk))
+        k3, bigk3 = np.tile(k, 3), np.tile(bigk, 3)
+        got = elliptic._jacobi_am(t, k3, bigk3)
+        assert _hex(got) == _hex(_jacobi_am_uncompacted(t, k3, bigk3))
+
+    def test_jacobi_am_empty_and_0d(self):
+        for shape in ((0,), (2, 0)):
+            out = elliptic._jacobi_am(np.empty(shape), np.empty(shape), np.empty(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+        one = elliptic._jacobi_am(np.array(1.3), 0.8, ellip_k(0.8))
+        assert isinstance(one, float)
+        assert _hex(one) == _hex(_jacobi_am_uncompacted(1.3, 0.8, ellip_k(0.8)))
+
+
 def _hex(v):
     return [float(x).hex() for x in np.ravel(v)]
 

@@ -429,6 +429,54 @@ class TestArcInverse:
         assert np.shape(got) == np.shape(s)
         assert isinstance(got, float) == (np.ndim(s) == 0)
 
+    @pytest.mark.parametrize("table", [
+        EllipseTable(2.0, 1.0), EllipseTable(1.0, 0.01), PerturbedCircleTable(1.0, [(3, 0.05, 0.0)]),
+    ], ids=["ellipse21", "ellipse_thin", "perturbed"])
+    def test_two_cycles_closing_at_pass_4_skip_pass_5(self, table, monkeypatch):
+        # Five passes on every point, each pass's t kept: a point whose t
+        # after pass 4 equals its t after pass 2 alternates from there, and
+        # the fifth pass would return its pass-3 t and (evaluated at t(2) =
+        # t(4)) its pass-3 residual.  angle_of_arc stops it after pass 4.
+        s = np.linspace(0.0, table.perimeter, 10_001)
+        wind = np.floor(s / table.perimeter)
+        sr = s - wind * table.perimeter
+        idx = np.clip(np.searchsorted(table._s_knots, sr, side="right") - 1, 0, _N_PANELS - 1)
+        s0, s1 = table._s_knots[idx], table._s_knots[idx + 1]
+        ts = [table._t_knots[idx] + table._panel_h * (sr - s0) / (s1 - s0)]
+        for _ in range(5):
+            resid = table.arc_of_angle(ts[-1]) - sr
+            ts.append(ts[-1] - resid / table.speed(ts[-1]))
+        t0, t1, t2, t3, t4, _ = ts
+        want = np.abs(resid)
+        closing = (t4 == t2) & (t4 != t3)
+        assert np.count_nonzero(closing) > 0
+        # the points that reach pass 5: moved in every pass, no two-cycle
+        pass5 = (t1 != t0) & (t2 != t1) & (t3 != t2) & (t3 != t1) & (t4 != t3) & (t4 != t2)
+
+        inputs, checked = [], []
+        arc = table.arc_of_angle
+        monkeypatch.setattr(table, "arc_of_angle", lambda t: inputs.append(t) or arc(t))
+
+        class Check:
+            # stands in for ARC_INVERSE_TOL and records what the residual
+            # check compares with it
+            __array_ufunc__ = None
+
+            def __mul__(self, other):
+                return self
+
+            def __ge__(self, abs_resid):
+                checked.append(np.array(abs_resid))
+                return np.ones(np.shape(abs_resid), dtype=bool)
+
+        monkeypatch.setattr(tables, "ARC_INVERSE_TOL", Check())
+        got = table.angle_of_arc(s)
+        assert np.array_equal(got, ts[-1] + wind * TWO_PI)
+        assert np.array_equal(checked[0], want)
+        assert len(inputs) <= 5
+        fifth = inputs[4] if len(inputs) == 5 else np.empty(0)
+        assert np.array_equal(fifth, t4[pass5])
+
     @pytest.mark.parametrize("s", [math.nan, [0.5, math.nan, 1.0]], ids=["0-d", "1-D"])
     def test_non_finite_raises(self, ellipse21, s):
         with pytest.raises(SolverError, match="residual of nan"):
